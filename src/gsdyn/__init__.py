@@ -6,12 +6,11 @@ through a small vector-field algebra; a CPU rasterizer and PSNR/SSIM metrics
 support evaluation.
 """
 
-from .anchors import Anchor, AnchorSet, anchor_loss, nearest_past_anchor, snapshot
+from .anchors import Anchor, AnchorSet, anchor_loss, nearest_past_anchor
 from .feature_grid import HexPlaneGrid, create_grid, lookup, lookup_grad, tv_loss
 from .fields import (
     AnalyticField,
     NeuralVelocityField,
-    StateDerivative,
     VelocityField,
     ZeroField,
     blend_masked,
@@ -19,7 +18,7 @@ from .fields import (
     compose_add,
     sphere_mask,
 )
-from .integrate import IntegratorConfig, Trajectory, anchor_aware_rollout, euler_step, rk4_step, rollout
+from .integrate import IntegratorConfig, Trajectory, anchor_aware_rollout, anchored_states, rollout
 from .render import Image, dssim, project, psnr, rasterize, ssim, write_ppm
 from .scene import (
     Bounds,

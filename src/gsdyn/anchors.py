@@ -66,11 +66,6 @@ class AnchorSet:
         return entry
 
 
-def snapshot(anchor_set: AnchorSet, cloud: GaussianCloud, t: float, velocities=None) -> Anchor:
-    """Insert a snapshot of ``cloud`` at time t into the set."""
-    return anchor_set.insert(cloud, t, velocities)
-
-
 def nearest_past_anchor(anchor_set: AnchorSet, t: float) -> Anchor:
     """Anchor with maximal time <= t; exact matches return that anchor."""
     best = None
@@ -114,5 +109,11 @@ def anchor_loss(integrated_clouds, anchor_set: AnchorSet) -> float:
         dp = cloud.positions - stored.positions
         dr = quaternions.relative_tangent(cloud.rotations, stored.rotations)
         ds = cloud.log_scales - stored.log_scales
-        total += float(np.sum(dp**2) + np.sum(dr**2) + np.sum(ds**2))
+        total += state_deviation(dp, dr, ds)
     return total
+
+
+def state_deviation(d_position, d_rotation, d_log_scale) -> float:
+    """Squared L2 norm of a (position, rotation-tangent, log-scale) deviation,
+    summed over Gaussians: the anchor term of the training objective."""
+    return float(np.sum(d_position**2) + np.sum(d_rotation**2) + np.sum(d_log_scale**2))

@@ -53,5 +53,12 @@ def load_bundle(path):
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             buf = f.read(count * dtype.itemsize)
+            if len(buf) != count * dtype.itemsize:
+                raise ValueError(
+                    f"{path}: array {entry['name']!r} is truncated "
+                    f"({len(buf)} of {count * dtype.itemsize} payload bytes)"
+                )
             arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        if f.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the last array")
     return header["meta"], arrays

@@ -113,15 +113,14 @@ def generate_scene(kind: str, n_gaussians: int, n_frames: int, seed: int, params
     steps_per_unit = IntegratorConfig().step_count * GROUND_TRUTH_OVERSAMPLE
     traj = np.empty((n_frames, n_gaussians, 3))
     traj[0] = positions
-    p, q, ls = positions.copy(), rotations.copy(), log_scales.copy()
-    v = np.zeros((n_gaussians, 3))
+    state, v = cloud, None
     for fi in range(1, n_frames):
-        span = times[fi] - times[fi - 1]
-        n_steps = max(1, round(span * steps_per_unit))
-        h = span / n_steps
-        for s in range(n_steps):
-            p, q, ls, v = integrate.rk4_step_arrays(field, p, q, ls, v, times[fi - 1] + s * h, h, step_index=s)
-        traj[fi] = p
+        n_steps = max(1, round((times[fi] - times[fi - 1]) * steps_per_unit))
+        config = IntegratorConfig(step_count=n_steps, record_stride=n_steps)
+        leg = integrate.rollout(state, times[fi - 1], times[fi], config, field, velocities=v)
+        state = leg.cloud_at(len(leg) - 1)
+        v = None if leg.aux_velocities is None else leg.aux_velocities[-1]
+        traj[fi] = state.positions
     return SceneData(
         cloud=cloud,
         cameras=[_default_camera()],
@@ -200,23 +199,29 @@ def _resolve_sim_inputs(args):
     return field, cloud, anchor_set
 
 
+def _span_steps(args) -> int:
+    """Integration steps over [t0, t1]: --steps is per unit time."""
+    if args.steps < 1:
+        raise UsageError("--steps must be >= 1")
+    return max(1, round(abs(args.t1 - args.t0) * args.steps))
+
+
 def cmd_simulate(args):
     if args.t0 == args.t1:
         raise UsageError("t0 and t1 must differ")
     field, cloud, anchor_set = _resolve_sim_inputs(args)
-    config = IntegratorConfig(method=args.method, step_count=args.steps, record_stride=args.record_stride)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.anchored:
         if anchor_set is None or len(anchor_set) == 0:
             raise UsageError("--anchored requires a checkpoint with anchors")
-        n_rec = args.steps // args.record_stride
+        n_rec = _span_steps(args) // args.record_stride
         times = [args.t0 + (args.t1 - args.t0) * i / max(1, n_rec) for i in range(n_rec + 1)]
-        positions = np.stack(
-            [integrate.anchor_aware_rollout(anchor_set, t, config, field).positions for t in times]
-        )
+        config = IntegratorConfig(method=args.method, step_count=args.steps)
+        positions = np.stack([c.positions for c in integrate.anchored_states(anchor_set, times, config, field)])
         times = np.array(times)
     else:
+        config = IntegratorConfig(method=args.method, step_count=_span_steps(args), record_stride=args.record_stride)
         traj = integrate.rollout(cloud, args.t0, args.t1, config, field)
         times, positions = traj.times, traj.positions
     export_trajectory_csv(times, positions, out / "trajectory.csv")
@@ -250,7 +255,7 @@ def cmd_inject(args):
     else:
         raise UsageError("need --scene or a checkpoint with anchors for the initial cloud")
 
-    config = IntegratorConfig(method=args.method, step_count=args.steps, record_stride=args.record_stride)
+    config = IntegratorConfig(method=args.method, step_count=_span_steps(args), record_stride=args.record_stride)
     traj = integrate.rollout(cloud, args.t0, args.t1, config, composed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -394,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     def shared(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--config", default=None, help="optional JSON config file")
 
     p = sub.add_parser("generate", help="synthetic scene with ground-truth trajectories")
     shared(p)

@@ -129,15 +129,13 @@ def _plane_sample(plane, u, v):
     return val, cache
 
 
-def lookup(grid: HexPlaneGrid, position, t: float) -> np.ndarray:
-    """Feature vector at (position, t): six bilinear plane samples, concatenated.
+def lookup(grid: HexPlaneGrid, positions, t: float) -> np.ndarray:
+    """(N, 6*C) feature vectors at (positions, t): six bilinear plane samples, concatenated.
 
-    Accepts a single (3,) position or a batch (N, 3); positions are clamped
-    into the grid bounds before normalization.
+    positions is an (N, 3) batch; positions are clamped into the grid bounds
+    before normalization.
     """
-    position = np.asarray(position, dtype=float)
-    single = position.ndim == 1
-    positions = position[None, :] if single else position
+    positions = np.asarray(positions, dtype=float)
     if not (np.all(np.isfinite(positions)) and np.isfinite(t)):
         raise ValueError("lookup: non-finite query")
     coords, _ = _coords(grid, positions, t)
@@ -145,23 +143,19 @@ def lookup(grid: HexPlaneGrid, position, t: float) -> np.ndarray:
     for plane, (a, b) in zip(grid.planes, PLANE_AXES):
         val, _ = _plane_sample(plane, coords[:, a], coords[:, b])
         out.append(val)
-    feats = np.concatenate(out, axis=1)
-    return feats[0] if single else feats
+    return np.concatenate(out, axis=1)
 
 
-def lookup_grad(grid: HexPlaneGrid, position, t: float, upstream):
+def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream):
     """Exact gradients of :func:`lookup`.
 
-    upstream has shape (6*C,) or (N, 6*C).  Returns
+    positions is (N, 3) and upstream (N, 6*C).  Returns
     (plane_grads, g_position, g_t): plane_grads mirrors grid.planes with
     nonzero entries only at the <= 4 touched nodes per plane per query;
     g_position / g_t are the gradients w.r.t. the query.
     """
-    position = np.asarray(position, dtype=float)
-    single = position.ndim == 1
-    positions = position[None, :] if single else position
-    upstream = np.asarray(upstream, dtype=float)
-    up = upstream[None, :] if single else upstream
+    positions = np.asarray(positions, dtype=float)
+    up = np.asarray(upstream, dtype=float)
     if not (np.all(np.isfinite(positions)) and np.isfinite(t)):
         raise ValueError("lookup_grad: non-finite query")
 
@@ -192,8 +186,6 @@ def lookup_grad(grid: HexPlaneGrid, position, t: float, upstream):
     g_coords = np.where(active, g_coords / span, 0.0)
     g_position = g_coords[:, :3]
     g_t = g_coords[:, 3]
-    if single:
-        return plane_grads, g_position[0], float(g_t[0])
     return plane_grads, g_position, g_t
 
 

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import feature_grid
-from .scene import GaussianState
 
 
 class FieldError(Exception):
@@ -24,35 +23,19 @@ class FieldError(Exception):
 
 
 @dataclass
-class StateDerivative:
-    """Time-derivative of one Gaussian state.
+class BatchDerivative:
+    """Time-derivative of a batch of Gaussian states.
 
-    d_rotation is an angular-velocity 3-vector (applied via the exponential
-    map by the integrator).  d_velocity is present only for second-order
-    fields, where d_position is the auxiliary velocity itself.  Color and
-    opacity never change under the dynamics.
+    d_rotation is an angular velocity (applied via the exponential map by
+    the integrator).  d_velocity is present only for second-order fields,
+    where d_position is the auxiliary velocity itself.  Color and opacity
+    never change under the dynamics.
     """
 
-    d_position: np.ndarray
-    d_rotation: np.ndarray
-    d_log_scale: np.ndarray
-    d_velocity: Optional[np.ndarray] = None
-
-
-@dataclass
-class BatchDerivative:
     d_position: np.ndarray  # (N, 3)
     d_rotation: np.ndarray  # (N, 3)
     d_log_scale: np.ndarray  # (N, 3)
     d_velocity: Optional[np.ndarray] = None  # (N, 3) for second-order fields
-
-    def __getitem__(self, i: int) -> StateDerivative:
-        return StateDerivative(
-            d_position=self.d_position[i],
-            d_rotation=self.d_rotation[i],
-            d_log_scale=self.d_log_scale[i],
-            d_velocity=None if self.d_velocity is None else self.d_velocity[i],
-        )
 
 
 def _zeros(n):
@@ -62,8 +45,9 @@ def _zeros(n):
 class VelocityField:
     """Abstract evaluator producing state time-derivatives.
 
-    Subclasses implement :meth:`evaluate_batch`; everything else builds on
-    it.  ``second_order`` marks fields whose dynamics read and write an
+    Subclasses implement :meth:`evaluate_batch`, which maps (N, 3) positions
+    and auxiliary velocities at time t to a :class:`BatchDerivative`.
+    ``second_order`` marks fields whose dynamics read and write an
     auxiliary per-Gaussian velocity.
     """
 
@@ -72,25 +56,12 @@ class VelocityField:
     def evaluate_batch(self, positions, velocities, t, step_index=0) -> BatchDerivative:
         raise NotImplementedError
 
-    def evaluate(self, state, velocity=None, t: float = 0.0, step_index: int = 0) -> StateDerivative:
-        """Single-state convenience wrapper around :meth:`evaluate_batch`."""
-        position = state.position if isinstance(state, GaussianState) else np.asarray(state, dtype=float)
-        v = np.zeros(3) if velocity is None else np.asarray(velocity, dtype=float)
-        batch = self.evaluate_batch(position[None, :], v[None, :], t, step_index=step_index)
-        return batch[0]
-
     def apply_events(self, positions, velocities, t: float = 0.0, step_index: int = 0):
         """Post-step event handler (e.g. floor bounce); identity by default.
 
         Called once after each accepted integration step, never per stage.
         """
         return positions, velocities
-
-    def apply_events_state(self, state, velocity, t: float = 0.0):
-        """Single-state wrapper for :meth:`apply_events`."""
-        position = state.position if isinstance(state, GaussianState) else np.asarray(state, dtype=float)
-        p, v = self.apply_events(position[None, :].copy(), np.asarray(velocity, dtype=float)[None, :].copy(), t)
-        return p[0], v[0]
 
 
 class ZeroField(VelocityField):

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import quaternions
 from .anchors import AnchorSet, nearest_future_anchor, nearest_past_anchor
-from .fields import VelocityField
-from .scene import GaussianCloud, GaussianState
+from .fields import BatchDerivative, VelocityField
+from .scene import GaussianCloud
 
 
 class IntegrationError(Exception):
@@ -41,7 +41,7 @@ class IntegrationError(Exception):
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4"  # "euler" or "rk4"
-    step_count: int = 100  # steps per unit time interval
+    step_count: int = 100  # rollout: steps over [t0, t1]; anchored queries: steps per unit time
     record_stride: int = 1
 
     def __post_init__(self):
@@ -119,66 +119,67 @@ def euler_step_arrays(field, p, q, ls, v, t, h, step_index=0):
     return p2, q2, ls2, v2
 
 
-def rk4_step_arrays(field, p, q, ls, v, t, h, step_index=0):
-    """One classical RK4 step: x + (h/6)(k1 + 2 k2 + 2 k3 + k4).
+RK4_NODES = (0.0, 0.5, 0.5, 1.0)  # stage times t + c h; stage i advances from k_{i-1} by c_i h
+RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)  # the step adds (h/6) sum_i b_i k_i
+_RK4_STAGE_NAMES = ("k1", "k2", "k3", "k4")
 
-    Rotation and log-scale derivatives are combined with the same stage
-    weights; the rotation tangent increment is applied once via the
-    quaternion exponential after the combination (angular velocity treated
-    as constant within the step).
+
+def rk4_increments(field, p, v, t, h, step_index=0, tape=None):
+    """The classical RK4 increments (h/6)(k1 + 2 k2 + 2 k3 + k4) of one step.
+
+    Returns (d_position, d_rotation, d_log_scale, d_velocity); d_velocity is
+    None for first-order fields, and v may then be None.  Rotation and
+    log-scale derivatives are combined with the same stage weights as
+    position.  With a ``tape`` list the field must be neural: its stages run
+    through ``NeuralVelocityField.forward``, and each stage's cache is
+    appended to the tape for the backward pass.
+    """
+    ks = []
+    stage_p, stage_v = p, v
+    for c, name in zip(RK4_NODES, _RK4_STAGE_NAMES):
+        if ks:
+            stage_p = p + c * h * ks[-1].d_position
+            stage_v = v if ks[-1].d_velocity is None else v + c * h * ks[-1].d_velocity
+        if tape is None:
+            ks.append(_eval(field, stage_p, stage_v, t + c * h, step_index, name))
+        else:
+            out, cache = field.forward(stage_p, t + c * h, want_cache=True)
+            tape.append(cache)
+            ks.append(BatchDerivative(out[:, 0:3], out[:, 3:6], out[:, 6:9]))
+
+    w = h / 6.0
+
+    def combine(parts):
+        total = RK4_WEIGHTS[0] * parts[0]
+        for b, part in zip(RK4_WEIGHTS[1:], parts[1:]):
+            total = total + b * part
+        return w * total
+
+    dv = None if ks[0].d_velocity is None else combine([k.d_velocity for k in ks])
+    return (combine([k.d_position for k in ks]), combine([k.d_rotation for k in ks]),
+            combine([k.d_log_scale for k in ks]), dv)
+
+
+def rk4_step_arrays(field, p, q, ls, v, t, h, step_index=0):
+    """One classical RK4 step on the batch arrays; returns (p, q, ls, v).
+
+    The rotation tangent increment is applied once via the quaternion
+    exponential after the stage combination (angular velocity treated as
+    constant within the step).
     """
     if h == 0:
         raise ValueError("step size must be nonzero")
-    k1 = _eval(field, p, v, t, step_index, "k1")
-    v1 = v if k1.d_velocity is None else v + 0.5 * h * k1.d_velocity
-    k2 = _eval(field, p + 0.5 * h * k1.d_position, v1, t + 0.5 * h, step_index, "k2")
-    v2 = v if k2.d_velocity is None else v + 0.5 * h * k2.d_velocity
-    k3 = _eval(field, p + 0.5 * h * k2.d_position, v2, t + 0.5 * h, step_index, "k3")
-    v3 = v if k3.d_velocity is None else v + h * k3.d_velocity
-    k4 = _eval(field, p + h * k3.d_position, v3, t + h, step_index, "k4")
-
-    w = h / 6.0
-    p2 = p + w * (k1.d_position + 2 * k2.d_position + 2 * k3.d_position + k4.d_position)
-    dtheta = w * (k1.d_rotation + 2 * k2.d_rotation + 2 * k3.d_rotation + k4.d_rotation)
+    dp, dtheta, dls, dv = rk4_increments(field, p, v, t, h, step_index)
+    p2 = p + dp
     q2 = quaternions.apply_increment(q, dtheta)
-    ls2 = ls + w * (k1.d_log_scale + 2 * k2.d_log_scale + 2 * k3.d_log_scale + k4.d_log_scale)
-    if k1.d_velocity is not None:
-        v2 = v + w * (k1.d_velocity + 2 * k2.d_velocity + 2 * k3.d_velocity + k4.d_velocity)
-    else:
-        v2 = v
+    ls2 = ls + dls
+    v2 = v if dv is None else v + dv
     p2, v2 = field.apply_events(p2, v2, t + h, step_index=step_index)
     _check_finite([p2, q2, ls2, v2], step_index, "post-rk4")
     return p2, q2, ls2, v2
 
 
 _STEPPERS = {"euler": euler_step_arrays, "rk4": rk4_step_arrays}
-
-
-def euler_step(state: GaussianState, velocity, t: float, h: float, field: VelocityField):
-    """Single-state Euler step; returns (next state, next aux velocity)."""
-    return _single_step(euler_step_arrays, state, velocity, t, h, field)
-
-
-def rk4_step(state: GaussianState, velocity, t: float, h: float, field: VelocityField):
-    """Single-state RK4 step; returns (next state, next aux velocity)."""
-    return _single_step(rk4_step_arrays, state, velocity, t, h, field)
-
-
-def _single_step(stepper, state, velocity, t, h, field):
-    v = np.zeros(3) if velocity is None else np.asarray(velocity, dtype=float)
-    p, q, ls, v2 = stepper(
-        field,
-        state.position[None, :],
-        state.rotation[None, :],
-        state.log_scale[None, :],
-        v[None, :],
-        t,
-        h,
-    )
-    next_state = GaussianState(
-        position=p[0], rotation=q[0], log_scale=ls[0], color=state.color, opacity=state.opacity
-    )
-    return next_state, v2[0]
 
 
 def rollout(
@@ -226,29 +227,55 @@ def rollout(
     )
 
 
+def anchored_states(
+    anchor_set: AnchorSet,
+    times,
+    config: IntegratorConfig,
+    field: VelocityField,
+) -> list:
+    """States at each of ``times``, integrating only from nearest admissible anchors.
+
+    Forward queries start from the nearest past anchor; queries before the
+    first anchor integrate backward from the nearest future one.  A span
+    never crosses an intervening anchor, so the effective integration
+    horizon stays short.  The times that share an anchor and a direction
+    are integrated in one pass away from the anchor, each sub-span between
+    consecutive times taking max(1, round(|span| * step_count)) steps.
+    Returns one cloud per time, in the order given.
+    """
+    if len(anchor_set) == 0:
+        raise ValueError("anchor set is empty")
+    starts = []
+    for t in times:
+        try:
+            starts.append(nearest_past_anchor(anchor_set, t))
+        except ValueError:
+            starts.append(nearest_future_anchor(anchor_set, t))
+    order = sorted(range(len(times)), key=lambda i: (starts[i].time, times[i] < starts[i].time,
+                                                     abs(times[i] - starts[i].time)))
+    states = [None] * len(times)
+    group = None
+    for i in order:
+        anchor, t = starts[i], times[i]
+        if (anchor.time, t < anchor.time) != group:
+            group = (anchor.time, t < anchor.time)
+            cloud, velocities, t_prev = anchor.cloud, anchor.velocities, anchor.time
+        if t != t_prev:
+            steps = max(1, round(abs(t - t_prev) * config.step_count))
+            cfg = IntegratorConfig(method=config.method, step_count=steps, record_stride=steps)
+            traj = rollout(cloud, t_prev, t, cfg, field, velocities=velocities)
+            cloud = traj.cloud_at(len(traj) - 1)
+            velocities = None if traj.aux_velocities is None else traj.aux_velocities[-1]
+            t_prev = t
+        states[i] = cloud
+    return states
+
+
 def anchor_aware_rollout(
     anchor_set: AnchorSet,
     t: float,
     config: IntegratorConfig,
     field: VelocityField,
 ) -> GaussianCloud:
-    """State at time t, integrating only from the nearest admissible anchor.
-
-    Forward queries start from the nearest past anchor; queries before the
-    first anchor integrate backward from the nearest future one.  The span
-    never crosses an intervening anchor, so the effective integration
-    horizon stays short.
-    """
-    if len(anchor_set) == 0:
-        raise ValueError("anchor set is empty")
-    try:
-        anchor = nearest_past_anchor(anchor_set, t)
-    except ValueError:
-        anchor = nearest_future_anchor(anchor_set, t)
-    if anchor.time == t:
-        return anchor.cloud
-    span = t - anchor.time
-    steps = max(1, round(abs(span) * config.step_count))
-    cfg = IntegratorConfig(method=config.method, step_count=steps, record_stride=steps)
-    traj = rollout(anchor.cloud, anchor.time, t, cfg, field, velocities=anchor.velocities)
-    return traj.cloud_at(len(traj) - 1)
+    """State at time t, integrated from the nearest admissible anchor (see :func:`anchored_states`)."""
+    return anchored_states(anchor_set, [t], config, field)[0]

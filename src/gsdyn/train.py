@@ -22,8 +22,9 @@ from typing import Optional
 import numpy as np
 
 from . import arrayio, feature_grid
-from .anchors import AnchorSet
+from .anchors import AnchorSet, state_deviation
 from .fields import NeuralVelocityField, VelocityField
+from .integrate import RK4_NODES, RK4_WEIGHTS, rk4_increments
 from .scene import GaussianCloud, SceneData, knn, mean_neighbor_distance
 
 COHERENCE_EPS = 1e-8  # the unspecified denominator epsilon
@@ -121,36 +122,14 @@ def adam_step(params, grads, moments, config: TrainingConfig, step_index: int):
 # ---------------------------------------------------------------------------
 # Differentiable unrolled integration (neural field only)
 
-_RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
-
-
-def _forward_rk4_step(field: NeuralVelocityField, p, t, h):
-    """One RK4 step on (position, tangent, scale-increment); caches all stages."""
-    outs, caches = [], []
-    stage_p = p
-    stage_dt = (0.0, 0.5 * h, 0.5 * h, h)
-    for i in range(4):
-        out, cache = field.forward(stage_p, t + stage_dt[i], want_cache=True)
-        outs.append(out)
-        caches.append(cache)
-        if i < 3:
-            adv = h if i == 2 else 0.5 * h
-            stage_p = p + adv * out[:, 0:3]
-    comb = (h / 6.0) * sum(w * o for w, o in zip(_RK4_WEIGHTS, outs))
-    p_next = p + comb[:, 0:3]
-    theta_inc = comb[:, 3:6]
-    scale_inc = comb[:, 6:9]
-    return p_next, theta_inc, scale_inc, (caches, h)
-
-
 def _backward_rk4_step(field: NeuralVelocityField, step_cache, g_p, g_theta, g_scale, grads):
     """Reverse one RK4 step: upstream (g_p, g_theta, g_scale) on the step's
     outputs -> gradient on the step's input position; params accumulate into
     ``grads``.  Tangent/scale gradients pass through unchanged (linear
     accumulation)."""
     caches, h = step_cache
-    w6 = [h * w / 6.0 for w in _RK4_WEIGHTS]
-    stage_adv = (0.5 * h, 0.5 * h, h)  # advance used to build stage i+1 from k_i
+    w6 = [h * w / 6.0 for w in RK4_WEIGHTS]
+    stage_adv = [c * h for c in RK4_NODES[1:]]  # advance used to build stage i+1 from k_i
     g_stage_p = [None] * 4
     g_p_total = g_p.copy()
     for i in range(3, -1, -1):
@@ -200,10 +179,12 @@ def unroll_segment(field: NeuralVelocityField, p0, t_start, checkpoint_times, st
         n_steps = max(1, math.ceil(abs(span) * steps_per_unit))
         h = span / n_steps
         for s in range(n_steps):
-            p, dtheta, dscale, cache = _forward_rk4_step(field, p, t + s * h, h)
+            caches = []
+            dp, dtheta, dscale, _ = rk4_increments(field, p, None, t + s * h, h, tape=caches)
+            p = p + dp
             theta = theta + dtheta
             scale = scale + dscale
-            step_caches.append(cache)
+            step_caches.append((caches, h))
         t = t_ck
         checkpoints.append((p.copy(), theta.copy(), scale.copy()))
         checkpoint_after_step.append(len(step_caches))
@@ -272,6 +253,8 @@ def coherence_loss(
 ) -> float:
     """Distance-weighted penalty on neighbor positions after one RK4 step.
 
+    Second-order fields start the step at rest (zero auxiliary velocity) and
+    carry the auxiliary velocity through the stages, as a rollout does.
     literal: sum w_ij * ||xh_i - xh_j||^2 / (sum w_ij + eps), exactly the
     displayed form (nonzero even for a static scene).  relative: the
     numerator compares post-step neighbor offsets against the canonical
@@ -281,16 +264,8 @@ def coherence_loss(
         raise ValueError("coherence step h must be positive")
     t = cloud.time if t is None else t
     p = cloud.positions
-    xh = _rk4_positions_once(field, p, t, h)
+    xh = p + rk4_increments(field, p, np.zeros_like(p), t, h)[0]
     return _coherence_value(p, xh, neighbors, variant)
-
-
-def _rk4_positions_once(field: VelocityField, p, t, h):
-    k1 = field.evaluate_batch(p, None, t).d_position
-    k2 = field.evaluate_batch(p + 0.5 * h * k1, None, t + 0.5 * h).d_position
-    k3 = field.evaluate_batch(p + 0.5 * h * k2, None, t + 0.5 * h).d_position
-    k4 = field.evaluate_batch(p + h * k3, None, t + h).d_position
-    return p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _coherence_value(p, xh, neighbors, variant, rows=None):
@@ -432,7 +407,7 @@ def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: Tra
             gp = 2.0 * dp / denom
             gt = gs = None
             if is_anchor:
-                anchor_sum += float(np.sum(dp**2) + np.sum(theta**2) + np.sum(scale**2))
+                anchor_sum += state_deviation(dp, theta, scale)
                 gp = gp + config.lambda_anchor * 2.0 * dp
                 gt = config.lambda_anchor * 2.0 * theta
                 gs = config.lambda_anchor * 2.0 * scale
@@ -445,11 +420,12 @@ def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: Tra
     p0 = plan.cloud.positions
     h = config.coherence_step
     t0 = plan.cloud.time
-    p_next, _, _, step_cache = _forward_rk4_step(field, p0, t0, h)
+    caches = []
+    p_next = p0 + rk4_increments(field, p0, None, t0, h, tape=caches)[0]
     coherence = _coherence_value(p0, p_next, plan.neighbors, config.coherence_variant, coh_rows)
     if want_grads and config.lambda_coh > 0:
         g_xh = config.lambda_coh * _coherence_grad_xh(p0, p_next, plan.neighbors, config.coherence_variant, coh_rows)
-        _backward_rk4_step(field, step_cache, g_xh, np.zeros((n, 3)), np.zeros((n, 3)), grads)
+        _backward_rk4_step(field, (caches, h), g_xh, np.zeros((n, 3)), np.zeros((n, 3)), grads)
 
     tv = feature_grid.tv_loss(field.grid)
     if want_grads and config.lambda_tv > 0:

@@ -25,32 +25,32 @@ def make_cloud(positions, time=0.0):
 class TestSnapshot:
     def test_insert_into_empty(self):
         aset = anc.AnchorSet()
-        anc.snapshot(aset, make_cloud([[0, 0, 0]]), 0.5)
+        aset.insert(make_cloud([[0, 0, 0]]), 0.5)
         assert len(aset) == 1
         assert aset[0].time == 0.5
 
     def test_sorted_insertion(self):
         aset = anc.AnchorSet()
         for t in (0.0, 1.0, 0.5):
-            anc.snapshot(aset, make_cloud([[0, 0, 0]]), t)
+            aset.insert(make_cloud([[0, 0, 0]]), t)
         np.testing.assert_array_equal(aset.times, [0.0, 0.5, 1.0])
 
     def test_duplicate_time_rejected(self):
         aset = anc.AnchorSet()
-        anc.snapshot(aset, make_cloud([[0, 0, 0]]), 0.5)
+        aset.insert(make_cloud([[0, 0, 0]]), 0.5)
         with pytest.raises(ValueError, match="0.5"):
-            anc.snapshot(aset, make_cloud([[1, 0, 0]]), 0.5)
+            aset.insert(make_cloud([[1, 0, 0]]), 0.5)
 
     def test_size_mismatch_rejected(self):
         aset = anc.AnchorSet()
-        anc.snapshot(aset, make_cloud([[0, 0, 0]]), 0.0)
+        aset.insert(make_cloud([[0, 0, 0]]), 0.0)
         with pytest.raises(ValueError, match="size"):
-            anc.snapshot(aset, make_cloud([[0, 0, 0], [1, 0, 0]]), 0.5)
+            aset.insert(make_cloud([[0, 0, 0], [1, 0, 0]]), 0.5)
 
     def test_snapshot_is_deep_copy(self):
         cloud = make_cloud([[0.0, 0.0, 0.0]])
         aset = anc.AnchorSet()
-        entry = anc.snapshot(aset, cloud, 0.0)
+        entry = aset.insert(cloud, 0.0)
         cloud.positions[0, 0] = 99.0
         assert entry.cloud.positions[0, 0] == 0.0
 

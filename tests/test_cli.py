@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from gsdyn import cli, train
+from gsdyn import cli, feature_grid, train
+from gsdyn.anchors import AnchorSet
+from gsdyn.fields import NeuralVelocityField
 from gsdyn.scene import import_trajectory_csv, load_scene, save_scene
 
 
@@ -59,6 +61,12 @@ class TestGenerate:
 
     def test_invalid_kind_usage_error(self, tmp_path):
         assert run(["generate", "--kind", "nonsense", "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
+
+    def test_config_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["generate", "--kind", "drift", "--config", str(tmp_path / "none.json"),
+                 "--out", str(tmp_path / "x")])
+        assert exit_info.value.code == cli.EXIT_USAGE
 
     def test_manifest_written(self, drift_scene):
         m = manifest_of(drift_scene)
@@ -128,6 +136,65 @@ class TestSimulate:
             radii[method] = np.linalg.norm(positions[-1][:, :2], axis=1)
         r0 = np.linalg.norm(start[:, :2], axis=1)
         assert np.all(np.abs(radii["euler"] - r0) > np.abs(radii["rk4"] - r0))
+
+    def test_steps_are_per_unit_time(self, drift_scene, tmp_path):
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({"kind": "drift"}))
+        out = tmp_path / "o"
+        assert run(["simulate", "--field", str(spec), "--scene", str(drift_scene / "scene.json"),
+                    "--t0", "0", "--t1", "2", "--steps", "10", "--record-stride", "1",
+                    "--out", str(out)]) == cli.EXIT_OK
+        times, _ = import_trajectory_csv(out / "trajectory.csv")
+        np.testing.assert_allclose(times, np.linspace(0.0, 2.0, 21))
+
+    def test_anchored_cost_linear_in_frames(self, drift_scene, tmp_path, monkeypatch):
+        grid = feature_grid.create_grid(np.zeros(3), np.ones(3), spatial_resolution=4, time_resolution=4,
+                                        channels=2)
+        cloud = load_scene(drift_scene / "scene.json").cloud
+        anchors = AnchorSet()
+        for t in (0.0, 0.5, 1.0):
+            anchors.insert(cloud, t)
+        ckpt = tmp_path / "ck.gsd"
+        train.save_checkpoint(ckpt, NeuralVelocityField(grid, hidden=(8,), output_scale=0.1), anchors)
+        calls = []
+        forward = NeuralVelocityField.forward
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(NeuralVelocityField, "forward", counted)
+        for steps in (20, 40):
+            calls.clear()
+            assert run(["simulate", "--checkpoint", str(ckpt), "--t0", "0", "--t1", "1", "--anchored",
+                        "--steps", str(steps), "--record-stride", "1",
+                        "--out", str(tmp_path / f"a{steps}")]) == cli.EXIT_OK
+            # one RK4 step (four stages) per output frame that is not an anchor
+            assert len(calls) == 4 * (steps + 1 - len(anchors))
+
+    def test_truncated_checkpoint_names_array(self, drift_scene, tmp_path, capsys):
+        fit = tmp_path / "fit"
+        assert run(["train", "--scene", str(drift_scene / "scene.json"), "--epochs", "1",
+                    "--out", str(fit)]) == cli.EXIT_OK
+        ckpt = fit / "checkpoint.gsd"
+        ckpt.write_bytes(ckpt.read_bytes()[:3000])
+        code = run(["simulate", "--checkpoint", str(ckpt), "--t0", "0", "--t1", "1",
+                    "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'mlp_w0' is truncated" in err
+
+    def test_trailing_bytes_in_checkpoint_rejected(self, drift_scene, tmp_path, capsys):
+        fit = tmp_path / "fit"
+        assert run(["train", "--scene", str(drift_scene / "scene.json"), "--epochs", "1",
+                    "--out", str(fit)]) == cli.EXIT_OK
+        ckpt = fit / "checkpoint.gsd"
+        ckpt.write_bytes(ckpt.read_bytes() + b"junk")
+        code = run(["simulate", "--checkpoint", str(ckpt), "--t0", "0", "--t1", "1",
+                    "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "after the last array" in err
 
     def test_anchored_without_anchors_usage_error(self, drift_scene, tmp_path):
         spec = tmp_path / "f.json"

@@ -19,43 +19,43 @@ def random_grid(seed=0, res=5, channels=3):
 class TestLookup:
     def test_constant_planes_give_repeated_constant(self):
         grid = constant_grid(0.7, channels=2)
-        out = fg.lookup(grid, np.array([0.3, 0.9, 0.1]), 0.4)
-        np.testing.assert_allclose(out, np.full(12, 0.7))
+        out = fg.lookup(grid, np.array([[0.3, 0.9, 0.1]]), 0.4)
+        np.testing.assert_allclose(out, np.full((1, 12), 0.7))
 
     def test_cell_center_is_mean_of_corners(self):
         # one 2x2 single-channel plane [[0,1],[2,3]]; query the cell center
         planes = [np.zeros((2, 2, 1)) for _ in range(6)]
         planes[0] = np.array([[[0.0], [1.0]], [[2.0], [3.0]]])
         grid = fg.HexPlaneGrid(planes=planes, bounds_lo=np.zeros(3), bounds_hi=np.ones(3))
-        out = fg.lookup(grid, np.array([0.5, 0.5, 0.5]), 0.5)
-        assert out[0] == pytest.approx(1.5)
+        out = fg.lookup(grid, np.array([[0.5, 0.5, 0.5]]), 0.5)
+        assert out[0, 0] == pytest.approx(1.5)
 
     def test_query_at_grid_node(self):
         grid = random_grid(seed=1, res=5)
         # position mapping puts normalized coord u onto scaled coord u*(R-1);
         # u = 0.5 lands exactly on node 2 of a 5-node axis
-        p = np.array([0.5, 0.5, 0.5])
+        p = np.array([[0.5, 0.5, 0.5]])
         out = fg.lookup(grid, p, 0.5)
         for k in range(6):
-            np.testing.assert_allclose(out[k * 3 : (k + 1) * 3], grid.planes[k][2, 2], atol=1e-12)
+            np.testing.assert_allclose(out[0, k * 3 : (k + 1) * 3], grid.planes[k][2, 2], atol=1e-12)
 
     def test_batch_matches_single(self):
         grid = random_grid(seed=2)
         pts = np.random.default_rng(0).uniform(0, 1, size=(6, 3))
         batch = fg.lookup(grid, pts, 0.3)
         for i in range(6):
-            np.testing.assert_array_equal(batch[i], fg.lookup(grid, pts[i], 0.3))
+            np.testing.assert_array_equal(batch[i], fg.lookup(grid, pts[i : i + 1], 0.3)[0])
 
     def test_out_of_bounds_clamped(self):
         grid = random_grid(seed=3)
-        inside = fg.lookup(grid, np.array([0.0, 0.5, 0.5]), 0.5)
-        outside = fg.lookup(grid, np.array([-2.0, 0.5, 0.5]), 0.5)
+        inside = fg.lookup(grid, np.array([[0.0, 0.5, 0.5]]), 0.5)
+        outside = fg.lookup(grid, np.array([[-2.0, 0.5, 0.5]]), 0.5)
         np.testing.assert_array_equal(inside, outside)
 
     def test_nonfinite_query_rejected(self):
         grid = random_grid()
         with pytest.raises(ValueError):
-            fg.lookup(grid, np.array([np.nan, 0.0, 0.0]), 0.5)
+            fg.lookup(grid, np.array([[np.nan, 0.0, 0.0]]), 0.5)
 
     def test_bilinear_closed_form_interior(self):
         # restrict to the xy plane and compare against a direct bilinear evaluator
@@ -71,12 +71,12 @@ class TestLookup:
             fu, fv = su - i, sv - j
             expected = ((1 - fu) * (1 - fv) * plane[i, j] + fu * (1 - fv) * plane[i + 1, j]
                         + (1 - fu) * fv * plane[i, j + 1] + fu * fv * plane[i + 1, j + 1])
-            out = fg.lookup(grid, np.array([x, y, 0.5]), 0.5)
-            assert out[0] == pytest.approx(expected, abs=1e-12)
+            out = fg.lookup(grid, np.array([[x, y, 0.5]]), 0.5)
+            assert out[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_continuity_under_small_perturbation(self):
         grid = random_grid(seed=6)
-        p = np.array([0.4, 0.6, 0.3])
+        p = np.array([[0.4, 0.6, 0.3]])
         a = fg.lookup(grid, p, 0.5)
         b = fg.lookup(grid, p + 1e-7, 0.5)
         assert np.max(np.abs(a - b)) < 1e-5
@@ -85,8 +85,8 @@ class TestLookup:
 class TestLookupGrad:
     def test_node_query_full_gradient_on_single_node(self):
         grid = random_grid(seed=7, res=5, channels=2)
-        upstream = np.ones(12)
-        plane_grads, _, _ = fg.lookup_grad(grid, np.array([0.5, 0.5, 0.5]), 0.5, upstream)
+        upstream = np.ones((1, 12))
+        plane_grads, _, _ = fg.lookup_grad(grid, np.array([[0.5, 0.5, 0.5]]), 0.5, upstream)
         for g in plane_grads:
             nz = np.argwhere(np.any(g != 0, axis=2))
             np.testing.assert_array_equal(nz, [[2, 2]])
@@ -95,16 +95,16 @@ class TestLookupGrad:
     def test_cell_center_quarter_weights(self):
         planes = [np.random.default_rng(k).uniform(-1, 1, (2, 2, 1)) for k in range(6)]
         grid = fg.HexPlaneGrid(planes=planes, bounds_lo=np.zeros(3), bounds_hi=np.ones(3))
-        plane_grads, _, _ = fg.lookup_grad(grid, np.array([0.5, 0.5, 0.5]), 0.5, np.ones(6))
+        plane_grads, _, _ = fg.lookup_grad(grid, np.array([[0.5, 0.5, 0.5]]), 0.5, np.ones((1, 6)))
         for g in plane_grads:
             np.testing.assert_allclose(g[:, :, 0], 0.25)
 
     def test_plane_entries_match_finite_differences(self):
         grid = random_grid(seed=8, res=4, channels=2)
-        p = np.array([0.37, 0.61, 0.22])
+        p = np.array([[0.37, 0.61, 0.22]])
         t = 0.43
         rng = np.random.default_rng(9)
-        upstream = rng.uniform(-1, 1, 12)
+        upstream = rng.uniform(-1, 1, (1, 12))
         plane_grads, _, _ = fg.lookup_grad(grid, p, t, upstream)
         eps = 1e-4
         for k in range(6):
@@ -112,9 +112,9 @@ class TestLookupGrad:
             assert len(idx) <= 8  # at most 4 nodes x 2 channels
             for i, j, c in idx[:4]:
                 grid.planes[k][i, j, c] += eps
-                up = float(upstream @ fg.lookup(grid, p, t))
+                up = float(np.sum(upstream * fg.lookup(grid, p, t)))
                 grid.planes[k][i, j, c] -= 2 * eps
-                dn = float(upstream @ fg.lookup(grid, p, t))
+                dn = float(np.sum(upstream * fg.lookup(grid, p, t)))
                 grid.planes[k][i, j, c] += eps
                 fd = (up - dn) / (2 * eps)
                 assert plane_grads[k][i, j, c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
@@ -123,23 +123,25 @@ class TestLookupGrad:
         rng = np.random.default_rng(10)
         for trial in range(10):
             grid = random_grid(seed=100 + trial, res=5, channels=2)
-            p = rng.uniform(0.1, 0.9, 3)
+            p = rng.uniform(0.1, 0.9, (1, 3))
             t = rng.uniform(0.1, 0.9)
-            upstream = rng.uniform(-1, 1, 12)
+            upstream = rng.uniform(-1, 1, (1, 12))
             _, g_pos, g_t = fg.lookup_grad(grid, p, t, upstream)
             eps = 1e-6
             for axis in range(3):
-                dp = np.zeros(3)
-                dp[axis] = eps
-                fd = (upstream @ fg.lookup(grid, p + dp, t) - upstream @ fg.lookup(grid, p - dp, t)) / (2 * eps)
-                assert g_pos[axis] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-            fd_t = (upstream @ fg.lookup(grid, p, t + eps) - upstream @ fg.lookup(grid, p, t - eps)) / (2 * eps)
-            assert g_t == pytest.approx(fd_t, rel=1e-5, abs=1e-7)
+                dp = np.zeros((1, 3))
+                dp[0, axis] = eps
+                fd = (np.sum(upstream * fg.lookup(grid, p + dp, t))
+                      - np.sum(upstream * fg.lookup(grid, p - dp, t))) / (2 * eps)
+                assert g_pos[0, axis] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+            fd_t = (np.sum(upstream * fg.lookup(grid, p, t + eps))
+                    - np.sum(upstream * fg.lookup(grid, p, t - eps))) / (2 * eps)
+            assert g_t[0] == pytest.approx(fd_t, rel=1e-5, abs=1e-7)
 
     def test_clamped_query_has_zero_position_grad(self):
         grid = random_grid(seed=12)
-        _, g_pos, _ = fg.lookup_grad(grid, np.array([-1.0, -1.0, -1.0]), 0.5, np.ones(grid.feature_size))
-        np.testing.assert_array_equal(g_pos, np.zeros(3))
+        _, g_pos, _ = fg.lookup_grad(grid, np.array([[-1.0, -1.0, -1.0]]), 0.5, np.ones((1, grid.feature_size)))
+        np.testing.assert_array_equal(g_pos, np.zeros((1, 3)))
 
     def test_many_random_pairs(self):
         # the grad contract: rel. error < 1e-5 on 100 random (grid, query) pairs
@@ -147,17 +149,18 @@ class TestLookupGrad:
         worst = 0.0
         for trial in range(100):
             grid = random_grid(seed=200 + trial, res=4, channels=1)
-            p = rng.uniform(0.05, 0.95, 3)
+            p = rng.uniform(0.05, 0.95, (1, 3))
             t = rng.uniform(0.05, 0.95)
-            upstream = rng.uniform(-1, 1, 6)
+            upstream = rng.uniform(-1, 1, (1, 6))
             _, g_pos, _ = fg.lookup_grad(grid, p, t, upstream)
             eps = 1e-6
             for axis in range(3):
-                dp = np.zeros(3)
-                dp[axis] = eps
-                fd = (upstream @ fg.lookup(grid, p + dp, t) - upstream @ fg.lookup(grid, p - dp, t)) / (2 * eps)
+                dp = np.zeros((1, 3))
+                dp[0, axis] = eps
+                fd = (np.sum(upstream * fg.lookup(grid, p + dp, t))
+                      - np.sum(upstream * fg.lookup(grid, p - dp, t))) / (2 * eps)
                 denom = max(abs(fd), 1e-3)
-                worst = max(worst, abs(g_pos[axis] - fd) / denom)
+                worst = max(worst, abs(g_pos[0, axis] - fd) / denom)
         assert worst < 1e-5
 
 

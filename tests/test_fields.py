@@ -1,5 +1,8 @@
 """Velocity fields: analytic kinds, the neural head, and the composition algebra."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,17 +20,6 @@ from gsdyn.fields import (
     sphere_mask,
     time_encoding,
 )
-from gsdyn.scene import GaussianState
-
-
-def state_at(p):
-    return GaussianState(
-        position=np.asarray(p, dtype=float),
-        rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-        log_scale=np.full(3, -3.0),
-        color=np.full(3, 0.5),
-        opacity=1.0,
-    )
 
 
 def small_grid(seed=0, channels=2, res=3):
@@ -38,41 +30,41 @@ def small_grid(seed=0, channels=2, res=3):
 class TestAnalyticSpotValues:
     def test_spin_unit_circle(self):
         f = AnalyticField("spin", center=(0.0, 0.0, 0.0), omega=2.0)
-        d = f.evaluate(state_at([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(d.d_position, [0.0, 2.0, 0.0], atol=1e-12)
+        d = f.evaluate_batch(np.array([[1.0, 0.0, 0.0]]), None, 0.0)
+        np.testing.assert_allclose(d.d_position[0], [0.0, 2.0, 0.0], atol=1e-12)
 
     def test_vortex_on_axis(self):
         f = AnalyticField("vortex", u0=0.5)
-        d = f.evaluate(state_at([0.0, 0.0, 1.0]))
+        d = f.evaluate_batch(np.array([[0.0, 0.0, 1.0]]), None, 0.0)
         # r = 0 so the tangential part vanishes and e^{-r^2} = 1
-        np.testing.assert_allclose(d.d_position, [0.0, 0.0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(d.d_position[0], [0.0, 0.0, 0.5], atol=1e-12)
 
     def test_gravity_acceleration(self):
         f = AnalyticField("gravity_bounce", g=-9.8)
-        d = f.evaluate(state_at([0.3, 0.2, 0.9]), velocity=[0.1, 0.0, 0.0])
-        np.testing.assert_allclose(d.d_velocity, [0.0, 0.0, -9.8])
-        np.testing.assert_allclose(d.d_position, [0.1, 0.0, 0.0])  # dx/dt = v
+        d = f.evaluate_batch(np.array([[0.3, 0.2, 0.9]]), np.array([[0.1, 0.0, 0.0]]), 0.0)
+        np.testing.assert_allclose(d.d_velocity[0], [0.0, 0.0, -9.8])
+        np.testing.assert_allclose(d.d_position[0], [0.1, 0.0, 0.0])  # dx/dt = v
 
     def test_wave_at_origin(self):
         f = AnalyticField("wave", A=1.0, f=1.0, c=1.0)
-        d = f.evaluate(state_at([0.0, 0.0, 0.0]), t=0.0)
-        np.testing.assert_allclose(d.d_position, [0.0, 0.0, 1.0], atol=1e-12)
+        d = f.evaluate_batch(np.array([[0.0, 0.0, 0.0]]), None, 0.0)
+        np.testing.assert_allclose(d.d_position[0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_drift_constant(self):
         f = AnalyticField("drift", delta=(0.3, 0.0, 0.0))
-        for p in ([0, 0, 0], [5, -2, 1]):
-            np.testing.assert_allclose(f.evaluate(state_at(p)).d_position, [0.3, 0.0, 0.0])
+        d = f.evaluate_batch(np.array([[0.0, 0.0, 0.0], [5.0, -2.0, 1.0]]), None, 0.0)
+        np.testing.assert_allclose(d.d_position, [[0.3, 0.0, 0.0], [0.3, 0.0, 0.0]])
 
     def test_orbital_inverse_square(self):
         f = AnalyticField("orbital", G=1.0, mu=0.0)
-        d = f.evaluate(state_at([2.0, 0.0, 0.0]), velocity=[0.0, 0.5, 0.0])
-        np.testing.assert_allclose(d.d_velocity, [-0.25, 0.0, 0.0])
-        np.testing.assert_allclose(d.d_position, [0.0, 0.5, 0.0])
+        d = f.evaluate_batch(np.array([[2.0, 0.0, 0.0]]), np.array([[0.0, 0.5, 0.0]]), 0.0)
+        np.testing.assert_allclose(d.d_velocity[0], [-0.25, 0.0, 0.0])
+        np.testing.assert_allclose(d.d_position[0], [0.0, 0.5, 0.0])
 
     def test_orbital_center_singularity(self):
         f = AnalyticField("orbital")
         with pytest.raises(FieldError, match="singular"):
-            f.evaluate(state_at([0.0, 0.0, 0.0]))
+            f.evaluate_batch(np.zeros((1, 3)), None, 0.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FieldError):
@@ -90,22 +82,22 @@ class TestAnalyticSpotValues:
 class TestBounceEvents:
     def test_floor_reflection(self):
         f = AnalyticField("gravity_bounce", z0=0.0, gamma=0.8)
-        p, v = f.apply_events_state(state_at([0.5, 0.5, -0.1]), [0.0, 0.0, -2.0])
-        np.testing.assert_allclose(p, [0.5, 0.5, 0.0])
-        np.testing.assert_allclose(v, [0.0, 0.0, 1.6])
+        p, v = f.apply_events(np.array([[0.5, 0.5, -0.1]]), np.array([[0.0, 0.0, -2.0]]))
+        np.testing.assert_allclose(p[0], [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(v[0], [0.0, 0.0, 1.6])
 
     def test_above_floor_unchanged(self):
         f = AnalyticField("gravity_bounce", z0=0.0, gamma=0.8)
-        p, v = f.apply_events_state(state_at([0.5, 0.5, 0.3]), [0.0, 0.0, -2.0])
-        np.testing.assert_allclose(p, [0.5, 0.5, 0.3])
-        np.testing.assert_allclose(v, [0.0, 0.0, -2.0])
+        p, v = f.apply_events(np.array([[0.5, 0.5, 0.3]]), np.array([[0.0, 0.0, -2.0]]))
+        np.testing.assert_allclose(p[0], [0.5, 0.5, 0.3])
+        np.testing.assert_allclose(v[0], [0.0, 0.0, -2.0])
 
     def test_idempotent_once_rising(self):
         f = AnalyticField("gravity_bounce", z0=0.0, gamma=0.8)
-        p, v = f.apply_events_state(state_at([0.5, 0.5, -0.1]), [0.0, 0.0, -2.0])
-        p2, v2 = f.apply_events(p[None, :], v[None, :])
-        np.testing.assert_array_equal(p2[0], p)
-        np.testing.assert_array_equal(v2[0], v)
+        p, v = f.apply_events(np.array([[0.5, 0.5, -0.1]]), np.array([[0.0, 0.0, -2.0]]))
+        p2, v2 = f.apply_events(p, v)
+        np.testing.assert_array_equal(p2, p)
+        np.testing.assert_array_equal(v2, v)
 
 
 class TestStochasticDeterminism:
@@ -255,8 +247,8 @@ class TestComposition:
             AnalyticField("drift", delta=(0.0, 2.0, 0.0)),
             0.5,
         )
-        d = f.evaluate(state_at([0.2, 0.2, 0.2]))
-        np.testing.assert_allclose(d.d_position, [1.0, 1.0, 0.0])
+        d = f.evaluate_batch(np.array([[0.2, 0.2, 0.2]]), None, 0.0)
+        np.testing.assert_allclose(d.d_position[0], [1.0, 1.0, 0.0])
 
     def test_add_associative_up_to_fp(self):
         rng = np.random.default_rng(2)
@@ -287,8 +279,8 @@ class TestComposition:
         base = AnalyticField("drift", delta=(1.0, 0.0, 0.0))
         inj = AnalyticField("drift", delta=(0.0, 1.0, 0.0))
         f = blend_masked(base, inj, lambda x: np.full(len(x), 0.5))
-        d = f.evaluate(state_at([0.5, 0.5, 0.5]))
-        np.testing.assert_allclose(d.d_position, [0.5, 0.5, 0.0])
+        d = f.evaluate_batch(np.array([[0.5, 0.5, 0.5]]), None, 0.0)
+        np.testing.assert_allclose(d.d_position[0], [0.5, 0.5, 0.0])
 
     def test_blend_partition_with_binary_mask(self):
         base = AnalyticField("drift", delta=(1.0, 0.0, 0.0))
@@ -319,8 +311,8 @@ class TestSpinDivergence:
             for axis in range(3):
                 dp = np.zeros(3)
                 dp[axis] = eps
-                vp = f.evaluate(state_at(p + dp)).d_position[axis]
-                vm = f.evaluate(state_at(p - dp)).d_position[axis]
+                vp = f.evaluate_batch((p + dp)[None, :], None, 0.0).d_position[0, axis]
+                vm = f.evaluate_batch((p - dp)[None, :], None, 0.0).d_position[0, axis]
                 div += (vp - vm) / (2 * eps)
             assert abs(div) < 1e-6
 
@@ -347,7 +339,7 @@ class TestMasks:
 class TestBuildField:
     def test_leaf_kind(self):
         f = build_field({"kind": "drift", "params": {"delta": [0.3, 0, 0]}})
-        np.testing.assert_allclose(f.evaluate(state_at([0, 0, 0])).d_position, [0.3, 0, 0])
+        np.testing.assert_allclose(f.evaluate_batch(np.zeros((1, 3)), None, 0.0).d_position[0], [0.3, 0, 0])
 
     def test_add_tree(self):
         spec = {
@@ -359,7 +351,7 @@ class TestBuildField:
             ],
         }
         f = build_field(spec)
-        np.testing.assert_allclose(f.evaluate(state_at([0, 0, 0])).d_position, [1.0, 1.0, 0.0])
+        np.testing.assert_allclose(f.evaluate_batch(np.zeros((1, 3)), None, 0.0).d_position[0], [1.0, 1.0, 0.0])
 
     def test_blend_tree(self):
         spec = {
@@ -368,8 +360,21 @@ class TestBuildField:
             "children": [{"kind": "zero"}, {"kind": "drift", "params": {"delta": [1.0, 0, 0]}}],
         }
         f = build_field(spec)
-        np.testing.assert_allclose(f.evaluate(state_at([0, 0, 0])).d_position, [1.0, 0, 0])
-        np.testing.assert_allclose(f.evaluate(state_at([3, 0, 0])).d_position, [0.0, 0, 0])
+        d = f.evaluate_batch(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]), None, 0.0)
+        np.testing.assert_allclose(d.d_position, [[1.0, 0, 0], [0.0, 0, 0]])
+
+    def test_readme_example(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        spec = json.loads(readme.split("```json\n")[1].split("```")[0])
+        f = build_field(spec)
+        center = np.array([[0.5, 0.5, 0.5]])
+        outside = np.array([[0.9, 0.1, 0.5]])
+        spin = AnalyticField("spin", center=(0.5, 0.5, 0.5), omega=4.0)
+        np.testing.assert_array_equal(f.evaluate_batch(center, None, 0.0).d_position,
+                                      spin.evaluate_batch(center, None, 0.0).d_position)
+        base = compose_add(AnalyticField("drift", delta=(0.3, 0, 0)), AnalyticField("wind_curl", w=0.0), 0.5)
+        np.testing.assert_array_equal(f.evaluate_batch(outside, None, 0.0).d_position,
+                                      base.evaluate_batch(outside, None, 0.0).d_position)
 
     def test_neural_leaf_needs_loader(self):
         with pytest.raises(FieldError, match="loader"):

@@ -6,7 +6,7 @@ import pytest
 from gsdyn import anchors as anc
 from gsdyn import integrate as itg
 from gsdyn.fields import AnalyticField, BatchDerivative, VelocityField, ZeroField
-from gsdyn.scene import GaussianCloud, GaussianState
+from gsdyn.scene import GaussianCloud
 
 
 def make_cloud(positions, time=0.0):
@@ -18,16 +18,6 @@ def make_cloud(positions, time=0.0):
         colors=np.full((n, 3), 0.5),
         opacities=np.full(n, 0.8),
         time=time,
-    )
-
-
-def state_at(p):
-    return GaussianState(
-        position=np.asarray(p, dtype=float),
-        rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-        log_scale=np.full(3, -3.0),
-        color=np.full(3, 0.5),
-        opacity=1.0,
     )
 
 
@@ -56,51 +46,57 @@ class RotatingField(VelocityField):
         )
 
 
+def one_gaussian(p):
+    """Batch arrays (p, q, ls, v) of a single Gaussian at rest."""
+    return (np.array([p], dtype=float), np.array([[1.0, 0.0, 0.0, 0.0]]), np.full((1, 3), -3.0),
+            np.zeros((1, 3)))
+
+
 class TestEulerStep:
     def test_scalar_exponential(self):
-        s, _ = itg.euler_step(state_at([1.0, 0.0, 0.0]), None, 0.0, 0.1, ScalarExponential())
-        assert s.position[0] == pytest.approx(1.1)
+        p, _, _, _ = itg.euler_step_arrays(ScalarExponential(), *one_gaussian([1.0, 0.0, 0.0]), 0.0, 0.1)
+        assert p[0, 0] == pytest.approx(1.1)
 
     def test_zero_field_unchanged(self):
-        start = state_at([0.4, 0.5, 0.6])
-        s, _ = itg.euler_step(start, None, 0.0, 0.25, ZeroField())
-        np.testing.assert_array_equal(s.position, start.position)
-        np.testing.assert_array_equal(s.rotation, start.rotation)
+        start = one_gaussian([0.4, 0.5, 0.6])
+        p, q, _, _ = itg.euler_step_arrays(ZeroField(), *start, 0.0, 0.25)
+        np.testing.assert_array_equal(p, start[0])
+        np.testing.assert_array_equal(q, start[1])
 
     def test_constant_drift(self):
         f = AnalyticField("drift", delta=(0.3, 0.0, 0.0))
-        s, _ = itg.euler_step(state_at([0.0, 0.0, 0.0]), None, 0.0, 0.5, f)
-        np.testing.assert_allclose(s.position, [0.15, 0.0, 0.0])
+        p, _, _, _ = itg.euler_step_arrays(f, *one_gaussian([0.0, 0.0, 0.0]), 0.0, 0.5)
+        np.testing.assert_allclose(p[0], [0.15, 0.0, 0.0])
 
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError):
-            itg.euler_step(state_at([0, 0, 0]), None, 0.0, 0.0, ZeroField())
+            itg.euler_step_arrays(ZeroField(), *one_gaussian([0, 0, 0]), 0.0, 0.0)
 
 
 class TestRk4Step:
     def test_constant_field_exact(self):
         f = AnalyticField("drift", delta=(0.2, -0.1, 0.4))
-        s, _ = itg.rk4_step(state_at([1.0, 2.0, 3.0]), None, 0.0, 0.5, f)
-        np.testing.assert_allclose(s.position, [1.1, 1.95, 3.2], atol=1e-15)
+        p, _, _, _ = itg.rk4_step_arrays(f, *one_gaussian([1.0, 2.0, 3.0]), 0.0, 0.5)
+        np.testing.assert_allclose(p[0], [1.1, 1.95, 3.2], atol=1e-15)
 
     def test_scalar_exponential_accuracy(self):
-        s, _ = itg.rk4_step(state_at([1.0, 0.0, 0.0]), None, 0.0, 0.1, ScalarExponential())
-        assert abs(s.position[0] - np.exp(0.1)) < 1e-7
+        p, _, _, _ = itg.rk4_step_arrays(ScalarExponential(), *one_gaussian([1.0, 0.0, 0.0]), 0.0, 0.1)
+        assert abs(p[0, 0] - np.exp(0.1)) < 1e-7
 
     def test_spin_radius_preserved_per_step(self):
         f = AnalyticField("spin", omega=1.0)
-        s, _ = itg.rk4_step(state_at([1.0, 0.0, 0.0]), None, 0.0, 0.01, f)
-        r = np.linalg.norm(s.position[:2])
+        p, _, _, _ = itg.rk4_step_arrays(f, *one_gaussian([1.0, 0.0, 0.0]), 0.0, 0.01)
+        r = np.linalg.norm(p[0, :2])
         assert abs(r - 1.0) < 1e-9
 
     def test_rotation_quaternion_stays_unit(self):
         f = RotatingField([0.0, 0.0, 2.0])
-        s = state_at([0.0, 0.0, 0.0])
+        p, q, ls, v = one_gaussian([0.0, 0.0, 0.0])
         for _ in range(50):
-            s, _ = itg.rk4_step(s, None, 0.0, 0.05, f)
-        assert abs(np.linalg.norm(s.rotation) - 1.0) < 1e-12
+            p, q, ls, v = itg.rk4_step_arrays(f, p, q, ls, v, 0.0, 0.05)
+        assert abs(np.linalg.norm(q[0]) - 1.0) < 1e-12
         # 50 steps of h=0.05 at omega_z=2 -> total angle 5 rad about z
-        w = s.rotation[0]
+        w = q[0, 0]
         assert w == pytest.approx(np.cos(2.5), abs=1e-9)
 
     def test_nonfinite_stage_named(self):
@@ -114,7 +110,7 @@ class TestRk4Step:
                 return BatchDerivative(d, np.zeros((n, 3)), np.zeros((n, 3)))
 
         with pytest.raises(itg.IntegrationError, match="k2") as err:
-            itg.rk4_step(state_at([0, 0, 0]), None, 0.0, 0.1, Exploding())
+            itg.rk4_step_arrays(Exploding(), *one_gaussian([0, 0, 0]), 0.0, 0.1)
         assert err.value.stage == "k2"
 
 
@@ -280,6 +276,25 @@ class TestAnchorAwareRollout:
         aset.insert(make_cloud([[5.0, 0.0, 0.0]]), 0.5)
         out = itg.anchor_aware_rollout(aset, 0.3, itg.IntegratorConfig(step_count=10), f)
         assert out.positions[0, 0] == pytest.approx(4.8)
+
+    def test_one_pass_matches_per_time_queries_on_step_lattice(self):
+        f = AnalyticField("vortex", omega=1.0, k=0.05, u0=0.3)
+        aset = self.build_anchors(f, [0.0, 0.4, 0.8], make_cloud(np.random.default_rng(5).uniform(0.2, 0.8, (4, 3))))
+        cfg = itg.IntegratorConfig(step_count=100)
+        times = [k / 20 for k in range(-4, 25)]  # both directions around the first anchor, past the last
+        states = itg.anchored_states(aset, times, cfg, f)
+        for t, state in zip(times, states):
+            single = itg.anchor_aware_rollout(aset, t, cfg, f)
+            np.testing.assert_allclose(state.positions, single.positions, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.rotations, single.rotations, rtol=0, atol=1e-12)
+
+    def test_one_pass_carries_aux_velocity(self):
+        f = AnalyticField("gravity_bounce", g=-9.8, z0=0.0, gamma=0.8)
+        aset = anc.AnchorSet()
+        aset.insert(make_cloud([[0.5, 0.5, 0.9]]), 0.0, velocities=np.array([[0.0, 0.0, 1.0]]))
+        states = itg.anchored_states(aset, [0.1, 0.2], itg.IntegratorConfig(step_count=100), f)
+        # z(t) = 0.9 + t - 4.9 t^2, integrated exactly by RK4
+        assert states[1].positions[0, 2] == pytest.approx(0.9 + 0.2 - 4.9 * 0.04, abs=1e-12)
 
     def test_empty_anchor_set_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gsdyn import cli, feature_grid as fg, train
+from gsdyn import cli, feature_grid as fg, integrate as itg, train
 from gsdyn.fields import AnalyticField, NeuralVelocityField, ZeroField
 from gsdyn.scene import GaussianCloud, SceneData, knn
 
@@ -72,6 +72,16 @@ class TestCoherenceLoss:
         val = train.coherence_loss(cloud, nb, AnalyticField("vortex"), h=0.05, variant="relative")
         assert val > 0.0
 
+    def test_second_order_field_starts_at_rest(self):
+        # the auxiliary velocity starts at zero and is carried through the
+        # stages, so a position-dependent acceleration shears the cloud
+        rng = np.random.default_rng(4)
+        cloud = make_cloud(rng.uniform(0.2, 0.8, (10, 3)))
+        nb = knn(cloud, 3)
+        field = AnalyticField("orbital", center=(0.0, 0.0, 0.0), G=1.0)
+        val = train.coherence_loss(cloud, nb, field, h=0.05, variant="relative")
+        assert val > 0.0
+
     def test_coincident_points_rejected(self):
         cloud = make_cloud([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
         nb = np.array([[1], [0]])
@@ -92,7 +102,7 @@ class TestCoherenceLoss:
         val = train.coherence_loss(cloud, nb, field, h, variant="literal")
         # independent recomputation of the displayed formula
         p = cloud.positions
-        xh = train._rk4_positions_once(field, p, 0.0, h)
+        xh = itg.rollout(cloud, 0.0, h, itg.IntegratorConfig(step_count=1), field).positions[-1]
         d_sum = 0.0
         count = 0
         for i in range(8):
