@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fields, integrate, render, scene as scene_mod, train
-from .anchors import AnchorSet
+from . import fields, integrate, render, train
 from .integrate import IntegratorConfig, IntegrationError
 from .scene import (
     CameraSpec,

@@ -4,6 +4,15 @@ Six 2D feature planes over the axis pairs {xy, xz, yz, xt, yt, zt} are
 sampled bilinearly at a (position, t) query and the per-plane samples are
 concatenated in that fixed order.  Exact gradients of the sampling are
 provided for training.
+
+Sampling is one sparse linear map.  The planes' cells are stacked plane
+after plane into a (cells, C) array F, and a batch of N queries builds a
+CSR matrix S of shape (6N, cells) whose row n*6 + k holds query n's four
+bilinear corner weights on plane k.  The features are S @ F, the plane
+gradients S^T @ U for an upstream U, and the query gradients come from an
+operator with the same corners whose entries are the weights' derivatives
+along each plane axis.  Operators are rebuilt from the positions on every
+call; nothing but the positions needs to be kept for the backward pass.
 """
 
 from __future__ import annotations
@@ -11,12 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import arrayio
 
 PLANE_ORDER = ("xy", "xz", "yz", "xt", "yt", "zt")
 # axis indices into (x, y, z, t)
 PLANE_AXES = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+_AXES = np.array(PLANE_AXES)
+_AXIS_SELECT = np.eye(4)[_AXES.ravel()]  # (12, 4): one-hot query axis of each plane axis
 
 
 @dataclass
@@ -92,41 +104,50 @@ def create_grid(
     )
 
 
-def _coords(grid: HexPlaneGrid, positions: np.ndarray, t: float):
-    """Continuous plane coordinates in [0, R-1] per axis, plus clamp masks.
+def _corners(grid: HexPlaneGrid, positions, t: float):
+    """Bilinear corners of every (query, plane) pair.
 
-    Returns (coords (N, 4), active (N, 4)) where active marks queries that
-    were not clamped (their positional gradient survives).
+    Returns (cells, cols, fu, fv, ju, jv).  cells stacks the planes' cells
+    plane after plane as one (cells, C) array.  cols (N, 6, 4) indexes it at
+    the corners 00, 10, 01, 11 of each query's cell on each plane, the first
+    digit stepping along the plane's first axis.  fu and fv (N, 6) are the
+    offsets inside the cell along the plane's two axes, and ju and jv their
+    derivatives by the query coordinate, 0 where the query is clamped.
     """
-    span = np.concatenate([grid.bounds_hi - grid.bounds_lo, [grid.t1 - grid.t0]])
-    lo = np.concatenate([grid.bounds_lo, [grid.t0]])
-    q = np.concatenate([positions, np.full((positions.shape[0], 1), t)], axis=1)
-    u = (q - lo) / span
-    active = (u > 0.0) & (u < 1.0)
-    return np.clip(u, 0.0, 1.0), active
+    positions = np.asarray(positions, dtype=float)
+    if not (np.all(np.isfinite(positions)) and np.isfinite(t)):
+        raise FloatingPointError("feature grid: non-finite query")
+    r0, r1 = np.array([p.shape[:2] for p in grid.planes], dtype=np.int32).T
+    cells = np.concatenate([p.reshape(-1, grid.channels) for p in grid.planes])
+    lo = np.append(grid.bounds_lo, grid.t0)
+    span = np.append(grid.bounds_hi, grid.t1) - lo
+    u = (np.column_stack([positions, np.full(len(positions), t)]) - lo) / span
+    slope = ((u > 0.0) & (u < 1.0)) / span
+    u = np.clip(u, 0.0, 1.0)
+    # np.take keeps C order where u[:, index] would not, so the stacks below are contiguous
+    su = np.take(u, _AXES[:, 0], axis=1) * (r0 - 1)
+    sv = np.take(u, _AXES[:, 1], axis=1) * (r1 - 1)
+    i0 = np.minimum(np.floor(su).astype(np.int32), r0 - 2)
+    j0 = np.minimum(np.floor(sv).astype(np.int32), r1 - 2)
+    c00 = np.cumsum(r0 * r1, dtype=np.int32) - r0 * r1 + i0 * r1 + j0
+    cols = np.stack([c00, c00 + r1, c00 + 1, c00 + r1 + 1], axis=-1)
+    ju = np.take(slope, _AXES[:, 0], axis=1) * (r0 - 1)
+    jv = np.take(slope, _AXES[:, 1], axis=1) * (r1 - 1)
+    return cells, cols, su - i0, sv - j0, ju, jv
 
 
-def _plane_sample(plane, u, v):
-    """Bilinear sample at continuous coords (u, v) in [0, 1]^2.
+def _operator(cols, weights, n_cells: int):
+    """CSR matrix with one row per four consecutive ``weights``, placed at
+    the stacked-cell columns ``cols``."""
+    return sparse.csr_matrix(
+        (weights.ravel(), cols.ravel(), np.arange(0, weights.size + 1, 4, dtype=np.int32)),
+        shape=(weights.size // 4, n_cells),
+    )
 
-    Returns values (N, C) plus the pieces needed for the VJP.
-    """
-    r0, r1, _ = plane.shape
-    su = u * (r0 - 1)
-    sv = v * (r1 - 1)
-    i0 = np.minimum(np.floor(su).astype(int), r0 - 2)
-    j0 = np.minimum(np.floor(sv).astype(int), r1 - 2)
-    fu = su - i0
-    fv = sv - j0
-    p00 = plane[i0, j0]
-    p10 = plane[i0 + 1, j0]
-    p01 = plane[i0, j0 + 1]
-    p11 = plane[i0 + 1, j0 + 1]
-    fu_ = fu[:, None]
-    fv_ = fv[:, None]
-    val = (1 - fu_) * (1 - fv_) * p00 + fu_ * (1 - fv_) * p10 + (1 - fu_) * fv_ * p01 + fu_ * fv_ * p11
-    cache = (i0, j0, fu, fv, p00, p10, p01, p11)
-    return val, cache
+
+def _weights(fu, fv):
+    """(N, 6, 4) bilinear weights of the corners 00, 10, 01, 11."""
+    return np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv], axis=-1)
 
 
 def lookup(grid: HexPlaneGrid, positions, t: float) -> np.ndarray:
@@ -135,15 +156,8 @@ def lookup(grid: HexPlaneGrid, positions, t: float) -> np.ndarray:
     positions is an (N, 3) batch; positions are clamped into the grid bounds
     before normalization.
     """
-    positions = np.asarray(positions, dtype=float)
-    if not (np.all(np.isfinite(positions)) and np.isfinite(t)):
-        raise ValueError("lookup: non-finite query")
-    coords, _ = _coords(grid, positions, t)
-    out = []
-    for plane, (a, b) in zip(grid.planes, PLANE_AXES):
-        val, _ = _plane_sample(plane, coords[:, a], coords[:, b])
-        out.append(val)
-    return np.concatenate(out, axis=1)
+    cells, cols, fu, fv, _, _ = _corners(grid, positions, t)
+    return (_operator(cols, _weights(fu, fv), len(cells)) @ cells).reshape(-1, grid.feature_size)
 
 
 def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream):
@@ -154,39 +168,22 @@ def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream):
     nonzero entries only at the <= 4 touched nodes per plane per query;
     g_position / g_t are the gradients w.r.t. the query.
     """
-    positions = np.asarray(positions, dtype=float)
-    up = np.asarray(upstream, dtype=float)
-    if not (np.all(np.isfinite(positions)) and np.isfinite(t)):
-        raise ValueError("lookup_grad: non-finite query")
+    cells, cols, fu, fv, ju, jv = _corners(grid, positions, t)
+    n = len(cols)
+    up = np.asarray(upstream, dtype=float).reshape(-1, grid.channels)
+    g_cells = _operator(cols, _weights(fu, fv), len(cells)).T @ up
+    ends = np.cumsum([p.shape[0] * p.shape[1] for p in grid.planes])[:-1]
+    plane_grads = [g.reshape(p.shape) for g, p in zip(np.split(g_cells, ends), grid.planes)]
 
-    coords, active = _coords(grid, positions, t)
-    span = np.concatenate([grid.bounds_hi - grid.bounds_lo, [grid.t1 - grid.t0]])
-    c = grid.channels
-    plane_grads = [np.zeros_like(p) for p in grid.planes]
-    g_coords = np.zeros_like(coords)
-
-    for k, (plane, (a, b)) in enumerate(zip(grid.planes, PLANE_AXES)):
-        u_k = up[:, k * c : (k + 1) * c]
-        _, (i0, j0, fu, fv, p00, p10, p01, p11) = _plane_sample(plane, coords[:, a], coords[:, b])
-        fu_ = fu[:, None]
-        fv_ = fv[:, None]
-        g = plane_grads[k]
-        np.add.at(g, (i0, j0), (1 - fu_) * (1 - fv_) * u_k)
-        np.add.at(g, (i0 + 1, j0), fu_ * (1 - fv_) * u_k)
-        np.add.at(g, (i0, j0 + 1), (1 - fu_) * fv_ * u_k)
-        np.add.at(g, (i0 + 1, j0 + 1), fu_ * fv_ * u_k)
-        # chain d(sample)/d(scaled coord) into normalized coords and the query
-        dval_dsu = (1 - fv_) * (p10 - p00) + fv_ * (p11 - p01)
-        dval_dsv = (1 - fu_) * (p01 - p00) + fu_ * (p11 - p10)
-        r0, r1, _ = plane.shape
-        g_coords[:, a] += np.sum(u_k * dval_dsu, axis=1) * (r0 - 1)
-        g_coords[:, b] += np.sum(u_k * dval_dsv, axis=1) * (r1 - 1)
-
-    # clamped queries have zero positional gradient
-    g_coords = np.where(active, g_coords / span, 0.0)
-    g_position = g_coords[:, :3]
-    g_t = g_coords[:, 3]
-    return plane_grads, g_position, g_t
+    # derivatives of the corner weights by the query coordinate along each
+    # plane's two axes: one operator row per (query, plane, axis)
+    a0, a1 = (1 - fv) * ju, fv * ju
+    b0, b1 = (1 - fu) * jv, fu * jv
+    d_weights = np.stack([-a0, a0, -a1, a1, -b0, -b1, b0, b1], axis=-1)
+    d_op = _operator(np.concatenate([cols, cols], axis=-1), d_weights, len(cells))
+    g_axis = np.einsum("nc,nc->n", d_op @ cells, np.repeat(up, 2, axis=0))
+    g_query = g_axis.reshape(n, 12) @ _AXIS_SELECT
+    return plane_grads, g_query[:, :3], g_query[:, 3]
 
 
 def tv_loss(grid: HexPlaneGrid) -> float:

@@ -308,20 +308,21 @@ class NeuralVelocityField(VelocityField):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w + b
             if not np.all(np.isfinite(z)):
-                raise FieldError(f"non-finite activation in mlp layer {i}")
+                raise FloatingPointError(f"non-finite activation in mlp layer {i}")
             h = z if i == last else np.tanh(z)
             activations.append(h)
         if want_cache:
             return h, (positions, t, activations)
         return h
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, grads=None):
         """Reverse-mode gradients of :meth:`forward`.
 
-        upstream: (N, 9) gradient on the output.  Returns (param_grads,
-        g_positions) with param_grads aligned with :meth:`parameters`.
-        param grads are summed over the batch, so the gradient of a batch sum
-        equals the sum of per-item gradients.
+        upstream: (N, 9) gradient on the output.  Returns (grads,
+        g_positions): the parameter gradients, aligned with
+        :meth:`parameters` and summed over the batch, are added into
+        ``grads`` (a fresh :meth:`zero_grads` list when None), so the
+        gradient of a batch sum equals the sum of per-item gradients.
         """
         positions, t, activations = cache
         upstream = np.asarray(upstream, dtype=float)
@@ -329,7 +330,8 @@ class NeuralVelocityField(VelocityField):
             raise FieldError(
                 f"backward: upstream shape {upstream.shape} does not match cached batch {activations[-1].shape}"
             )
-        grads = self.zero_grads()
+        if grads is None:
+            grads = self.zero_grads()
         g = upstream
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
@@ -344,8 +346,8 @@ class NeuralVelocityField(VelocityField):
         g_feat = g[:, :c]
         g_pos_direct = g[:, c : c + 3]
         plane_grads, g_pos_grid, _ = feature_grid.lookup_grad(self.grid, positions, t, g_feat)
-        for k in range(6):
-            grads[2 * len(self.weights) + k] += plane_grads[k]
+        for acc, pg in zip(grads[2 * len(self.weights) :], plane_grads):
+            acc += pg
         return grads, g_pos_direct + g_pos_grid
 
     def evaluate_batch(self, positions, velocities, t, step_index=0):

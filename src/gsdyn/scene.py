@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import quaternions
 
 QUAT_NORM_TOL = 1e-6
 

@@ -16,8 +16,7 @@ tangent space stays an exact quadratic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from . import arrayio, feature_grid
 from .anchors import AnchorSet, state_deviation
 from .fields import NeuralVelocityField, VelocityField
 from .integrate import RK4_NODES, RK4_WEIGHTS, rk4_increments
-from .scene import GaussianCloud, SceneData, knn, mean_neighbor_distance
+from .scene import GaussianCloud, SceneData, knn
 
 COHERENCE_EPS = 1e-8  # the unspecified denominator epsilon
 
@@ -94,23 +93,28 @@ def trajectory_data_loss(predicted: np.ndarray, ground_truth: np.ndarray) -> flo
     return float(np.mean(np.sum((predicted - ground_truth) ** 2, axis=-1)))
 
 
-def adam_step(params, grads, moments, config: TrainingConfig, step_index: int):
+def adam_step(params, grads, moments, config: TrainingConfig, step_index: int, names=None):
     """Standard bias-corrected Adam update, in place.
 
     moments is (m, v) — lists of arrays shaped like params; pass None on the
-    first call.  Returns (params, moments).
+    first call.  names labels the parameter groups in errors.  A non-finite
+    gradient raises :class:`TrainingError` before any parameter changes.
+    Returns (params, moments).
     """
     if moments is None:
         moments = ([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
     m, v = moments
     if not (len(params) == len(grads) == len(m) == len(v)):
         raise ValueError("parameter / gradient group count mismatch")
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if p.shape != g.shape:
+            raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient in parameter group {names[i] if names else i}")
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**step_index
     bc2 = 1.0 - b2**step_index
     for p, g, mi, vi in zip(params, grads, m, v):
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
         mi *= b1
         mi += (1 - b1) * g
         vi *= b2
@@ -137,9 +141,7 @@ def _backward_rk4_step(field: NeuralVelocityField, step_cache, g_p, g_theta, g_s
         if i < 3 and g_stage_p[i + 1] is not None:
             u_k = u_k + stage_adv[i] * g_stage_p[i + 1]
         upstream = np.concatenate([u_k, w6[i] * g_theta, w6[i] * g_scale], axis=1)
-        stage_grads, g_pos = field.backward(caches[i], upstream)
-        for acc, sg in zip(grads, stage_grads):
-            acc += sg
+        _, g_pos = field.backward(caches[i], upstream, grads)
         g_stage_p[i] = g_pos
         g_p_total += g_pos
     return g_p_total
@@ -472,7 +474,7 @@ def fit(scene: SceneData, config: TrainingConfig = TrainingConfig()) -> FitResul
         if n > config.coherence_batch:
             coh_rows = np.sort(rng.choice(n, size=config.coherence_batch, replace=False))
         report, grads = _epoch_losses_and_grads(field, plan, config, coh_rows)
-        params, moments = adam_step(params, grads, moments, config, epoch + 1)
+        params, moments = adam_step(params, grads, moments, config, epoch + 1, field.parameter_names())
         history.append(replace(report, epoch=epoch))
 
     anchor_set = AnchorSet()

@@ -196,6 +196,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "after the last array" in err
 
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_nonfinite_activation_is_numerical_failure(self, drift_scene, tmp_path, capsys, anchored):
+        grid = feature_grid.create_grid(np.zeros(3), np.ones(3), spatial_resolution=4, time_resolution=4,
+                                        channels=2)
+        field = NeuralVelocityField(grid, hidden=(8,))
+        field.weights[0][:] = 0.0
+        field.biases[0][:] = 5.0  # every hidden unit at tanh(5): the output sum overflows
+        field.weights[1][:] = 1e308
+        anchors = AnchorSet()
+        anchors.insert(load_scene(drift_scene / "scene.json").cloud, 0.0)
+        ckpt = tmp_path / "ck.gsd"
+        train.save_checkpoint(ckpt, field, anchors)
+        argv = ["simulate", "--checkpoint", str(ckpt), "--scene", str(drift_scene / "scene.json"),
+                "--t0", "0", "--t1", "1", "--out", str(tmp_path / "o")]
+        with np.errstate(all="ignore"):  # the program's own check must catch the overflow
+            assert run(argv + ["--anchored"] * anchored) == cli.EXIT_NUMERICAL
+        assert "numerical failure: non-finite activation in mlp layer 1" in capsys.readouterr().err
+
     def test_anchored_without_anchors_usage_error(self, drift_scene, tmp_path):
         spec = tmp_path / "f.json"
         spec.write_text(json.dumps({"kind": "drift"}))

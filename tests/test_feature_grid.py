@@ -54,7 +54,7 @@ class TestLookup:
 
     def test_nonfinite_query_rejected(self):
         grid = random_grid()
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             fg.lookup(grid, np.array([[np.nan, 0.0, 0.0]]), 0.5)
 
     def test_bilinear_closed_form_interior(self):

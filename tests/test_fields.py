@@ -145,7 +145,7 @@ class TestNeuralField:
     def test_nonfinite_activation_names_layer(self):
         field = NeuralVelocityField(small_grid(), hidden=(4,), seed=0, output_scale=1.0)
         field.weights[0][0, 0] = np.inf
-        with pytest.raises(FieldError, match="layer 0"):
+        with pytest.raises(FloatingPointError, match="layer 0"):
             field.forward(np.full((1, 3), 0.5), 0.5)
 
     def test_backward_zero_upstream(self):

@@ -220,6 +220,14 @@ class TestAdam:
         with pytest.raises(ValueError):
             train.adam_step([np.zeros(2)], [np.zeros(3)], None, train.TrainingConfig(), 1)
 
+    def test_nonfinite_gradient_rejected_before_update(self):
+        params = [np.zeros(2), np.ones(3)]
+        grads = [np.ones(2), np.array([np.nan, 0.0, 1.0])]
+        with pytest.raises(train.TrainingError, match="plane_xy"):
+            train.adam_step(params, grads, None, train.TrainingConfig(), 1, ["mlp_w0", "plane_xy"])
+        np.testing.assert_array_equal(params[0], np.zeros(2))
+        np.testing.assert_array_equal(params[1], np.ones(3))
+
 
 class TestUnrolledGradients:
     def data_grad_setup(self, seed, n=3, n_ck=2):
@@ -319,6 +327,20 @@ class TestFit:
         assert [r.total for r in a.history] == [r.total for r in b.history]
         for pa, pb in zip(a.field.parameters(), b.field.parameters()):
             np.testing.assert_array_equal(pa, pb)
+
+    def test_one_gradient_buffer_per_epoch(self, monkeypatch):
+        calls = []
+        zero_grads = NeuralVelocityField.zero_grads
+
+        def counted(self):
+            calls.append(1)
+            return zero_grads(self)
+
+        monkeypatch.setattr(NeuralVelocityField, "zero_grads", counted)
+        scene = cli.generate_scene("drift", 5, 5, seed=14, params={"delta": [0.2, 0, 0]})
+        train.fit(scene, train.TrainingConfig(epochs=3, hidden=(4,), grid_spatial_resolution=4,
+                                              grid_time_resolution=4, grid_channels=1, knn_k=2))
+        assert len(calls) == 3
 
     def test_short_drift_fit_learns_direction(self):
         scene = cli.generate_scene("drift", 6, 6, seed=15, params={"delta": [0.3, 0, 0]})
