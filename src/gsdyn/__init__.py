@@ -20,17 +20,7 @@ from .fields import (
 )
 from .integrate import IntegratorConfig, Trajectory, anchor_aware_rollout, anchored_states, rollout
 from .render import Image, dssim, project, psnr, rasterize, ssim, write_ppm
-from .scene import (
-    Bounds,
-    CameraSpec,
-    GaussianCloud,
-    GaussianState,
-    SceneData,
-    knn,
-    load_scene,
-    mean_neighbor_distance,
-    save_scene,
-)
+from .scene import Bounds, CameraSpec, GaussianCloud, SceneData, knn, load_scene, save_scene
 from .train import FitResult, LossReport, TrainingConfig, coherence_loss, fit, total_loss, trajectory_data_loss
 
 __version__ = "0.1.0"

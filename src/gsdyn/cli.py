@@ -176,26 +176,38 @@ def cmd_train(args):
 # simulate
 
 
-def _resolve_sim_inputs(args):
-    """Returns (field, cloud, anchor_set)."""
-    anchor_set = None
-    checkpoint_field = None
-    cloud = None
+def _resolve_inputs(args, make_field, no_cloud: str):
+    """Load --checkpoint and --scene once, for simulate and inject.
+
+    make_field(checkpoint field or None) builds the field to integrate.  The
+    initial cloud is the scene's, else the checkpoint's first anchor; the
+    camera is the scene's first, else the default.  Returns (field, cloud,
+    anchor set or None, camera).
+    """
+    checkpoint_field = anchor_set = scene = None
     if args.checkpoint:
         checkpoint_field, anchor_set, _ = train.load_checkpoint(args.checkpoint)
     if args.scene:
-        cloud = load_scene(args.scene).cloud
-    if args.field:
-        field = _load_field_spec(args.field, checkpoint_field)
-    elif checkpoint_field is not None:
-        field = checkpoint_field
-    else:
-        raise UsageError("need --checkpoint or --field")
-    if cloud is None:
-        if anchor_set is None or len(anchor_set) == 0:
-            raise UsageError("need --scene for the initial cloud (checkpoint has no anchors)")
+        scene = load_scene(args.scene)
+    field = make_field(checkpoint_field)
+    if scene is not None:
+        cloud = scene.cloud
+    elif anchor_set is not None and len(anchor_set) > 0:
         cloud = anchor_set[0].cloud
-    return field, cloud, anchor_set
+    else:
+        raise UsageError(no_cloud)
+    camera = scene.cameras[0] if scene is not None and scene.cameras else _default_camera()
+    return field, cloud, anchor_set, camera
+
+
+def _write_frames(out: Path, clouds, camera) -> list:
+    """Rasterize each cloud to frame_<i>.ppm; returns the file names."""
+    names = []
+    for fi, cloud in enumerate(clouds):
+        name = f"frame_{fi:04d}.ppm"
+        render.write_ppm(render.rasterize(cloud, camera), out / name)
+        names.append(name)
+    return names
 
 
 def _span_steps(args) -> int:
@@ -208,7 +220,17 @@ def _span_steps(args) -> int:
 def cmd_simulate(args):
     if args.t0 == args.t1:
         raise UsageError("t0 and t1 must differ")
-    field, cloud, anchor_set = _resolve_sim_inputs(args)
+
+    def make_field(checkpoint_field):
+        if args.field:
+            return _load_field_spec(args.field, checkpoint_field)
+        if checkpoint_field is None:
+            raise UsageError("need --checkpoint or --field")
+        return checkpoint_field
+
+    field, cloud, anchor_set, _ = _resolve_inputs(
+        args, make_field, "need --scene for the initial cloud (checkpoint has no anchors)"
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.anchored:
@@ -232,28 +254,20 @@ def cmd_simulate(args):
 
 
 def cmd_inject(args):
-    checkpoint_field = None
-    anchor_set = None
-    if args.checkpoint:
-        checkpoint_field, anchor_set, _ = train.load_checkpoint(args.checkpoint)
-    base = checkpoint_field if checkpoint_field is not None else fields.ZeroField()
-    injected = _load_field_spec(args.field, checkpoint_field)
-    if args.mask:
-        with open(args.mask) as f:
-            mask = fields.build_mask(json.load(f))
-        composed = fields.blend_masked(base, injected, mask)
-    elif args.checkpoint:
-        composed = fields.compose_add(base, injected, args.lam)
-    else:
-        composed = injected
+    def make_field(checkpoint_field):
+        base = checkpoint_field if checkpoint_field is not None else fields.ZeroField()
+        injected = _load_field_spec(args.field, checkpoint_field)
+        if args.mask:
+            with open(args.mask) as f:
+                mask = fields.build_mask(json.load(f))
+            return fields.blend_masked(base, injected, mask)
+        if checkpoint_field is not None:
+            return fields.compose_add(base, injected, args.lam)
+        return injected
 
-    if args.scene:
-        cloud = load_scene(args.scene).cloud
-    elif anchor_set is not None and len(anchor_set) > 0:
-        cloud = anchor_set[0].cloud
-    else:
-        raise UsageError("need --scene or a checkpoint with anchors for the initial cloud")
-
+    composed, cloud, _, camera = _resolve_inputs(
+        args, make_field, "need --scene or a checkpoint with anchors for the initial cloud"
+    )
     config = IntegratorConfig(method=args.method, step_count=_span_steps(args), record_stride=args.record_stride)
     traj = integrate.rollout(cloud, args.t0, args.t1, config, composed)
     out = Path(args.out)
@@ -261,16 +275,7 @@ def cmd_inject(args):
     export_trajectory_csv(traj.times, traj.positions, out / "trajectory.csv")
     artifacts = ["trajectory.csv"]
     if args.render_frames:
-        camera = _default_camera()
-        if args.scene:
-            cams = load_scene(args.scene).cameras
-            if cams:
-                camera = cams[0]
-        for fi in range(len(traj)):
-            img = render.rasterize(traj.cloud_at(fi), camera)
-            name = f"frame_{fi:04d}.ppm"
-            render.write_ppm(img, out / name)
-            artifacts.append(name)
+        artifacts += _write_frames(out, (traj.cloud_at(fi) for fi in range(len(traj))), camera)
     return artifacts
 
 
@@ -287,21 +292,13 @@ def cmd_render(args):
     camera = data.cameras[args.camera_index]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
+    clouds = [data.cloud]
     if args.trajectory:
-        times, positions = import_trajectory_csv(args.trajectory)
+        _, positions = import_trajectory_csv(args.trajectory)
         if positions.shape[1] != len(data.cloud):
             raise UsageError("trajectory gaussian count does not match the scene")
-        for fi in range(len(times)):
-            img = render.rasterize(data.cloud.with_positions(positions[fi]), camera)
-            name = f"frame_{fi:04d}.ppm"
-            render.write_ppm(img, out / name)
-            artifacts.append(name)
-    else:
-        img = render.rasterize(data.cloud, camera)
-        render.write_ppm(img, out / "frame_0000.ppm")
-        artifacts.append("frame_0000.ppm")
-    return artifacts
+        clouds = (data.cloud.with_positions(p) for p in positions)
+    return _write_frames(out, clouds, camera)
 
 
 # ---------------------------------------------------------------------------

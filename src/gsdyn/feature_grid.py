@@ -22,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from . import arrayio
-
 PLANE_ORDER = ("xy", "xz", "yz", "xt", "yt", "zt")
 # axis indices into (x, y, z, t)
 PLANE_AXES = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
@@ -213,31 +211,3 @@ def tv_grad(grid: HexPlaneGrid):
         g[:, :-1, :] -= 2.0 * dv / count
         grads.append(g)
     return grads
-
-
-def save_grid(grid: HexPlaneGrid, path) -> None:
-    meta = {
-        "kind": "hexplane_grid",
-        "plane_order": list(PLANE_ORDER),
-        "resolutions": [list(p.shape[:2]) for p in grid.planes],
-        "channels": grid.channels,
-        "t0": grid.t0,
-        "t1": grid.t1,
-    }
-    arrays = {f"plane_{name}": p for name, p in zip(PLANE_ORDER, grid.planes)}
-    arrays["bounds_lo"] = grid.bounds_lo
-    arrays["bounds_hi"] = grid.bounds_hi
-    arrayio.save_bundle(path, meta, arrays)
-
-
-def load_grid(path) -> HexPlaneGrid:
-    meta, arrays = arrayio.load_bundle(path)
-    if meta.get("kind") != "hexplane_grid":
-        raise ValueError(f"{path}: not a grid checkpoint")
-    return HexPlaneGrid(
-        planes=[arrays[f"plane_{name}"] for name in PLANE_ORDER],
-        bounds_lo=arrays["bounds_lo"],
-        bounds_hi=arrays["bounds_hi"],
-        t0=float(meta["t0"]),
-        t1=float(meta["t1"]),
-    )

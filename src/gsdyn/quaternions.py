@@ -75,6 +75,19 @@ def log_map(q):
     return k * q[..., 1:]
 
 
+def to_matrix(q):
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack(
+        [
+            np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1),
+            np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1),
+            np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1),
+        ],
+        axis=-2,
+    )
+
+
 def relative_tangent(q, q_ref):
     """Rotation vector of q relative to q_ref, log(q * q_ref^-1)."""
     return log_map(multiply(q, conjugate(q_ref)))

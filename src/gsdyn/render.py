@@ -1,15 +1,15 @@
 """Evaluation-only CPU splat rasterizer and image metrics.
 
-Gaussians are projected through a pinhole camera with the affine (Jacobian)
-approximation for covariance transport, depth-sorted front to back, and
-alpha-composited within a 3-sigma pixel footprint.  Forward pass only: no
-gradients flow through rendering.
+Each frame projects the whole cloud in one vectorized pass through a pinhole
+camera, with the affine (Jacobian) approximation for covariance transport as
+in EWA splatting.  The kept Gaussians are sorted front to back by depth, then
+index, and alpha-composited one after another within a 3-sigma pixel
+footprint.  Forward pass only: no gradients flow through rendering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.signal import convolve2d
@@ -37,13 +37,6 @@ class Image:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
-class ProjectedGaussian:
-    mean2d: np.ndarray  # (2,) pixel coordinates
-    cov2d: np.ndarray  # (2, 2)
-    depth: float
-
-
 @dataclass
 class RenderStats:
     discarded: int = 0
@@ -59,48 +52,40 @@ def _view_basis(camera: CameraSpec):
     return np.stack([right, up, forward])
 
 
-def _rotation_matrix(q):
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+def project(cloud: GaussianCloud, camera: CameraSpec):
+    """Project every Gaussian of the cloud to a 2D mean, 2x2 covariance and depth.
 
-
-def project(gaussian, camera: CameraSpec) -> Optional[ProjectedGaussian]:
-    """Project one Gaussian to a 2D mean, 2x2 covariance, and depth.
-
-    Returns None (discard) behind the near plane or when the projected
-    covariance degenerates.
+    Returns (mean2d (N, 2) pixel coordinates, cov2d (N, 2, 2), depth (N,),
+    keep (N,) bool).  keep is False behind the near plane and where the
+    projected covariance degenerates (det < 1e-24); the means and
+    covariances of those rows carry no meaning.
     """
     basis = _view_basis(camera)
-    pc = basis @ (gaussian.position - camera.eye)
-    depth = pc[2]
-    if depth <= camera.near:
-        return None
+    # one matrix-vector product per row, rounded as for a single Gaussian
+    pc = (basis @ (cloud.positions - camera.eye)[:, :, None])[:, :, 0]
+    depth = pc[:, 2]
+    front = depth > camera.near
+    z = np.where(front, depth, 1.0)  # finite stand-in depth for the rows discarded anyway
     focal = camera.height / (2.0 * np.tan(camera.vertical_fov / 2.0))
     cx = camera.width / 2.0
     cy = camera.height / 2.0
-    mean2d = np.array([cx + focal * pc[0] / depth, cy - focal * pc[1] / depth])
+    mean2d = np.stack([cx + focal * pc[:, 0] / z, cy - focal * pc[:, 1] / z], axis=1)
 
-    rot = _rotation_matrix(quaternions.normalize(gaussian.rotation))
-    s = np.exp(gaussian.log_scale)
-    cov_world = rot @ np.diag(s**2) @ rot.T
+    rot = quaternions.to_matrix(quaternions.normalize(cloud.rotations))
+    s = np.exp(cloud.log_scales)
+    cov_world = rot @ (s[:, :, None] ** 2 * np.eye(3)) @ rot.transpose(0, 2, 1)
     cov_cam = basis @ cov_world @ basis.T
-    # pinhole Jacobian, image y pointing down
-    jac = np.array(
-        [
-            [focal / depth, 0.0, -focal * pc[0] / depth**2],
-            [0.0, -focal / depth, focal * pc[1] / depth**2],
-        ]
-    )
-    cov2d = jac @ cov_cam @ jac.T
-    if np.linalg.det(cov2d) < 1e-24:
-        return None
-    return ProjectedGaussian(mean2d=mean2d, cov2d=cov2d, depth=float(depth))
+    # pinhole Jacobian, image y pointing down; float_power rounds z^2 as the
+    # scalar z**2 of the per-Gaussian formula does (z * z can differ in the last bit)
+    z2 = np.float_power(z, 2)
+    jac = np.zeros((len(cloud), 2, 3))
+    jac[:, 0, 0] = focal / z
+    jac[:, 0, 2] = -focal * pc[:, 0] / z2
+    jac[:, 1, 1] = -focal / z
+    jac[:, 1, 2] = focal * pc[:, 1] / z2
+    cov2d = jac @ cov_cam @ jac.transpose(0, 2, 1)
+    keep = front & ~(np.linalg.det(cov2d) < 1e-24)
+    return mean2d, cov2d, depth, keep
 
 
 def rasterize(cloud: GaussianCloud, camera: CameraSpec, stats: RenderStats = None) -> Image:
@@ -115,38 +100,33 @@ def rasterize(cloud: GaussianCloud, camera: CameraSpec, stats: RenderStats = Non
     image = np.zeros((h, w, 3))
     transmittance = np.ones((h, w))
 
-    projected = []
-    for i in range(len(cloud)):
-        pg = project(cloud[i], camera)
-        if pg is None:
-            if stats is not None:
-                stats.discarded += 1
-            continue
-        projected.append((pg.depth, i, pg))
-    projected.sort(key=lambda item: (item[0], item[1]))
+    mean2d, cov2d, depth, keep = project(cloud, camera)
+    if stats is not None:
+        stats.discarded += int(np.count_nonzero(~keep))
+    order = np.flatnonzero(keep)
+    order = order[np.lexsort((order, depth[order]))]
+    order = order[~(cloud.opacities[order] <= 0.0)]
+    radii = FOOTPRINT_SIGMAS * np.sqrt(np.maximum(np.linalg.eigvalsh(cov2d[order])[:, -1], 0.0))
+    inverses = np.linalg.inv(cov2d[order])
 
     ys = np.arange(h)
     xs = np.arange(w)
-    for _, i, pg in projected:
-        opacity = float(cloud.opacities[i])
-        if opacity <= 0.0:
-            continue
-        radius = FOOTPRINT_SIGMAS * np.sqrt(max(np.linalg.eigvalsh(pg.cov2d).max(), 0.0))
-        x0 = max(int(np.floor(pg.mean2d[0] - radius)), 0)
-        x1 = min(int(np.ceil(pg.mean2d[0] + radius)) + 1, w)
-        y0 = max(int(np.floor(pg.mean2d[1] - radius)), 0)
-        y1 = min(int(np.ceil(pg.mean2d[1] + radius)) + 1, h)
+    for i, radius, inv in zip(order, radii, inverses):
+        mx, my = mean2d[i]
+        x0 = max(int(np.floor(mx - radius)), 0)
+        x1 = min(int(np.ceil(mx + radius)) + 1, w)
+        y0 = max(int(np.floor(my - radius)), 0)
+        y1 = min(int(np.ceil(my + radius)) + 1, h)
         if x0 >= x1 or y0 >= y1:
             continue
-        inv = np.linalg.inv(pg.cov2d)
-        dx = xs[x0:x1] + 0.5 - pg.mean2d[0]
-        dy = ys[y0:y1] + 0.5 - pg.mean2d[1]
+        dx = xs[x0:x1] + 0.5 - mx
+        dy = ys[y0:y1] + 0.5 - my
         qform = (
             inv[0, 0] * dx[None, :] ** 2
             + 2.0 * inv[0, 1] * dy[:, None] * dx[None, :]
             + inv[1, 1] * dy[:, None] ** 2
         )
-        alpha = np.minimum(opacity * np.exp(-0.5 * qform), ALPHA_MAX)
+        alpha = np.minimum(float(cloud.opacities[i]) * np.exp(-0.5 * qform), ALPHA_MAX)
         t_patch = transmittance[y0:y1, x0:x1]
         weight = t_patch * alpha
         image[y0:y1, x0:x1] += weight[:, :, None] * cloud.colors[i]

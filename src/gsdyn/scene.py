@@ -1,9 +1,10 @@
-"""Core scene types: Gaussian primitives, clouds, cameras, neighbor queries, file I/O.
+"""Core scene types: Gaussian clouds, cameras, neighbor queries, file I/O.
 
-A cloud stores its primitives struct-of-arrays for fast vectorized math, but
-exposes per-primitive :class:`GaussianState` views.  All types are immutable
-values: evolving a scene means constructing a new cloud, so clouds are safe
-to share read-only across threads.
+A cloud stores its primitives struct-of-arrays, one array per attribute with
+one row per Gaussian, and every operation on it is vectorized over the rows;
+there is no per-primitive type.  All types are immutable values: evolving a
+scene means constructing a new cloud, so clouds are safe to share read-only
+across threads.
 """
 
 from __future__ import annotations
@@ -40,39 +41,6 @@ def _vec(x, n, name):
     if not np.all(np.isfinite(a)):
         raise SceneValidationError(f"{name}: non-finite value")
     return a
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """One anisotropic Gaussian primitive.
-
-    position: 3-vector in scene units.
-    rotation: unit quaternion (w, x, y, z).
-    log_scale: log of the per-axis scale, so exp(log_scale) is always positive.
-    color: RGB in [0, 1].
-    opacity: scalar in [0, 1].
-    """
-
-    position: np.ndarray
-    rotation: np.ndarray
-    log_scale: np.ndarray
-    color: np.ndarray
-    opacity: float
-
-    def validate(self, name: str = "gaussian") -> "GaussianState":
-        _vec(self.position, 3, f"{name}.position")
-        q = _vec(self.rotation, 4, f"{name}.rotation")
-        if abs(np.linalg.norm(q) - 1.0) > QUAT_NORM_TOL:
-            raise SceneValidationError(f"{name}.rotation: quaternion norm not within {QUAT_NORM_TOL} of 1")
-        ls = _vec(self.log_scale, 3, f"{name}.log_scale")
-        if not np.all(np.isfinite(np.exp(ls))):
-            raise SceneValidationError(f"{name}.log_scale: exp overflows")
-        c = _vec(self.color, 3, f"{name}.color")
-        if np.any(c < 0) or np.any(c > 1):
-            raise SceneValidationError(f"{name}.color: component outside [0, 1]")
-        if not (0.0 <= self.opacity <= 1.0):
-            raise SceneValidationError(f"{name}.opacity: value {self.opacity} outside [0, 1]")
-        return self
 
 
 @dataclass(frozen=True)
@@ -116,34 +84,32 @@ class GaussianCloud:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def __getitem__(self, i: int) -> GaussianState:
-        return GaussianState(
-            position=self.positions[i],
-            rotation=self.rotations[i],
-            log_scale=self.log_scales[i],
-            color=self.colors[i],
-            opacity=float(self.opacities[i]),
-        )
-
-    @property
-    def gaussians(self):
-        return [self[i] for i in range(len(self))]
-
-    @staticmethod
-    def from_gaussians(states, time: float = 0.0, bounds: Bounds = None) -> "GaussianCloud":
-        return GaussianCloud(
-            positions=np.array([s.position for s in states], dtype=float).reshape(-1, 3),
-            rotations=np.array([s.rotation for s in states], dtype=float).reshape(-1, 4),
-            log_scales=np.array([s.log_scale for s in states], dtype=float).reshape(-1, 3),
-            colors=np.array([s.color for s in states], dtype=float).reshape(-1, 3),
-            opacities=np.array([s.opacity for s in states], dtype=float),
-            time=time,
-            bounds=bounds,
-        )
-
     def validate(self) -> "GaussianCloud":
-        for i in range(len(self)):
-            self[i].validate(name=f"gaussians[{i}]")
+        """Check every row; the error names the first bad row and, within it,
+        the first bad attribute in the order position, rotation, log_scale,
+        color, opacity."""
+        def nonfinite(a):
+            return ~np.isfinite(a).all(axis=1)
+
+        with np.errstate(over="ignore"):
+            checks = (
+                ("position", nonfinite(self.positions), "non-finite value"),
+                ("rotation", nonfinite(self.rotations), "non-finite value"),
+                ("rotation", np.abs(np.linalg.norm(self.rotations, axis=1) - 1.0) > QUAT_NORM_TOL,
+                 f"quaternion norm not within {QUAT_NORM_TOL} of 1"),
+                ("log_scale", nonfinite(self.log_scales), "non-finite value"),
+                ("log_scale", nonfinite(np.exp(self.log_scales)), "exp overflows"),
+                ("color", nonfinite(self.colors), "non-finite value"),
+                ("color", ((self.colors < 0) | (self.colors > 1)).any(axis=1), "component outside [0, 1]"),
+                ("opacity", ~((self.opacities >= 0.0) & (self.opacities <= 1.0)), None),
+            )
+        bad = np.stack([mask for _, mask, _ in checks], axis=1)  # (N, checks)
+        if bad.any():
+            i, c = divmod(int(np.argmax(bad)), len(checks))  # row-major: first row, then first check
+            name, _, message = checks[c]
+            if message is None:
+                message = f"value {float(self.opacities[i])} outside [0, 1]"
+            raise SceneValidationError(f"gaussians[{i}].{name}: {message}")
         if not (0.0 <= self.time <= 1.0):
             raise SceneValidationError(f"time: value {self.time} outside [0, 1]")
         return self
@@ -212,6 +178,9 @@ class SceneData:
         return self.trajectory_times is not None
 
 
+_ROW_VECTORS = (("position", 3), ("rotation", 4), ("log_scale", 3), ("color", 3))  # JSON keys and widths
+
+
 def load_scene(path) -> SceneData:
     """Load and validate a JSON scene file.
 
@@ -227,19 +196,19 @@ def load_scene(path) -> SceneData:
     if not isinstance(doc, dict) or "gaussians" not in doc:
         raise SceneParseError("scene file must be an object with a 'gaussians' list")
 
-    states = []
+    columns = {name: [] for name, _ in _ROW_VECTORS}
+    opacities = []
     for i, g in enumerate(doc["gaussians"]):
         try:
-            state = GaussianState(
-                position=np.asarray(g["position"], dtype=float),
-                rotation=np.asarray(g["rotation"], dtype=float),
-                log_scale=np.asarray(g["log_scale"], dtype=float),
-                color=np.asarray(g["color"], dtype=float),
-                opacity=float(g["opacity"]),
-            )
+            row = [np.asarray(g[name], dtype=float) for name, _ in _ROW_VECTORS]
+            opacities.append(float(g["opacity"]))
         except (KeyError, TypeError, ValueError) as e:
             raise SceneParseError(f"gaussians[{i}]: {e}") from e
-        states.append(state.validate(name=f"gaussians[{i}]"))
+        for (name, width), a in zip(_ROW_VECTORS, row):
+            if a.shape != (width,):
+                raise SceneValidationError(f"gaussians[{i}].{name}: expected {width}-vector, got shape {a.shape}")
+            columns[name].append(a)
+    arrays = {name: np.array(columns[name], dtype=float).reshape(-1, width) for name, width in _ROW_VECTORS}
 
     bounds = None
     if "bounds" in doc:
@@ -251,8 +220,15 @@ def load_scene(path) -> SceneData:
         except (KeyError, TypeError) as e:
             raise SceneParseError(f"bounds: {e}") from e
 
-    cloud = GaussianCloud.from_gaussians(states, time=float(doc.get("time", 0.0)), bounds=bounds)
-    cloud.validate()
+    cloud = GaussianCloud(
+        positions=arrays["position"],
+        rotations=arrays["rotation"],
+        log_scales=arrays["log_scale"],
+        colors=arrays["color"],
+        opacities=np.array(opacities, dtype=float),
+        time=float(doc.get("time", 0.0)),
+        bounds=bounds,
+    ).validate()
 
     cameras = []
     for i, c in enumerate(doc.get("cameras", [])):
@@ -353,16 +329,6 @@ def knn(cloud: GaussianCloud, k: int) -> np.ndarray:
     np.fill_diagonal(d2, np.inf)
     order = np.argsort(d2, axis=1, kind="stable")
     return order[:, :k]
-
-
-def mean_neighbor_distance(cloud: GaussianCloud, neighbors: np.ndarray) -> float:
-    """Arithmetic mean of ||p_i - p_j|| over all (i, j in N(i)) pairs."""
-    neighbors = np.asarray(neighbors)
-    if neighbors.size == 0:
-        raise ValueError("neighbor lists are empty")
-    p = cloud.positions
-    d = np.linalg.norm(p[:, None, :] - p[neighbors], axis=-1)
-    return float(d.mean())
 
 
 def export_trajectory_csv(times, positions, path) -> None:

@@ -234,15 +234,3 @@ class TestGridValidation:
         planes[3][0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="xt"):
             fg.HexPlaneGrid(planes=planes, bounds_lo=np.zeros(3), bounds_hi=np.ones(3))
-
-
-class TestGridIo:
-    def test_save_load_round_trip(self, tmp_path):
-        grid = random_grid(seed=17)
-        path = tmp_path / "grid.gsd"
-        fg.save_grid(grid, path)
-        back = fg.load_grid(path)
-        for a, b in zip(grid.planes, back.planes):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(back.bounds_lo, grid.bounds_lo)
-        assert back.t0 == grid.t0 and back.t1 == grid.t1

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gsdyn import render
-from gsdyn.scene import CameraSpec, GaussianCloud, GaussianState
+from gsdyn import quaternions, render
+from gsdyn.scene import CameraSpec, GaussianCloud
 
 
 def camera(width=33, height=33, eye=(0.0, -3.0, 0.0), look_at=(0.0, 0.0, 0.0)):
@@ -20,49 +21,118 @@ def camera(width=33, height=33, eye=(0.0, -3.0, 0.0), look_at=(0.0, 0.0, 0.0)):
 
 def cloud_of(entries, time=0.0):
     """entries: list of (position, color, opacity, log_scale)."""
-    states = [
-        GaussianState(
-            position=np.asarray(p, dtype=float),
-            rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-            log_scale=np.full(3, ls),
-            color=np.asarray(c, dtype=float),
-            opacity=o,
-        )
-        for p, c, o, ls in entries
-    ]
-    return GaussianCloud.from_gaussians(states, time=time)
+    n = len(entries)
+    return GaussianCloud(
+        positions=np.array([p for p, _, _, _ in entries], dtype=float).reshape(n, 3),
+        rotations=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+        log_scales=np.array([np.full(3, ls) for _, _, _, ls in entries], dtype=float).reshape(n, 3),
+        colors=np.array([c for _, c, _, _ in entries], dtype=float).reshape(n, 3),
+        opacities=np.array([o for _, _, o, _ in entries], dtype=float),
+        time=time,
+    )
 
 
 def gray(level, h=16, w=16):
     return render.Image(pixels=np.full((h, w, 3), level))
 
 
+def reference_project(position, rotation, log_scale, camera):
+    """One Gaussian at a time, as the renderer computed it before projecting
+    whole clouds: (mean2d, cov2d, depth), or None when discarded."""
+    forward = camera.look_at - camera.eye
+    forward = forward / np.linalg.norm(forward)
+    right = np.cross(forward, camera.up)
+    right = right / np.linalg.norm(right)
+    basis = np.stack([right, np.cross(right, forward), forward])
+    pc = basis @ (position - camera.eye)
+    depth = pc[2]
+    if depth <= camera.near:
+        return None
+    focal = camera.height / (2.0 * np.tan(camera.vertical_fov / 2.0))
+    mean2d = np.array([camera.width / 2.0 + focal * pc[0] / depth, camera.height / 2.0 - focal * pc[1] / depth])
+    w, x, y, z = quaternions.normalize(rotation)
+    rot = np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+    cov_cam = basis @ (rot @ np.diag(np.exp(log_scale) ** 2) @ rot.T) @ basis.T
+    jac = np.array(
+        [
+            [focal / depth, 0.0, -focal * pc[0] / depth**2],
+            [0.0, -focal / depth, focal * pc[1] / depth**2],
+        ]
+    )
+    cov2d = jac @ cov_cam @ jac.T
+    if np.linalg.det(cov2d) < 1e-24:
+        return None
+    return mean2d, cov2d, float(depth)
+
+
 class TestProject:
     def test_center_gaussian_projects_to_image_center(self):
-        cam = camera()
-        cloud = cloud_of([((0.0, 0.0, 0.0), (1, 0, 0), 1.0, -3.0)])
-        pg = render.project(cloud[0], cam)
-        np.testing.assert_allclose(pg.mean2d, [16.5, 16.5])
+        mean2d, _, _, keep = render.project(cloud_of([((0.0, 0.0, 0.0), (1, 0, 0), 1.0, -3.0)]), camera())
+        assert keep[0]
+        np.testing.assert_allclose(mean2d[0], [16.5, 16.5])
 
     def test_on_axis_isotropic_covariance(self):
-        cam = camera()
-        cloud = cloud_of([((0.0, 0.0, 0.0), (1, 0, 0), 1.0, -2.0)])
-        pg = render.project(cloud[0], cam)
-        assert abs(pg.cov2d[0, 1]) < 1e-9
-        assert pg.cov2d[0, 0] == pytest.approx(pg.cov2d[1, 1], rel=1e-9)
+        _, cov2d, _, _ = render.project(cloud_of([((0.0, 0.0, 0.0), (1, 0, 0), 1.0, -2.0)]), camera())
+        assert abs(cov2d[0, 0, 1]) < 1e-9
+        assert cov2d[0, 0, 0] == pytest.approx(cov2d[0, 1, 1], rel=1e-9)
 
     def test_distance_halves_projected_sigma(self):
-        cloud_near = cloud_of([((0.0, 0.0, 0.0), (1, 0, 0), 1.0, -3.5)])
-        cam_near = camera(eye=(0.0, -2.0, 0.0))
-        cam_far = camera(eye=(0.0, -4.0, 0.0))
-        s_near = np.sqrt(render.project(cloud_near[0], cam_near).cov2d[0, 0])
-        s_far = np.sqrt(render.project(cloud_near[0], cam_far).cov2d[0, 0])
+        cloud = cloud_of([((0.0, 0.0, 0.0), (1, 0, 0), 1.0, -3.5)])
+        s_near = np.sqrt(render.project(cloud, camera(eye=(0.0, -2.0, 0.0)))[1][0, 0, 0])
+        s_far = np.sqrt(render.project(cloud, camera(eye=(0.0, -4.0, 0.0)))[1][0, 0, 0])
         assert s_near / s_far == pytest.approx(2.0, rel=0.02)
 
     def test_behind_near_plane_discarded(self):
-        cam = camera()
-        cloud = cloud_of([((0.0, -5.0, 0.0), (1, 0, 0), 1.0, -3.0)])
-        assert render.project(cloud[0], cam) is None
+        cloud = cloud_of([((0.0, -5.0, 0.0), (1, 0, 0), 1.0, -3.0), ((0.0, 0.0, 0.0), (1, 0, 0), 1.0, -3.0)])
+        _, _, depth, keep = render.project(cloud, camera())
+        np.testing.assert_array_equal(keep, [False, True])
+        np.testing.assert_array_equal(depth, [-2.0, 3.0])
+
+
+@st.composite
+def projection_cases(draw):
+    """(cloud, camera) with random rotations and scales; some Gaussians sit
+    behind the eye, on the near plane or have a degenerate (tiny) scale."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-1.0, 1.0, (n, 3))
+    where = rng.integers(0, 4, n)
+    positions[where == 1, 1] = rng.uniform(-6.0, -3.0, np.count_nonzero(where == 1))  # behind the eye
+    positions[where == 2, 1] = -3.0 + 1e-3 + rng.uniform(-1e-9, 1e-9, np.count_nonzero(where == 2))  # near plane
+    log_scales = rng.uniform(-5.0, 0.0, (n, 3))
+    log_scales[where == 3, rng.integers(0, 3)] = -40.0  # degenerate
+    cloud = GaussianCloud(
+        positions=positions,
+        rotations=quaternions.normalize(rng.normal(size=(n, 4))),
+        log_scales=log_scales,
+        colors=np.full((n, 3), 0.5),
+        opacities=np.full(n, 0.8),
+    )
+    cam = camera(width=draw(st.integers(8, 64)), height=draw(st.integers(8, 64)),
+                 eye=(rng.uniform(-0.2, 0.2), -3.0, rng.uniform(-0.2, 0.2)))
+    return cloud, cam
+
+
+@settings(max_examples=60, deadline=None)
+@given(projection_cases())
+def test_project_matches_per_gaussian_reference(case):
+    cloud, cam = case
+    mean2d, cov2d, depth, keep = render.project(cloud, cam)
+    for i in range(len(cloud)):
+        ref = reference_project(cloud.positions[i], cloud.rotations[i], cloud.log_scales[i], cam)
+        assert keep[i] == (ref is not None)
+        if ref is None:
+            continue
+        np.testing.assert_array_equal(mean2d[i], ref[0])
+        assert depth[i] == ref[2]
+        np.testing.assert_allclose(cov2d[i], ref[1], rtol=0, atol=1e-15 * np.abs(ref[1]).max())
 
 
 class TestRasterize:
@@ -122,6 +192,26 @@ class TestRasterize:
         cam = camera()
         np.testing.assert_array_equal(render.rasterize(cloud, cam).pixels,
                                       render.rasterize(cloud, cam).pixels)
+
+    def test_projects_once_per_frame(self, monkeypatch):
+        calls = []
+        project = render.project
+        monkeypatch.setattr(render, "project", lambda *args: calls.append(1) or project(*args))
+        entries = [((0.1 * i, 0.0, 0.0), (1.0, 0.5, 0.2), 0.8, -2.0) for i in range(6)]
+        render.rasterize(cloud_of(entries), camera())
+        assert len(calls) == 1
+
+    def test_stats_count_gaussians_behind_near_plane(self):
+        entries = [
+            ((0.0, -5.0, 0.0), (1.0, 0.0, 0.0), 0.8, -2.0),  # behind the eye
+            ((0.0, -3.0, 0.0), (1.0, 0.0, 0.0), 0.8, -2.0),  # at the eye, depth 0
+            ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.8, -2.0),
+            ((0.2, 0.5, 0.0), (0.0, 1.0, 0.0), 0.8, -2.0),
+        ]
+        stats = render.RenderStats()
+        img = render.rasterize(cloud_of(entries), camera(), stats)
+        assert stats.discarded == 2
+        np.testing.assert_array_equal(img.pixels, render.rasterize(cloud_of(entries[2:]), camera()).pixels)
 
     def test_empty_cloud_rejected(self):
         empty = GaussianCloud(

@@ -61,6 +61,22 @@ class TestLoadScene:
         with pytest.raises(sc.SceneValidationError, match=r"gaussians\[0\]\.rotation"):
             sc.load_scene(path)
 
+    def test_first_bad_row_named(self, tmp_path):
+        # rows 3 and 5 are bad in several fields; row 3's first bad field is named
+        rows = [dict(MINIMAL_GAUSSIAN) for _ in range(7)]
+        rows[3].update(rotation=[1.0, 1.0, 0.0, 0.0], color=[2.0, 0.0, 0.0], opacity=-1.0)
+        rows[5].update(position=[float("nan"), 0.0, 0.0], opacity=3.0)
+        path = write_scene_doc(tmp_path, {"gaussians": rows})
+        with pytest.raises(sc.SceneValidationError) as err:
+            sc.load_scene(path)
+        assert str(err.value) == "gaussians[3].rotation: quaternion norm not within 1e-06 of 1"
+        rows[3] = dict(MINIMAL_GAUSSIAN, opacity=1.5, log_scale=[0.0, 800.0, 0.0])
+        with pytest.raises(sc.SceneValidationError, match=r"^gaussians\[3\]\.log_scale: exp overflows$"):
+            sc.load_scene(write_scene_doc(tmp_path, {"gaussians": rows}))
+        rows[3] = dict(MINIMAL_GAUSSIAN, opacity=1.5)
+        with pytest.raises(sc.SceneValidationError, match=r"^gaussians\[3\]\.opacity: value 1.5 outside \[0, 1\]$"):
+            sc.load_scene(write_scene_doc(tmp_path, {"gaussians": rows}))
+
     def test_trajectory_tensor_shape(self, tmp_path):
         gaussians = [
             dict(MINIMAL_GAUSSIAN, position=[float(i), 0.0, 0.0]) for i in range(3)
@@ -170,36 +186,6 @@ class TestKnn:
         rng = np.random.default_rng(0)
         cloud = make_cloud(rng.uniform(0, 1, size=(50, 3)))
         np.testing.assert_array_equal(sc.knn(cloud, 4), sc.knn(cloud, 4))
-
-
-class TestMeanNeighborDistance:
-    def test_two_points(self):
-        cloud = make_cloud([[0, 0, 0], [1, 0, 0]])
-        nb = sc.knn(cloud, 1)
-        assert sc.mean_neighbor_distance(cloud, nb) == 1.0
-
-    def test_collinear_hand_sum(self):
-        cloud = make_cloud([[0, 0, 0], [1, 0, 0], [3, 0, 0]])
-        nb = sc.knn(cloud, 1)
-        # distances 1 (0->1), 1 (1->0), 2 (2->1)
-        assert sc.mean_neighbor_distance(cloud, nb) == pytest.approx(4.0 / 3.0)
-
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(2)
-        cloud = make_cloud(rng.uniform(0, 1, size=(50, 3)))
-        nb = sc.knn(cloud, 3)
-        total = 0.0
-        count = 0
-        for i in range(50):
-            for j in nb[i]:
-                total += float(np.linalg.norm(cloud.positions[i] - cloud.positions[j]))
-                count += 1
-        assert sc.mean_neighbor_distance(cloud, nb) == pytest.approx(total / count, rel=1e-12)
-
-    def test_empty_neighbors_rejected(self):
-        cloud = make_cloud([[0, 0, 0], [1, 0, 0]])
-        with pytest.raises(ValueError):
-            sc.mean_neighbor_distance(cloud, np.empty((2, 0), dtype=int))
 
 
 class TestTrajectoryCsv:

@@ -7,7 +7,12 @@ from gsdyn import cli, feature_grid as fg, integrate as itg, train
 from gsdyn.fields import AnalyticField, NeuralVelocityField, ZeroField
 from gsdyn.scene import GaussianCloud, SceneData, knn
 
-np.seterr(all="raise", under="ignore")
+
+@pytest.fixture(autouse=True, scope="module")
+def raise_on_float_errors():
+    """Numpy floating-point errors raise inside this module's tests only."""
+    with np.errstate(all="raise", under="ignore"):
+        yield
 
 
 def make_cloud(positions, time=0.0):
