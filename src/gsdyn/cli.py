@@ -1,9 +1,9 @@
 """Command-line entry point: generate / train / simulate / inject / render / eval.
 
-Every command writes a run manifest (resolved configuration, seed, artifact
-list) next to its outputs; re-running a command with the manifest's snapshot
-reproduces the outputs bitwise.  Exit codes: 0 success, 1 numerical or
-runtime failure, 2 usage or validation error.
+Every command writes a run manifest (resolved configuration, artifact list,
+and the seed of generate and train) next to its outputs; re-running a
+command with the manifest's snapshot reproduces the outputs bitwise.  Exit
+codes: 0 success, 1 numerical or runtime failure, 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -40,14 +40,15 @@ class UsageError(Exception):
     pass
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, artifacts: list):
+def _write_manifest(out_dir: Path, command: str, config: dict, artifacts: list):
     manifest = {
         "command": command,
         "config": config,
-        "seed": seed,
         "out": str(out_dir),
         "artifacts": sorted(artifacts),
     }
+    if "seed" in config:
+        manifest["seed"] = config["seed"]
     path = out_dir / "manifest.json"
     with open(path, "w") as f:
         json.dump(manifest, f, sort_keys=True, indent=1)
@@ -125,7 +126,6 @@ def generate_scene(kind: str, n_gaussians: int, n_frames: int, seed: int, params
         cameras=[_default_camera()],
         trajectory_times=times,
         trajectory_positions=traj,
-        knn_k=8,
     )
 
 
@@ -260,10 +260,8 @@ def cmd_inject(args):
         if args.mask:
             with open(args.mask) as f:
                 mask = fields.build_mask(json.load(f))
-            return fields.blend_masked(base, injected, mask)
-        if checkpoint_field is not None:
-            return fields.compose_add(base, injected, args.lam)
-        return injected
+            return fields.blend_masked(base, fields.compose_add(fields.ZeroField(), injected, args.lam), mask)
+        return fields.compose_add(base, injected, args.lam)
 
     composed, cloud, _, camera = _resolve_inputs(
         args, make_field, "need --scene or a checkpoint with anchors for the initial cloud"
@@ -393,11 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def shared(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("generate", help="synthetic scene with ground-truth trajectories")
     shared(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", required=True, help="analytic field kind (or 'zero')")
     p.add_argument("--n-gaussians", type=int, default=10)
     p.add_argument("--n-frames", type=int, default=20)
@@ -406,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a neural velocity field to sparse frames")
     shared(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scene", required=True)
     p.add_argument("--stride", type=int, default=1, help="supervise every k-th frame")
     p.add_argument("--train-fraction", type=float, default=1.0)
@@ -435,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--field", required=True, help="JSON composition/field spec for the injected dynamics")
     p.add_argument("--mask", default=None, help="JSON mask spec (sphere or box)")
-    p.add_argument("--lam", type=float, default=1.0, help="weight for additive composition")
+    p.add_argument("--lam", type=float, default=1.0,
+                   help="weight of the injected field: base + lam * field, or lam * field inside --mask")
     p.add_argument("--scene", default=None)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=1.0)
@@ -481,7 +481,7 @@ def main(argv=None) -> int:
         artifacts, extra = result, {}
     config = _config_snapshot(args)
     config.update(extra)
-    _write_manifest(out_dir, args.command, config, args.seed, artifacts)
+    _write_manifest(out_dir, args.command, config, artifacts)
     return EXIT_OK
 
 

@@ -171,7 +171,6 @@ class SceneData:
     cameras: list = field(default_factory=list)
     trajectory_times: np.ndarray = None  # (F,)
     trajectory_positions: np.ndarray = None  # (F, N, 3)
-    knn_k: int = 8  # neighbor count; schema config value, default 8
 
     @property
     def has_trajectories(self) -> bool:
@@ -265,7 +264,6 @@ def load_scene(path) -> SceneData:
         cameras=cameras,
         trajectory_times=times,
         trajectory_positions=positions,
-        knn_k=int(doc.get("knn_k", 8)),
     )
 
 
@@ -279,7 +277,6 @@ def save_scene(scene: SceneData, path) -> None:
     doc = {
         "bounds": {"lo": cloud.bounds.lo.tolist(), "hi": cloud.bounds.hi.tolist()},
         "time": cloud.time,
-        "knn_k": scene.knn_k,
         "gaussians": [
             {
                 "position": cloud.positions[i].tolist(),

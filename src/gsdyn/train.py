@@ -27,6 +27,11 @@ from .integrate import RK4_NODES, RK4_WEIGHTS, rk4_increments
 from .scene import GaussianCloud, SceneData, knn
 
 COHERENCE_EPS = 1e-8  # the unspecified denominator epsilon
+COHERENCE_STEP = 0.02  # length of the one RK4 step the coherence term looks ahead
+COHERENCE_BATCH = 256  # clouds larger than this score a random subset of rows per epoch
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingError(Exception):
@@ -39,16 +44,11 @@ class TrainingConfig:
     lambda_anchor: float = 0.1
     lambda_tv: float = 1e-4
     learning_rate: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 1500
     frame_stride: int = 1  # train on every k-th frame
     train_fraction: float = 1.0  # supervise only frames with t <= fraction
     knn_k: int = 8
-    coherence_step: float = 0.02
     coherence_variant: str = "relative"  # "literal" or "relative"
-    coherence_batch: int = 256
     seed: int = 0
     steps_per_unit: int = 32  # training-time integration resolution
     hidden: tuple = (64, 64)
@@ -75,13 +75,13 @@ class LossReport:
     epoch: int = 0
 
 
-def total_loss(data: float, coherence: float, anchor: float, tv: float, config: TrainingConfig, epoch: int = 0):
+def total_loss(data: float, coherence: float, anchor: float, tv: float, config: TrainingConfig):
     """Weighted sum of the four terms; returns (total, LossReport)."""
     for name, v in (("data", data), ("coherence", coherence), ("anchor", anchor), ("tv", tv)):
         if not math.isfinite(v):
             raise TrainingError(f"non-finite loss term: {name}")
     total = data + config.lambda_coh * coherence + config.lambda_anchor * anchor + config.lambda_tv * tv
-    return total, LossReport(total=total, data=data, coherence=coherence, anchor=anchor, tv=tv, epoch=epoch)
+    return total, LossReport(total=total, data=data, coherence=coherence, anchor=anchor, tv=tv)
 
 
 def trajectory_data_loss(predicted: np.ndarray, ground_truth: np.ndarray) -> float:
@@ -111,7 +111,7 @@ def adam_step(params, grads, moments, config: TrainingConfig, step_index: int, n
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in parameter group {names[i] if names else i}")
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**step_index
     bc2 = 1.0 - b2**step_index
     for p, g, mi, vi in zip(params, grads, m, v):
@@ -119,7 +119,7 @@ def adam_step(params, grads, moments, config: TrainingConfig, step_index: int, n
         mi += (1 - b1) * g
         vi *= b2
         vi += (1 - b2) * g**2
-        p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + config.adam_eps)
+        p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + ADAM_EPS)
     return params, moments
 
 
@@ -132,27 +132,28 @@ def _backward_rk4_step(field: NeuralVelocityField, step_cache, g_p, g_theta, g_s
     ``grads``.  Tangent/scale gradients pass through unchanged (linear
     accumulation)."""
     caches, h = step_cache
-    w6 = [h * w / 6.0 for w in RK4_WEIGHTS]
-    stage_adv = [c * h for c in RK4_NODES[1:]]  # advance used to build stage i+1 from k_i
-    g_stage_p = [None] * 4
     g_p_total = g_p.copy()
+    g_next = None  # gradient on the input position of stage i + 1
     for i in range(3, -1, -1):
-        u_k = w6[i] * g_p
-        if i < 3 and g_stage_p[i + 1] is not None:
-            u_k = u_k + stage_adv[i] * g_stage_p[i + 1]
-        upstream = np.concatenate([u_k, w6[i] * g_theta, w6[i] * g_scale], axis=1)
-        _, g_pos = field.backward(caches[i], upstream, grads)
-        g_stage_p[i] = g_pos
-        g_p_total += g_pos
+        w6 = h * RK4_WEIGHTS[i] / 6.0
+        u_k = w6 * g_p
+        if i < 3:
+            u_k = u_k + RK4_NODES[i + 1] * h * g_next  # stage i + 1 starts at p + c h k_i
+        upstream = np.concatenate([u_k, w6 * g_theta, w6 * g_scale], axis=1)
+        _, g_next = field.backward(caches[i], upstream, grads)
+        g_p_total += g_next
     return g_p_total
 
 
 @dataclass
 class UnrollCache:
-    """Forward tape of an unrolled integration segment."""
+    """Forward tape of an unrolled integration segment.
 
-    step_caches: list
-    checkpoint_after_step: list  # step index (1-based) at which each checkpoint was recorded
+    ``legs[k]`` lists the (stage caches, h) steps from checkpoint k - 1 (or
+    the segment start) to checkpoint k; it is empty for a zero span.
+    """
+
+    legs: list
     n_gaussians: int
 
 
@@ -169,28 +170,24 @@ def unroll_segment(field: NeuralVelocityField, p0, t_start, checkpoint_times, st
     theta = np.zeros((n, 3))
     scale = np.zeros((n, 3))
     t = t_start
-    step_caches = []
-    checkpoint_after_step = []
+    legs = []
     checkpoints = []
     for t_ck in checkpoint_times:
         span = t_ck - t
-        if span == 0:
-            checkpoints.append((p.copy(), theta.copy(), scale.copy()))
-            checkpoint_after_step.append(len(step_caches))
-            continue
-        n_steps = max(1, math.ceil(abs(span) * steps_per_unit))
-        h = span / n_steps
+        n_steps = max(1, math.ceil(abs(span) * steps_per_unit)) if span else 0
+        h = span / max(1, n_steps)
+        leg = []
         for s in range(n_steps):
             caches = []
             dp, dtheta, dscale, _ = rk4_increments(field, p, None, t + s * h, h, tape=caches)
             p = p + dp
             theta = theta + dtheta
             scale = scale + dscale
-            step_caches.append((caches, h))
+            leg.append((caches, h))
         t = t_ck
         checkpoints.append((p.copy(), theta.copy(), scale.copy()))
-        checkpoint_after_step.append(len(step_caches))
-    return checkpoints, UnrollCache(step_caches, checkpoint_after_step, n)
+        legs.append(leg)
+    return checkpoints, UnrollCache(legs, n)
 
 
 def backward_through_rollout(field: NeuralVelocityField, cache: UnrollCache, checkpoint_grads, grads=None):
@@ -201,30 +198,20 @@ def backward_through_rollout(field: NeuralVelocityField, cache: UnrollCache, che
     aligned with ``field.parameters()`` (accumulated into ``grads`` when
     given).
     """
-    if len(checkpoint_grads) != len(cache.checkpoint_after_step):
-        raise TrainingError(
-            f"cache holds {len(cache.checkpoint_after_step)} checkpoints, got {len(checkpoint_grads)} gradients"
-        )
+    if len(checkpoint_grads) != len(cache.legs):
+        raise TrainingError(f"cache holds {len(cache.legs)} checkpoints, got {len(checkpoint_grads)} gradients")
     if grads is None:
         grads = field.zero_grads()
     n = cache.n_gaussians
     g_p = np.zeros((n, 3))
     g_theta = np.zeros((n, 3))
     g_scale = np.zeros((n, 3))
-    remaining = list(zip(cache.checkpoint_after_step, checkpoint_grads))
-    for step in range(len(cache.step_caches), -1, -1):
-        while remaining and remaining[-1][0] == step:
-            _, ck = remaining.pop()
-            if ck is not None:
-                gp, gt, gs = ck
-                if gp is not None:
-                    g_p += gp
-                if gt is not None:
-                    g_theta += gt
-                if gs is not None:
-                    g_scale += gs
-        if step > 0:
-            g_p = _backward_rk4_step(field, cache.step_caches[step - 1], g_p, g_theta, g_scale, grads)
+    for leg, ck in zip(reversed(cache.legs), reversed(checkpoint_grads)):
+        for acc, g in zip((g_p, g_theta, g_scale), ck or ()):
+            if g is not None:
+                acc += g
+        for step in reversed(leg):
+            g_p = _backward_rk4_step(field, step, g_p, g_theta, g_scale, grads)
     return grads
 
 
@@ -232,17 +219,14 @@ def backward_through_rollout(field: NeuralVelocityField, cache: UnrollCache, che
 # Coherence regularizer
 
 
-def _pair_weights(positions, neighbors, rows=None):
+def _pair_weights(positions, neighbors, rows):
     """Distance weights w_ij = exp(-||x_i - x_j|| / sigma), sigma = mean/2."""
     neighbors = np.asarray(neighbors)
     d_all = np.linalg.norm(positions[:, None, :] - positions[neighbors], axis=-1)
     mean_d = float(d_all.mean())
     if mean_d == 0.0:
         raise TrainingError("coincident points: sigma degenerates to 0")
-    sigma = 0.5 * mean_d
-    if rows is not None:
-        d_all = d_all[rows]
-    return np.exp(-d_all / sigma), sigma
+    return np.exp(-d_all[rows] / (0.5 * mean_d))
 
 
 def coherence_loss(
@@ -251,7 +235,6 @@ def coherence_loss(
     field: VelocityField,
     h: float,
     variant: str = "literal",
-    t: float = None,
 ) -> float:
     """Distance-weighted penalty on neighbor positions after one RK4 step.
 
@@ -264,41 +247,29 @@ def coherence_loss(
     """
     if h <= 0:
         raise ValueError("coherence step h must be positive")
-    t = cloud.time if t is None else t
     p = cloud.positions
-    xh = p + rk4_increments(field, p, np.zeros_like(p), t, h)[0]
-    return _coherence_value(p, xh, neighbors, variant)
+    xh = p + rk4_increments(field, p, np.zeros_like(p), cloud.time, h)[0]
+    return _coherence(p, xh, neighbors, variant)[0]
 
 
-def _coherence_value(p, xh, neighbors, variant, rows=None):
-    w, _ = _pair_weights(p, neighbors, rows)
+def _coherence(p, xh, neighbors, variant, rows=None):
+    """Coherence value over the given rows (all by default) and its gradient
+    w.r.t. the post-step positions xh; returns (value, g_xh)."""
     if rows is None:
         rows = np.arange(p.shape[0])
-    diff = xh[rows][:, None, :] - xh[np.asarray(neighbors)[rows]]
-    if variant == "relative":
-        diff = diff - (p[rows][:, None, :] - p[np.asarray(neighbors)[rows]])
-    elif variant != "literal":
-        raise ValueError(f"unknown coherence variant {variant!r}")
-    num = float(np.sum(w * np.sum(diff**2, axis=-1)))
-    den = float(np.sum(w)) + COHERENCE_EPS
-    return num / den
-
-
-def _coherence_grad_xh(p, xh, neighbors, variant, rows=None):
-    """Gradient of the coherence value w.r.t. the post-step positions."""
-    w, _ = _pair_weights(p, neighbors, rows)
-    if rows is None:
-        rows = np.arange(p.shape[0])
+    w = _pair_weights(p, neighbors, rows)
     nb = np.asarray(neighbors)[rows]
     diff = xh[rows][:, None, :] - xh[nb]
     if variant == "relative":
         diff = diff - (p[rows][:, None, :] - p[nb])
+    elif variant != "literal":
+        raise ValueError(f"unknown coherence variant {variant!r}")
     den = float(np.sum(w)) + COHERENCE_EPS
     g = np.zeros_like(xh)
     contrib = 2.0 * w[:, :, None] * diff / den
     np.add.at(g, rows, contrib.sum(axis=1))
     np.add.at(g, nb, -contrib)
-    return g
+    return float(np.sum(w * np.sum(diff**2, axis=-1))) / den, g
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +281,7 @@ class _Segment:
     t_start: float
     p_start: np.ndarray  # (N, 3) ground-truth anchor positions
     checkpoint_times: list
-    data_targets: list  # (N, 3) or None per checkpoint
+    data_targets: list  # (N, 3) per checkpoint
     anchor_end: list  # bool per checkpoint
 
 
@@ -360,18 +331,14 @@ def _build_plan(scene: SceneData, config: TrainingConfig) -> _Plan:
             stop = len(sup_t) - 1  # trailing segment beyond the last anchor
         else:
             continue
-        ck_times, targets, is_anchor = [], [], []
-        for j in range(a + 1, stop + 1):
-            ck_times.append(float(sup_t[j]))
-            targets.append(sup_p[j])
-            is_anchor.append(j in anchor_idx)
+        ck = range(a + 1, stop + 1)
         segments.append(
             _Segment(
                 t_start=float(sup_t[a]),
                 p_start=sup_p[a],
-                checkpoint_times=ck_times,
-                data_targets=targets,
-                anchor_end=is_anchor,
+                checkpoint_times=[float(sup_t[j]) for j in ck],
+                data_targets=[sup_p[j] for j in ck],
+                anchor_end=[j in anchor_idx for j in ck],
             )
         )
 
@@ -420,21 +387,17 @@ def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: Tra
 
     # coherence: one short RK4 step from the canonical cloud
     p0 = plan.cloud.positions
-    h = config.coherence_step
-    t0 = plan.cloud.time
     caches = []
-    p_next = p0 + rk4_increments(field, p0, None, t0, h, tape=caches)[0]
-    coherence = _coherence_value(p0, p_next, plan.neighbors, config.coherence_variant, coh_rows)
+    p_next = p0 + rk4_increments(field, p0, None, plan.cloud.time, COHERENCE_STEP, tape=caches)[0]
+    coherence, g_xh = _coherence(p0, p_next, plan.neighbors, config.coherence_variant, coh_rows)
     if want_grads and config.lambda_coh > 0:
-        g_xh = config.lambda_coh * _coherence_grad_xh(p0, p_next, plan.neighbors, config.coherence_variant, coh_rows)
-        _backward_rk4_step(field, (caches, h), g_xh, np.zeros((n, 3)), np.zeros((n, 3)), grads)
+        _backward_rk4_step(field, (caches, COHERENCE_STEP), config.lambda_coh * g_xh, np.zeros((n, 3)),
+                           np.zeros((n, 3)), grads)
 
     tv = feature_grid.tv_loss(field.grid)
     if want_grads and config.lambda_tv > 0:
-        tv_g = feature_grid.tv_grad(field.grid)
-        n_mlp = 2 * len(field.weights)
-        for k in range(6):
-            grads[n_mlp + k] += config.lambda_tv * tv_g[k]
+        for acc, g in zip(grads[2 * len(field.weights):], feature_grid.tv_grad(field.grid)):
+            acc += config.lambda_tv * g
 
     total, report = total_loss(data, coherence, anchor_sum, tv, config)
     return report, grads
@@ -471,8 +434,8 @@ def fit(scene: SceneData, config: TrainingConfig = TrainingConfig()) -> FitResul
     history = []
     for epoch in range(config.epochs):
         coh_rows = None
-        if n > config.coherence_batch:
-            coh_rows = np.sort(rng.choice(n, size=config.coherence_batch, replace=False))
+        if n > COHERENCE_BATCH:
+            coh_rows = np.sort(rng.choice(n, size=COHERENCE_BATCH, replace=False))
         report, grads = _epoch_losses_and_grads(field, plan, config, coh_rows)
         params, moments = adam_step(params, grads, moments, config, epoch + 1, field.parameter_names())
         history.append(replace(report, epoch=epoch))
@@ -500,12 +463,7 @@ def save_checkpoint(path, field: NeuralVelocityField, anchor_set: AnchorSet = No
     }
     if extra_meta:
         meta["extra"] = extra_meta
-    arrays = {}
-    for i, (w, b) in enumerate(zip(field.weights, field.biases)):
-        arrays[f"mlp_w{i}"] = w
-        arrays[f"mlp_b{i}"] = b
-    for name, plane in zip(feature_grid.PLANE_ORDER, field.grid.planes):
-        arrays[f"plane_{name}"] = plane
+    arrays = dict(zip(field.parameter_names(), field.parameters()))
     arrays["bounds_lo"] = field.grid.bounds_lo
     arrays["bounds_hi"] = field.grid.bounds_hi
     if anchor_set is not None and len(anchor_set) > 0:

@@ -249,6 +249,24 @@ class TestInject:
                     "--steps", "10", "--out", str(inj_out)]) == cli.EXIT_OK
         assert (base_out / "trajectory.csv").read_bytes() == (inj_out / "trajectory.csv").read_bytes()
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_lam_weights_injected_field(self, drift_scene, tmp_path, masked):
+        # no checkpoint: the base is the zero field, so lam * drift moves every
+        # Gaussian by lam * delta over unit time, also inside a covering mask
+        spec = tmp_path / "drift.json"
+        spec.write_text(json.dumps({"kind": "drift", "params": {"delta": [0.3, 0.0, 0.0]}}))
+        out = tmp_path / "out"
+        argv = ["inject", "--field", str(spec), "--lam", "0.5", "--scene", str(drift_scene / "scene.json"),
+                "--steps", "10", "--out", str(out)]
+        if masked:
+            mask = tmp_path / "mask.json"
+            mask.write_text(json.dumps({"shape": "sphere", "center": [0.5, 0.5, 0.5], "radius": 5.0}))
+            argv += ["--mask", str(mask)]
+        assert run(argv) == cli.EXIT_OK
+        _, positions = import_trajectory_csv(out / "trajectory.csv")
+        np.testing.assert_allclose(positions[-1] - positions[0],
+                                   np.broadcast_to([0.15, 0.0, 0.0], positions[0].shape), atol=1e-12)
+
     def test_sphere_mask_spin_orbits_inside_identity_outside(self, tmp_path):
         # two Gaussians: one inside the mask orbits, one outside stays fixed
         scene_file = tmp_path / "scene.json"
@@ -257,8 +275,7 @@ class TestInject:
         save_scene(
             type(base)(cloud=cloud, cameras=base.cameras,
                        trajectory_times=base.trajectory_times,
-                       trajectory_positions=np.tile(cloud.positions, (2, 1, 1)),
-                       knn_k=base.knn_k),
+                       trajectory_positions=np.tile(cloud.positions, (2, 1, 1))),
             scene_file,
         )
         spec = tmp_path / "spin.json"
@@ -360,6 +377,29 @@ class TestEval:
         assert float(row[3]) == 99.0
         assert float(row[4]) == pytest.approx(1.0)
         assert float(row[5]) == pytest.approx(0.0)
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", ["simulate", "inject", "render", "eval"])
+    def test_seed_only_where_read(self, drift_scene, tmp_path, command):
+        # only generate and train read a seed; the other commands reject the
+        # flag and their manifests record none
+        spec = tmp_path / "drift.json"
+        spec.write_text(json.dumps({"kind": "drift", "params": {"delta": [0.3, 0.0, 0.0]}}))
+        scene = str(drift_scene / "scene.json")
+        argv = {
+            "simulate": ["simulate", "--field", str(spec), "--scene", scene, "--t0", "0", "--t1", "1"],
+            "inject": ["inject", "--field", str(spec), "--scene", scene],
+            "render": ["render", "--scene", scene],
+            "eval": ["eval", "--pred", str(drift_scene / "trajectory.csv"), "--gt", scene],
+        }[command]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv + ["--seed", "7", "--out", str(out)])
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_OK
+        m = manifest_of(out)
+        assert "seed" not in m and "seed" not in m["config"]
 
 
 class TestManifestReproducibility:

@@ -43,6 +43,13 @@ class TestLoadScene:
         assert data.cloud.time == 0.0
         np.testing.assert_array_equal(data.cloud.positions[0], [0.0, 0.0, 0.0])
 
+    def test_knn_k_key_ignored(self, tmp_path):
+        # scene files from before the neighbor count left the schema still load
+        path = write_scene_doc(tmp_path, {"knn_k": 3, "gaussians": [MINIMAL_GAUSSIAN]})
+        data = sc.load_scene(path)
+        assert len(data.cloud) == 1
+        assert not hasattr(data, "knn_k")
+
     def test_out_of_range_opacity_names_field(self, tmp_path):
         bad = dict(MINIMAL_GAUSSIAN, opacity=1.5)
         path = write_scene_doc(tmp_path, {"gaussians": [bad]})
@@ -121,14 +128,13 @@ class TestRoundTrip:
         times = np.linspace(0, 1, 4)
         traj = rng.uniform(-1, 1, size=(4, 7, 3))
         data = sc.SceneData(cloud=cloud, cameras=[cam], trajectory_times=times,
-                            trajectory_positions=traj, knn_k=3)
+                            trajectory_positions=traj)
         path = tmp_path / "scene.json"
         sc.save_scene(data, path)
         back = sc.load_scene(path)
         np.testing.assert_array_equal(back.cloud.positions, cloud.positions)
         np.testing.assert_array_equal(back.cloud.rotations, cloud.rotations)
         np.testing.assert_array_equal(back.trajectory_positions, traj)
-        assert back.knn_k == 3
         assert back.cameras[0].width == 32
         assert back.cloud.time == 0.25
 

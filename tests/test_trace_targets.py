@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` drops the metrics of a traced function that no
 longer exists, so renaming one away would silently shrink a traced run's
-report.  This test installs the tracer and runs one CLI render.
+report.  These tests install the tracer and run one CLI render and one
+short CLI training run.
 """
 
 import importlib.util
@@ -20,16 +21,33 @@ def load_tracing():
     return module
 
 
-def test_traced_targets_exist_and_render_is_traced(tmp_path):
+def traced_run(tmp_path, argv):
+    """Generate a tiny drift scene, then run argv (with the scene's path
+    appended) under the tracer; returns the tracer."""
     gen = tmp_path / "gen"
     assert cli.main(["generate", "--kind", "drift", "--n-gaussians", "4", "--n-frames", "2", "--out", str(gen)]) == 0
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
-        code = cli.main(["render", "--scene", str(gen / "scene.json"), "--out", str(tmp_path / "frames")])
+        code = cli.main(argv + ["--scene", str(gen / "scene.json"), "--out", str(tmp_path / "out")])
     finally:
         tracer.uninstall()
     assert code == cli.EXIT_OK
     assert tracer.missing == []
+    return tracer
+
+
+def test_traced_targets_exist_and_render_is_traced(tmp_path):
+    tracer = traced_run(tmp_path, ["render"])
     recorded = {name for name, _, _, _ in tracer.spans}
     assert {"cli.render", "render.rasterize", "render.project"} <= recorded
+
+
+def test_training_is_traced(tmp_path):
+    tracer = traced_run(tmp_path, ["train", "--epochs", "2"])
+    recorded = {name for name, _, _, _ in tracer.spans}
+    assert {
+        "train.fit", "train.unroll_segment", "train.backward_through_rollout", "train.adam_step",
+        "fields.neural_backward", "fields.zero_grads", "feature_grid.tv",
+    } <= recorded
+    assert tracer.counts["fields.grad_buffers_mb"] > 0

@@ -197,7 +197,7 @@ class TestAdam:
         train.adam_step(params, [np.array([1.0, 1.0])], moments, cfg, 2)
         m_before = moments[0][0].copy()
         train.adam_step(params, grads, moments, cfg, 3)
-        np.testing.assert_allclose(moments[0][0], cfg.beta1 * m_before)
+        np.testing.assert_allclose(moments[0][0], train.ADAM_BETA1 * m_before)
 
     def test_first_step_magnitude(self):
         cfg = train.TrainingConfig(learning_rate=0.01)
@@ -208,7 +208,7 @@ class TestAdam:
 
     def test_three_step_hand_oracle(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        cfg = train.TrainingConfig(learning_rate=lr, beta1=b1, beta2=b2, adam_eps=eps)
+        cfg = train.TrainingConfig(learning_rate=lr)
         params = [np.array([1.0])]
         moments = None
         grads_seq = [0.5, -0.2, 0.8]
@@ -314,6 +314,44 @@ class TestUnrolledGradients:
         g2 = epoch_grads(0.2)
         for a, b, c in zip(g0, g1, g2):
             np.testing.assert_allclose(c - a, 2.0 * (b - a), atol=1e-10)
+
+    @pytest.mark.parametrize("variant", ["relative", "literal"])
+    def test_subsampled_coherence_finite_differences(self, variant):
+        # clouds above COHERENCE_BATCH score a row subset each epoch; the
+        # coherence gradient over those rows matches central differences
+        scene = cli.generate_scene("vortex", 12, 4, seed=22)
+        rows = np.array([1, 4, 5, 9])
+        field = tiny_field(seed=23)
+
+        def config(lam):
+            return train.TrainingConfig(
+                lambda_coh=lam, lambda_anchor=0.0, lambda_tv=0.0, coherence_variant=variant,
+                hidden=(5,), grid_spatial_resolution=3, grid_time_resolution=3,
+                grid_channels=1, knn_k=3, steps_per_unit=2,
+            )
+
+        plan = train._build_plan(scene, config(1.0))
+        _, with_coh = train._epoch_losses_and_grads(field, plan, config(1.0), rows)
+        _, without = train._epoch_losses_and_grads(field, plan, config(0.0), rows)
+
+        def coherence():
+            r, _ = train._epoch_losses_and_grads(field, plan, config(1.0), rows, want_grads=False)
+            return r.coherence
+
+        rng = np.random.default_rng(24)
+        eps = 1e-6
+        worst = 0.0
+        for p, a, b in zip(field.parameters(), with_coh, without):
+            flat_p, flat_g = p.reshape(-1), (a - b).reshape(-1)
+            for idx in rng.choice(flat_p.size, size=min(3, flat_p.size), replace=False):
+                flat_p[idx] += eps
+                up = coherence()
+                flat_p[idx] -= 2 * eps
+                dn = coherence()
+                flat_p[idx] += eps
+                fd = (up - dn) / (2 * eps)
+                worst = max(worst, abs(flat_g[idx] - fd) / max(abs(fd), 1e-3))
+        assert worst < 1e-4
 
 
 class TestFit:
