@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fields, integrate, render, train
+from .anchors import AnchorSet
 from .integrate import IntegratorConfig, IntegrationError
 from .scene import (
     CameraSpec,
@@ -96,7 +97,9 @@ def _default_camera(width=96, height=96):
 
 def generate_scene(kind: str, n_gaussians: int, n_frames: int, seed: int, params: dict = None) -> SceneData:
     """Synthetic scene: cloud sampled in the unit box, ground-truth
-    trajectories from a high-resolution RK4 rollout of the analytic field."""
+    trajectories from a high-resolution RK4 rollout of the analytic field
+    (anchored at t = 0, so each frame interval takes its own rounded number
+    of steps)."""
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0.15, 0.85, size=(n_gaussians, 3))
     rotations = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n_gaussians, 1))
@@ -110,17 +113,10 @@ def generate_scene(kind: str, n_gaussians: int, n_frames: int, seed: int, params
     field = fields.ZeroField() if kind == "zero" else fields.AnalyticField(kind, seed=seed, **(params or {}))
 
     times = np.linspace(0.0, 1.0, n_frames)
-    steps_per_unit = IntegratorConfig().step_count * GROUND_TRUTH_OVERSAMPLE
-    traj = np.empty((n_frames, n_gaussians, 3))
-    traj[0] = positions
-    state, v = cloud, None
-    for fi in range(1, n_frames):
-        n_steps = max(1, round((times[fi] - times[fi - 1]) * steps_per_unit))
-        config = IntegratorConfig(step_count=n_steps, record_stride=n_steps)
-        leg = integrate.rollout(state, times[fi - 1], times[fi], config, field, velocities=v)
-        state = leg.cloud_at(len(leg) - 1)
-        v = None if leg.aux_velocities is None else leg.aux_velocities[-1]
-        traj[fi] = state.positions
+    anchor_set = AnchorSet()
+    anchor_set.insert(cloud, 0.0)
+    config = IntegratorConfig(step_count=IntegratorConfig().step_count * GROUND_TRUTH_OVERSAMPLE)
+    traj = np.stack([s.positions for s in integrate.anchored_states(anchor_set, times, config, field)])
     return SceneData(
         cloud=cloud,
         cameras=[_default_camera()],
@@ -233,16 +229,14 @@ def cmd_simulate(args):
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    config = IntegratorConfig(method=args.method, step_count=_span_steps(args), record_stride=args.record_stride)
     if args.anchored:
         if anchor_set is None or len(anchor_set) == 0:
             raise UsageError("--anchored requires a checkpoint with anchors")
-        n_rec = _span_steps(args) // args.record_stride
-        times = [args.t0 + (args.t1 - args.t0) * i / max(1, n_rec) for i in range(n_rec + 1)]
-        config = IntegratorConfig(method=args.method, step_count=args.steps)
-        positions = np.stack([c.positions for c in integrate.anchored_states(anchor_set, times, config, field)])
-        times = np.array(times)
+        _, times = integrate.record_times(args.t0, args.t1, config)
+        per_unit = IntegratorConfig(method=args.method, step_count=args.steps)
+        positions = np.stack([c.positions for c in integrate.anchored_states(anchor_set, times, per_unit, field)])
     else:
-        config = IntegratorConfig(method=args.method, step_count=_span_steps(args), record_stride=args.record_stride)
         traj = integrate.rollout(cloud, args.t0, args.t1, config, field)
         times, positions = traj.times, traj.positions
     export_trajectory_csv(times, positions, out / "trajectory.csv")
@@ -348,13 +342,15 @@ def cmd_eval(args):
         gt_frames = sorted(Path(args.gt_frames).glob("*.ppm"))
         if len(pred_frames) != len(gt_frames) or not pred_frames:
             raise UsageError("frame directories are empty or differ in length")
+        if rows and len(rows) != len(pred_frames):
+            raise UsageError(f"trajectory has {len(rows)} frames but the frame directories hold {len(pred_frames)}")
         header.extend(image_metrics)
         fn = {"psnr": render.psnr, "ssim": render.ssim, "dssim": render.dssim}
         for fi, (pf, gf) in enumerate(zip(pred_frames, gt_frames)):
             a = render.read_ppm(pf)
             b = render.read_ppm(gf)
             vals = [fn[m](a, b) for m in image_metrics]
-            if rows and "position" in metrics:
+            if "position" in metrics:
                 rows[fi].extend(vals)
             else:
                 rows.append([fi, float(fi), _is_observed(None, None), *vals])

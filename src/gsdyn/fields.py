@@ -1,6 +1,7 @@
 """Velocity fields: the dynamical law driving Gaussian evolution.
 
-A field maps (state, auxiliary velocity, time) to a state time-derivative.
+A field maps (state, auxiliary velocity, time) to a state time-derivative,
+a :class:`BatchDerivative` of four (N, 3) channels.
 Three families live here: the neural field (an MLP conditioned on factorized
 space-time features), ten analytic fields, and composition wrappers that add
 or spatially blend fields into new ones.  Evaluation is pure; per-Gaussian
@@ -10,8 +11,7 @@ field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,20 +22,20 @@ class FieldError(Exception):
     """Raised for invalid field parameters or evaluation failures."""
 
 
-@dataclass
-class BatchDerivative:
-    """Time-derivative of a batch of Gaussian states.
+class BatchDerivative(NamedTuple):
+    """Time-derivative of a batch of Gaussian states: four (N, 3) channels.
 
     d_rotation is an angular velocity (applied via the exponential map by
-    the integrator).  d_velocity is present only for second-order fields,
-    where d_position is the auxiliary velocity itself.  Color and opacity
-    never change under the dynamics.
+    the integrator).  d_velocity is the auxiliary acceleration of
+    second-order fields, where d_position is the auxiliary velocity itself;
+    first-order fields return zeros there, which the integrator never reads.
+    Color and opacity never change under the dynamics.
     """
 
-    d_position: np.ndarray  # (N, 3)
-    d_rotation: np.ndarray  # (N, 3)
-    d_log_scale: np.ndarray  # (N, 3)
-    d_velocity: Optional[np.ndarray] = None  # (N, 3) for second-order fields
+    d_position: np.ndarray
+    d_rotation: np.ndarray
+    d_log_scale: np.ndarray
+    d_velocity: np.ndarray
 
 
 def _zeros(n):
@@ -67,7 +67,7 @@ class VelocityField:
 class ZeroField(VelocityField):
     def evaluate_batch(self, positions, velocities, t, step_index=0):
         n = positions.shape[0]
-        return BatchDerivative(_zeros(n), _zeros(n), _zeros(n))
+        return BatchDerivative(_zeros(n), _zeros(n), _zeros(n), _zeros(n))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,6 @@ ANALYTIC_KINDS = (
 )
 
 _SECOND_ORDER_KINDS = {"gravity_bounce", "orbital", "diffusion_gas", "reaction_diffusion"}
-_STOCHASTIC_KINDS = {"swirl", "diffusion_gas", "wind_curl", "reaction_diffusion"}
 
 _DEFAULT_PARAMS = {
     "gravity_bounce": {"g": -9.8, "z0": 0.0, "gamma": 0.8},
@@ -139,11 +138,10 @@ class AnalyticField(VelocityField):
         x, y, z = p[:, 0], p[:, 1], p[:, 2]
         prm = self.params
         d_pos = _zeros(n)
-        d_vel = None
+        d_vel = _zeros(n)
 
         if self.kind == "gravity_bounce":
             d_pos = v.copy()
-            d_vel = np.zeros((n, 3))
             d_vel[:, 2] = prm["g"]
         elif self.kind == "drift":
             delta = prm["delta"]
@@ -168,7 +166,6 @@ class AnalyticField(VelocityField):
             # velocity relaxation happens in the post-step event; here the
             # state just drifts with its auxiliary velocity
             d_pos = v.copy()
-            d_vel = np.zeros((n, 3))
         elif self.kind == "vortex":
             w, k, u0 = prm["omega"], prm["k"], prm["u0"]
             r = np.sqrt(x**2 + y**2)
@@ -213,7 +210,6 @@ class AnalyticField(VelocityField):
         elif self.kind == "reaction_diffusion":
             # stochastic velocity kicks happen in the post-step event
             d_pos = v.copy()
-            d_vel = np.zeros((n, 3))
 
         return BatchDerivative(d_pos, _zeros(n), _zeros(n), d_vel)
 
@@ -352,19 +348,11 @@ class NeuralVelocityField(VelocityField):
 
     def evaluate_batch(self, positions, velocities, t, step_index=0):
         out = self.forward(np.asarray(positions, dtype=float), t)
-        return BatchDerivative(out[:, 0:3], out[:, 3:6], out[:, 6:9], None)
+        return BatchDerivative(out[:, 0:3], out[:, 3:6], out[:, 6:9], _zeros(out.shape[0]))
 
 
 # ---------------------------------------------------------------------------
 # Composition algebra
-
-
-def _combine_dvel(a: BatchDerivative, b: BatchDerivative, wa, wb, n):
-    if a.d_velocity is None and b.d_velocity is None:
-        return None
-    va = _zeros(n) if a.d_velocity is None else a.d_velocity
-    vb = _zeros(n) if b.d_velocity is None else b.d_velocity
-    return wa * va + wb * vb
 
 
 class SummedField(VelocityField):
@@ -377,15 +365,9 @@ class SummedField(VelocityField):
         self.second_order = base.second_order or ext.second_order
 
     def evaluate_batch(self, positions, velocities, t, step_index=0):
-        n = np.asarray(positions).shape[0]
         a = self.base.evaluate_batch(positions, velocities, t, step_index)
         b = self.ext.evaluate_batch(positions, velocities, t, step_index)
-        return BatchDerivative(
-            a.d_position + self.lam * b.d_position,
-            a.d_rotation + self.lam * b.d_rotation,
-            a.d_log_scale + self.lam * b.d_log_scale,
-            _combine_dvel(a, b, 1.0, self.lam, n),
-        )
+        return BatchDerivative(*(xa + self.lam * xb for xa, xb in zip(a, b)))
 
     def apply_events(self, positions, velocities, t=0.0, step_index=0):
         p, v = self.base.apply_events(positions, velocities, t, step_index)
@@ -414,32 +396,20 @@ class MaskedBlendField(VelocityField):
 
     def evaluate_batch(self, positions, velocities, t, step_index=0):
         positions = np.asarray(positions, dtype=float)
-        n = positions.shape[0]
         w = self._mask_values(positions)[:, None]
         a = self.base.evaluate_batch(positions, velocities, t, step_index)
         b = self.injected.evaluate_batch(positions, velocities, t, step_index)
+        # exact limits: a {0,1} mask reproduces the child field bitwise
+        hard0 = (w == 0.0)[:, 0]
+        hard1 = (w == 1.0)[:, 0]
 
         def mix(xa, xb):
             out = (1.0 - w) * xa + w * xb
-            # exact limits: a {0,1} mask reproduces the child field bitwise
-            hard0 = (w == 0.0)[:, 0]
-            hard1 = (w == 1.0)[:, 0]
             out[hard0] = xa[hard0]
             out[hard1] = xb[hard1]
             return out
 
-        if a.d_velocity is None and b.d_velocity is None:
-            dvel = None
-        else:
-            va = _zeros(n) if a.d_velocity is None else a.d_velocity
-            vb = _zeros(n) if b.d_velocity is None else b.d_velocity
-            dvel = mix(va, vb)
-        return BatchDerivative(
-            mix(a.d_position, b.d_position),
-            mix(a.d_rotation, b.d_rotation),
-            mix(a.d_log_scale, b.d_log_scale),
-            dvel,
-        )
+        return BatchDerivative(*(mix(xa, xb) for xa, xb in zip(a, b)))
 
     def apply_events(self, positions, velocities, t=0.0, step_index=0):
         w = self._mask_values(positions)

@@ -1,10 +1,13 @@
-"""Fixed-step ODE solvers and rollouts for Gaussian clouds.
+"""Fixed-step explicit Runge-Kutta solvers and rollouts for Gaussian clouds.
 
-Euler and classical RK4 steps advance position, rotation (in the
+One stepper, :func:`step_arrays`, advances position, rotation (in the
 angular-velocity tangent parameterization, composed via the quaternion
-exponential after the combined step), and log-scale.  Second-order fields
-additionally carry a per-Gaussian auxiliary velocity.  Post-step events
-(e.g. floor bounce) are applied once per accepted step, never per stage.
+exponential after the combined step), and log-scale; second-order fields
+additionally carry a per-Gaussian auxiliary velocity.  Its increments come
+from one stage loop driven by a Butcher tableau: Euler is the one-stage
+method (c = (0), b = (1)), classical RK4 the four-stage one.  Post-step
+events (e.g. floor bounce) are applied once per accepted step, never per
+stage.
 
 Negative step sizes integrate backward; forward-then-backward round trips on
 smooth fields cancel to solver accuracy, which is what makes learned
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import quaternions
 from .anchors import AnchorSet, nearest_future_anchor, nearest_past_anchor
-from .fields import BatchDerivative, VelocityField
+from .fields import VelocityField
 from .scene import GaussianCloud
 
 
@@ -38,6 +41,11 @@ class IntegrationError(Exception):
         self.gaussian_index = gaussian_index
 
 
+RK4_NODES = (0.0, 0.5, 0.5, 1.0)  # stage times t + c h; stage i advances from k_{i-1} by c_i h
+RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)  # the step adds (h/6) sum_i b_i k_i
+_TABLEAUS = {"euler": ((0.0,), (1.0,)), "rk4": (RK4_NODES, RK4_WEIGHTS)}  # method -> (nodes c, weights b)
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4"  # "euler" or "rk4"
@@ -45,7 +53,7 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4"):
+        if self.method not in _TABLEAUS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.step_count < 1:
             raise ValueError("step_count must be >= 1")
@@ -53,41 +61,45 @@ class IntegratorConfig:
             raise ValueError("record_stride must be >= 1")
 
 
+def record_times(t0: float, t1: float, config: IntegratorConfig):
+    """The steps a rollout over [t0, t1] records and their times.
+
+    Every record_stride-th step is recorded, plus the last one; step s lies
+    at t0 + s h with h = (t1 - t0) / step_count.  Returns (steps, times).
+    """
+    n = config.step_count
+    steps = [*range(0, n, config.record_stride), n]
+    h = (t1 - t0) / n
+    return steps, [t0 + s * h for s in steps]
+
+
 @dataclass
 class Trajectory:
     """Recorded snapshots of an integrated cloud.
 
     times are strictly monotone (increasing forward, decreasing backward).
-    positions are always recorded; rotations/log-scales and auxiliary
-    velocities optionally.  ``template`` keeps the constant attributes
-    (color, opacity) so snapshots can be rebuilt as clouds.
+    Auxiliary velocities are recorded for second-order fields only.
+    ``template`` keeps the constant attributes (color, opacity) so snapshots
+    can be rebuilt as clouds.
     """
 
     times: np.ndarray  # (F,)
     positions: np.ndarray  # (F, N, 3)
-    rotations: Optional[np.ndarray] = None  # (F, N, 4)
-    log_scales: Optional[np.ndarray] = None  # (F, N, 3)
-    aux_velocities: Optional[np.ndarray] = None  # (F, N, 3)
-    template: Optional[GaussianCloud] = None
+    rotations: np.ndarray  # (F, N, 4)
+    log_scales: np.ndarray  # (F, N, 3)
+    aux_velocities: Optional[np.ndarray]  # (F, N, 3), None for first-order fields
+    template: GaussianCloud
 
     def __len__(self):
         return len(self.times)
 
     def cloud_at(self, index: int) -> GaussianCloud:
-        if self.template is None:
-            raise ValueError("trajectory has no template cloud")
-        return self.template.evolved(
-            positions=self.positions[index],
-            rotations=None if self.rotations is None else self.rotations[index],
-            log_scales=None if self.log_scales is None else self.log_scales[index],
-            time=float(self.times[index]),
-        )
+        return self.template.evolved(positions=self.positions[index], rotations=self.rotations[index],
+                                     log_scales=self.log_scales[index], time=float(self.times[index]))
 
 
 def _check_finite(arrs, step_index, stage):
     for a in arrs:
-        if a is None:
-            continue
         bad = ~np.isfinite(a)
         if np.any(bad):
             gi = int(np.argwhere(bad.any(axis=tuple(range(1, a.ndim))))[0, 0]) if a.ndim > 1 else None
@@ -99,69 +111,49 @@ def _check_finite(arrs, step_index, stage):
             )
 
 
-def _eval(field, p, v, t, step_index, stage):
-    d = field.evaluate_batch(p, v, t, step_index=step_index)
-    _check_finite([d.d_position, d.d_rotation, d.d_log_scale, d.d_velocity], step_index, stage)
-    return d
+def rk4_increments(field, p, v, t, h, step_index=0, tape=None, method="rk4"):
+    """The increments (h / sum b) sum_i b_i k_i of one explicit Runge-Kutta step.
 
-
-def euler_step_arrays(field, p, q, ls, v, t, h, step_index=0):
-    """One explicit Euler step on the batch arrays; returns (p, q, ls, v)."""
-    if h == 0:
-        raise ValueError("step size must be nonzero")
-    d = _eval(field, p, v, t, step_index, "euler")
-    p2 = p + h * d.d_position
-    q2 = quaternions.apply_increment(q, h * d.d_rotation)
-    ls2 = ls + h * d.d_log_scale
-    v2 = v + h * d.d_velocity if d.d_velocity is not None else v
-    p2, v2 = field.apply_events(p2, v2, t + h, step_index=step_index)
-    _check_finite([p2, q2, ls2, v2], step_index, "post-euler")
-    return p2, q2, ls2, v2
-
-
-RK4_NODES = (0.0, 0.5, 0.5, 1.0)  # stage times t + c h; stage i advances from k_{i-1} by c_i h
-RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)  # the step adds (h/6) sum_i b_i k_i
-_RK4_STAGE_NAMES = ("k1", "k2", "k3", "k4")
-
-
-def rk4_increments(field, p, v, t, h, step_index=0, tape=None):
-    """The classical RK4 increments (h/6)(k1 + 2 k2 + 2 k3 + k4) of one step.
-
-    Returns (d_position, d_rotation, d_log_scale, d_velocity); d_velocity is
-    None for first-order fields, and v may then be None.  Rotation and
-    log-scale derivatives are combined with the same stage weights as
+    ``method`` picks the tableau: classical RK4 by default, or Euler.  Stage
+    i is evaluated at t + c_i h from the state advanced by c_i h k_{i-1}.
+    Returns (d_position, d_rotation, d_log_scale) for first-order fields,
+    whose zero d_velocity channel is neither checked nor combined (v may
+    then be None), and appends d_velocity for second-order fields.  Rotation
+    and log-scale derivatives are combined with the same stage weights as
     position.  With a ``tape`` list the field must be neural: its stages run
     through ``NeuralVelocityField.forward``, and each stage's cache is
     appended to the tape for the backward pass.
     """
+    nodes, weights = _TABLEAUS[method]
+    channels = 4 if field.second_order else 3
     ks = []
     stage_p, stage_v = p, v
-    for c, name in zip(RK4_NODES, _RK4_STAGE_NAMES):
+    for i, c in enumerate(nodes):
         if ks:
-            stage_p = p + c * h * ks[-1].d_position
-            stage_v = v if ks[-1].d_velocity is None else v + c * h * ks[-1].d_velocity
+            stage_p = p + c * h * ks[-1][0]
+            stage_v = v + c * h * ks[-1][3] if channels == 4 else v
         if tape is None:
-            ks.append(_eval(field, stage_p, stage_v, t + c * h, step_index, name))
+            k = field.evaluate_batch(stage_p, stage_v, t + c * h, step_index=step_index)
+            _check_finite(k[:channels], step_index, f"k{i + 1}")
         else:
             out, cache = field.forward(stage_p, t + c * h, want_cache=True)
             tape.append(cache)
-            ks.append(BatchDerivative(out[:, 0:3], out[:, 3:6], out[:, 6:9]))
+            k = (out[:, 0:3], out[:, 3:6], out[:, 6:9])
+        ks.append(k)
 
-    w = h / 6.0
+    w = h / sum(weights)
 
     def combine(parts):
-        total = RK4_WEIGHTS[0] * parts[0]
-        for b, part in zip(RK4_WEIGHTS[1:], parts[1:]):
+        total = weights[0] * parts[0]
+        for b, part in zip(weights[1:], parts[1:]):
             total = total + b * part
         return w * total
 
-    dv = None if ks[0].d_velocity is None else combine([k.d_velocity for k in ks])
-    return (combine([k.d_position for k in ks]), combine([k.d_rotation for k in ks]),
-            combine([k.d_log_scale for k in ks]), dv)
+    return tuple(combine([k[j] for k in ks]) for j in range(channels))
 
 
-def rk4_step_arrays(field, p, q, ls, v, t, h, step_index=0):
-    """One classical RK4 step on the batch arrays; returns (p, q, ls, v).
+def step_arrays(field, p, q, ls, v, t, h, step_index=0, method="rk4"):
+    """One explicit Runge-Kutta step on the batch arrays; returns (p, q, ls, v).
 
     The rotation tangent increment is applied once via the quaternion
     exponential after the stage combination (angular velocity treated as
@@ -169,17 +161,14 @@ def rk4_step_arrays(field, p, q, ls, v, t, h, step_index=0):
     """
     if h == 0:
         raise ValueError("step size must be nonzero")
-    dp, dtheta, dls, dv = rk4_increments(field, p, v, t, h, step_index)
+    dp, dtheta, dls, *dv = rk4_increments(field, p, v, t, h, step_index, method=method)
     p2 = p + dp
     q2 = quaternions.apply_increment(q, dtheta)
     ls2 = ls + dls
-    v2 = v if dv is None else v + dv
+    v2 = v + dv[0] if dv else v
     p2, v2 = field.apply_events(p2, v2, t + h, step_index=step_index)
-    _check_finite([p2, q2, ls2, v2], step_index, "post-rk4")
+    _check_finite([p2, q2, ls2, v2], step_index, f"post-{method}")
     return p2, q2, ls2, v2
-
-
-_STEPPERS = {"euler": euler_step_arrays, "rk4": rk4_step_arrays}
 
 
 def rollout(
@@ -193,26 +182,24 @@ def rollout(
     """Integrate the whole cloud from t0 to t1 with uniform steps.
 
     h = (t1 - t0) / step_count; t1 < t0 integrates backward.  Snapshots are
-    recorded every record_stride steps plus both endpoints.
+    taken at the steps of :func:`record_times`.
     """
     if t0 == t1:
         raise ValueError("rollout needs t0 != t1")
     n = len(cloud)
     h = (t1 - t0) / config.step_count
-    stepper = _STEPPERS[config.method]
+    steps, times = record_times(t0, t1, config)
+    recorded = set(steps)
 
     p = cloud.positions.copy()
     q = cloud.rotations.copy()
     ls = cloud.log_scales.copy()
     v = np.zeros((n, 3)) if velocities is None else np.asarray(velocities, dtype=float).copy()
 
-    times = [t0]
     rec_p, rec_q, rec_ls, rec_v = [p.copy()], [q.copy()], [ls.copy()], [v.copy()]
     for s in range(config.step_count):
-        t = t0 + s * h
-        p, q, ls, v = stepper(field, p, q, ls, v, t, h, step_index=s)
-        if (s + 1) % config.record_stride == 0 or s + 1 == config.step_count:
-            times.append(t0 + (s + 1) * h)
+        p, q, ls, v = step_arrays(field, p, q, ls, v, t0 + s * h, h, step_index=s, method=config.method)
+        if s + 1 in recorded:
             rec_p.append(p.copy())
             rec_q.append(q.copy())
             rec_ls.append(ls.copy())

@@ -7,8 +7,6 @@ map, which keeps the representation drift-free under repeated updates.
 
 import numpy as np
 
-IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
-
 
 def normalize(q):
     q = np.asarray(q, dtype=float)

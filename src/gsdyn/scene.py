@@ -342,17 +342,15 @@ def export_trajectory_csv(times, positions, path) -> None:
 
 
 def import_trajectory_csv(path):
-    """Read a trajectory CSV written by :func:`export_trajectory_csv`.
-
-    Returns (times (F,), positions (F, N, 3)).
-    """
-    rows = []
+    """Read a trajectory CSV written by :func:`export_trajectory_csv`; returns (times (F,), positions (F, N, 3))."""
     with open(path, newline="") as f:
         r = csv.reader(f)
-        header = next(r)
-        if header[:3] != ["frame_index", "time", "gaussian_index"]:
+        if next(r, [])[:3] != ["frame_index", "time", "gaussian_index"]:
             raise SceneParseError(f"unexpected trajectory CSV header in {path}")
+        rows = []
         for row in r:
+            if len(row) < 6:
+                raise SceneParseError(f"{path}, line {r.line_num}: expected 6 columns, got {len(row)}")
             rows.append((int(row[0]), float(row[1]), int(row[2]), float(row[3]), float(row[4]), float(row[5])))
     if not rows:
         raise SceneParseError(f"empty trajectory CSV {path}")

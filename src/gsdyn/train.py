@@ -179,7 +179,7 @@ def unroll_segment(field: NeuralVelocityField, p0, t_start, checkpoint_times, st
         leg = []
         for s in range(n_steps):
             caches = []
-            dp, dtheta, dscale, _ = rk4_increments(field, p, None, t + s * h, h, tape=caches)
+            dp, dtheta, dscale = rk4_increments(field, p, None, t + s * h, h, tape=caches)
             p = p + dp
             theta = theta + dtheta
             scale = scale + dscale

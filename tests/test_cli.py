@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from gsdyn import cli, feature_grid, train
+from gsdyn import cli, feature_grid, integrate, train
 from gsdyn.anchors import AnchorSet
-from gsdyn.fields import NeuralVelocityField
-from gsdyn.scene import import_trajectory_csv, load_scene, save_scene
+from gsdyn.fields import AnalyticField, NeuralVelocityField
+from gsdyn.scene import export_trajectory_csv, import_trajectory_csv, load_scene, save_scene
 
 
 def run(argv):
@@ -18,6 +18,18 @@ def run(argv):
 def manifest_of(out_dir):
     with open(out_dir / "manifest.json") as f:
         return json.load(f)
+
+
+def anchored_checkpoint(scene_dir, path, times=(0.0, 0.5, 1.0)):
+    """A small neural checkpoint whose anchors all hold the scene's cloud."""
+    grid = feature_grid.create_grid(np.zeros(3), np.ones(3), spatial_resolution=4, time_resolution=4,
+                                    channels=2)
+    cloud = load_scene(scene_dir / "scene.json").cloud
+    anchors = AnchorSet()
+    for t in times:
+        anchors.insert(cloud, t)
+    train.save_checkpoint(path, NeuralVelocityField(grid, hidden=(8,), output_scale=0.1), anchors)
+    return path
 
 
 @pytest.fixture
@@ -58,6 +70,25 @@ class TestGenerate:
                         "--n-gaussians", "4", "--n-frames", "5", "--out", str(out)]) == cli.EXIT_OK
         assert (a / "scene.json").read_bytes() == (b / "scene.json").read_bytes()
         assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["drift", "gravity_bounce", "diffusion_gas"])
+    def test_ground_truth_equals_per_interval_rollout_chain(self, kind):
+        # reference: one rollout per frame interval, each of max(1, round(interval
+        # * 1000)) RK4 steps, carrying the auxiliary velocity across intervals
+        data = cli.generate_scene(kind, 5, 7, seed=2)
+        times = np.linspace(0.0, 1.0, 7)
+        field = AnalyticField(kind, seed=2)
+        steps_per_unit = integrate.IntegratorConfig().step_count * cli.GROUND_TRUTH_OVERSAMPLE
+        state, v, want = data.cloud, None, [data.cloud.positions]
+        for t_prev, t in zip(times[:-1], times[1:]):
+            n_steps = max(1, round((t - t_prev) * steps_per_unit))
+            config = integrate.IntegratorConfig(step_count=n_steps, record_stride=n_steps)
+            leg = integrate.rollout(state, t_prev, t, config, field, velocities=v)
+            state = leg.cloud_at(len(leg) - 1)
+            v = None if leg.aux_velocities is None else leg.aux_velocities[-1]
+            want.append(state.positions)
+        np.testing.assert_array_equal(data.trajectory_times, times)
+        np.testing.assert_array_equal(data.trajectory_positions, np.array(want))
 
     def test_invalid_kind_usage_error(self, tmp_path):
         assert run(["generate", "--kind", "nonsense", "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
@@ -148,14 +179,8 @@ class TestSimulate:
         np.testing.assert_allclose(times, np.linspace(0.0, 2.0, 21))
 
     def test_anchored_cost_linear_in_frames(self, drift_scene, tmp_path, monkeypatch):
-        grid = feature_grid.create_grid(np.zeros(3), np.ones(3), spatial_resolution=4, time_resolution=4,
-                                        channels=2)
-        cloud = load_scene(drift_scene / "scene.json").cloud
-        anchors = AnchorSet()
-        for t in (0.0, 0.5, 1.0):
-            anchors.insert(cloud, t)
-        ckpt = tmp_path / "ck.gsd"
-        train.save_checkpoint(ckpt, NeuralVelocityField(grid, hidden=(8,), output_scale=0.1), anchors)
+        ckpt = anchored_checkpoint(drift_scene, tmp_path / "ck.gsd")
+        n_anchors = 3
         calls = []
         forward = NeuralVelocityField.forward
 
@@ -170,7 +195,7 @@ class TestSimulate:
                         "--steps", str(steps), "--record-stride", "1",
                         "--out", str(tmp_path / f"a{steps}")]) == cli.EXIT_OK
             # one RK4 step (four stages) per output frame that is not an anchor
-            assert len(calls) == 4 * (steps + 1 - len(anchors))
+            assert len(calls) == 4 * (steps + 1 - n_anchors)
 
     def test_truncated_checkpoint_names_array(self, drift_scene, tmp_path, capsys):
         fit = tmp_path / "fit"
@@ -213,6 +238,29 @@ class TestSimulate:
         with np.errstate(all="ignore"):  # the program's own check must catch the overflow
             assert run(argv + ["--anchored"] * anchored) == cli.EXIT_NUMERICAL
         assert "numerical failure: non-finite activation in mlp layer 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_record_stride_zero_usage_error(self, drift_scene, tmp_path, capsys, anchored):
+        ckpt = anchored_checkpoint(drift_scene, tmp_path / "ck.gsd")
+        argv = ["simulate", "--checkpoint", str(ckpt), "--scene", str(drift_scene / "scene.json"),
+                "--t0", "0", "--t1", "1", "--record-stride", "0", "--out", str(tmp_path / "o")]
+        assert run(argv + ["--anchored"] * anchored) == cli.EXIT_USAGE
+        assert "record_stride must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps,stride", [(10, 20), (10, 3)])
+    def test_anchored_frame_times_match_rollout(self, drift_scene, tmp_path, steps, stride):
+        # a stride above the step count keeps t0 and t1; one that does not
+        # divide the steps records every stride-th step plus t1, as a rollout does
+        ckpt = anchored_checkpoint(drift_scene, tmp_path / "ck.gsd")
+        times = {}
+        for anchored in (False, True):
+            out = tmp_path / f"o{anchored}"
+            assert run(["simulate", "--checkpoint", str(ckpt), "--scene", str(drift_scene / "scene.json"),
+                        "--t0", "0", "--t1", "1", "--steps", str(steps), "--record-stride", str(stride),
+                        "--out", str(out)] + ["--anchored"] * anchored) == cli.EXIT_OK
+            times[anchored], _ = import_trajectory_csv(out / "trajectory.csv")
+        np.testing.assert_array_equal(times[True], times[False])
+        assert times[True][0] == 0.0 and times[True][-1] == 1.0
 
     def test_anchored_without_anchors_usage_error(self, drift_scene, tmp_path):
         spec = tmp_path / "f.json"
@@ -326,6 +374,15 @@ class TestRenderCommand:
                     "--out", str(out)]) == cli.EXIT_OK
         assert len(sorted(out.glob("frame_*.ppm"))) == 8
 
+    def test_short_trajectory_row_usage_error(self, drift_scene, tmp_path, capsys):
+        traj = tmp_path / "short.csv"
+        lines = (drift_scene / "trajectory.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 2)[0]
+        traj.write_text("\n".join(lines) + "\n")
+        assert run(["render", "--scene", str(drift_scene / "scene.json"), "--trajectory", str(traj),
+                    "--out", str(tmp_path / "r")]) == cli.EXIT_USAGE
+        assert f"{traj}, line 4: expected 6 columns, got 4" in capsys.readouterr().err
+
     def test_bad_camera_index(self, drift_scene, tmp_path):
         assert run(["render", "--scene", str(drift_scene / "scene.json"),
                     "--camera-index", "5", "--out", str(tmp_path / "r")]) == cli.EXIT_USAGE
@@ -364,6 +421,25 @@ class TestEval:
         rows = (out / "metrics.csv").read_text().strip().splitlines()[1:-1]
         flags = [r.split(",")[2] for r in rows]
         assert flags == ["observed", "held-out"] * 4
+
+    @pytest.mark.parametrize("fewer", ["frames", "trajectory"])
+    def test_frame_count_mismatch_usage_error(self, drift_scene, tmp_path, capsys, fewer):
+        scene, traj = drift_scene / "scene.json", drift_scene / "trajectory.csv"
+        frames, pred = tmp_path / "frames", tmp_path / "pred.csv"
+        if fewer == "frames":  # 8 trajectory frames, 1 image
+            assert run(["render", "--scene", str(scene), "--out", str(frames)]) == cli.EXIT_OK
+            pred = traj
+        else:  # 2 trajectory frames, 8 images
+            assert run(["render", "--scene", str(scene), "--trajectory", str(traj),
+                        "--out", str(frames)]) == cli.EXIT_OK
+            times, positions = import_trajectory_csv(traj)
+            export_trajectory_csv(times[[0, -1]], positions[[0, -1]], pred)
+        out = tmp_path / "ev"
+        code = run(["eval", "--pred", str(pred), "--gt", str(scene), "--metrics", "position,psnr",
+                    "--pred-frames", str(frames), "--gt-frames", str(frames), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert "frames but the frame directories hold" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
     def test_image_metrics_on_identical_frames(self, drift_scene, tmp_path):
         frames = tmp_path / "frames"

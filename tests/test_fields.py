@@ -250,6 +250,18 @@ class TestComposition:
         d = f.evaluate_batch(np.array([[0.2, 0.2, 0.2]]), None, 0.0)
         np.testing.assert_allclose(d.d_position[0], [1.0, 1.0, 0.0])
 
+    def test_four_channels_mixed_order(self):
+        # a first-order field's d_velocity is zeros, so sum and blend combine
+        # all four channels alike
+        p = np.array([[0.2, 0.3, 0.4], [0.6, 0.5, 0.4]])
+        drift, grav = AnalyticField("drift"), AnalyticField("gravity_bounce", g=-2.0)
+        np.testing.assert_array_equal(drift.evaluate_batch(p, None, 0.0).d_velocity, np.zeros((2, 3)))
+        for f in (compose_add(drift, grav, 0.5),
+                  blend_masked(drift, grav, lambda q: np.full(len(q), 0.5))):
+            d = f.evaluate_batch(p, None, 0.0)
+            assert f.second_order and len(d) == 4 and all(c.shape == (2, 3) for c in d)
+            np.testing.assert_array_equal(d.d_velocity, np.broadcast_to([0.0, 0.0, -1.0], (2, 3)))
+
     def test_add_associative_up_to_fp(self):
         rng = np.random.default_rng(2)
         fields_3 = [AnalyticField("drift", delta=tuple(rng.uniform(-1, 1, 3))) for _ in range(3)]

@@ -28,7 +28,7 @@ class ScalarExponential(VelocityField):
         n = positions.shape[0]
         d = np.zeros((n, 3))
         d[:, 0] = positions[:, 0]
-        return BatchDerivative(d, np.zeros((n, 3)), np.zeros((n, 3)))
+        return BatchDerivative(d, np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3)))
 
 
 class RotatingField(VelocityField):
@@ -43,6 +43,7 @@ class RotatingField(VelocityField):
             np.zeros((n, 3)),
             np.broadcast_to(self.omega, (n, 3)).copy(),
             np.zeros((n, 3)),
+            np.zeros((n, 3)),
         )
 
 
@@ -52,40 +53,51 @@ def one_gaussian(p):
             np.zeros((1, 3)))
 
 
+def euler_step(*args, **kwargs):
+    return itg.step_arrays(*args, method="euler", **kwargs)
+
+
 class TestEulerStep:
     def test_scalar_exponential(self):
-        p, _, _, _ = itg.euler_step_arrays(ScalarExponential(), *one_gaussian([1.0, 0.0, 0.0]), 0.0, 0.1)
+        p, _, _, _ = euler_step(ScalarExponential(), *one_gaussian([1.0, 0.0, 0.0]), 0.0, 0.1)
         assert p[0, 0] == pytest.approx(1.1)
 
     def test_zero_field_unchanged(self):
         start = one_gaussian([0.4, 0.5, 0.6])
-        p, q, _, _ = itg.euler_step_arrays(ZeroField(), *start, 0.0, 0.25)
+        p, q, _, _ = euler_step(ZeroField(), *start, 0.0, 0.25)
         np.testing.assert_array_equal(p, start[0])
         np.testing.assert_array_equal(q, start[1])
 
     def test_constant_drift(self):
         f = AnalyticField("drift", delta=(0.3, 0.0, 0.0))
-        p, _, _, _ = itg.euler_step_arrays(f, *one_gaussian([0.0, 0.0, 0.0]), 0.0, 0.5)
+        p, _, _, _ = euler_step(f, *one_gaussian([0.0, 0.0, 0.0]), 0.0, 0.5)
         np.testing.assert_allclose(p[0], [0.15, 0.0, 0.0])
+
+    def test_second_order_carries_velocity(self):
+        f = AnalyticField("gravity_bounce", g=-9.8, z0=-10.0)
+        p, q, ls, _ = one_gaussian([0.0, 0.0, 1.0])
+        p, _, _, v = euler_step(f, p, q, ls, np.array([[0.0, 0.0, 1.0]]), 0.0, 0.1)
+        np.testing.assert_allclose(p[0], [0.0, 0.0, 1.1])
+        np.testing.assert_allclose(v[0], [0.0, 0.0, 1.0 - 0.98])
 
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError):
-            itg.euler_step_arrays(ZeroField(), *one_gaussian([0, 0, 0]), 0.0, 0.0)
+            euler_step(ZeroField(), *one_gaussian([0, 0, 0]), 0.0, 0.0)
 
 
 class TestRk4Step:
     def test_constant_field_exact(self):
         f = AnalyticField("drift", delta=(0.2, -0.1, 0.4))
-        p, _, _, _ = itg.rk4_step_arrays(f, *one_gaussian([1.0, 2.0, 3.0]), 0.0, 0.5)
+        p, _, _, _ = itg.step_arrays(f, *one_gaussian([1.0, 2.0, 3.0]), 0.0, 0.5)
         np.testing.assert_allclose(p[0], [1.1, 1.95, 3.2], atol=1e-15)
 
     def test_scalar_exponential_accuracy(self):
-        p, _, _, _ = itg.rk4_step_arrays(ScalarExponential(), *one_gaussian([1.0, 0.0, 0.0]), 0.0, 0.1)
+        p, _, _, _ = itg.step_arrays(ScalarExponential(), *one_gaussian([1.0, 0.0, 0.0]), 0.0, 0.1)
         assert abs(p[0, 0] - np.exp(0.1)) < 1e-7
 
     def test_spin_radius_preserved_per_step(self):
         f = AnalyticField("spin", omega=1.0)
-        p, _, _, _ = itg.rk4_step_arrays(f, *one_gaussian([1.0, 0.0, 0.0]), 0.0, 0.01)
+        p, _, _, _ = itg.step_arrays(f, *one_gaussian([1.0, 0.0, 0.0]), 0.0, 0.01)
         r = np.linalg.norm(p[0, :2])
         assert abs(r - 1.0) < 1e-9
 
@@ -93,7 +105,7 @@ class TestRk4Step:
         f = RotatingField([0.0, 0.0, 2.0])
         p, q, ls, v = one_gaussian([0.0, 0.0, 0.0])
         for _ in range(50):
-            p, q, ls, v = itg.rk4_step_arrays(f, p, q, ls, v, 0.0, 0.05)
+            p, q, ls, v = itg.step_arrays(f, p, q, ls, v, 0.0, 0.05)
         assert abs(np.linalg.norm(q[0]) - 1.0) < 1e-12
         # 50 steps of h=0.05 at omega_z=2 -> total angle 5 rad about z
         w = q[0, 0]
@@ -107,11 +119,28 @@ class TestRk4Step:
                 # blow up only at the midpoint stage time
                 if abs(t - 0.05) < 1e-12:
                     d[:] = np.nan
-                return BatchDerivative(d, np.zeros((n, 3)), np.zeros((n, 3)))
+                return BatchDerivative(d, np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3)))
 
         with pytest.raises(itg.IntegrationError, match="k2") as err:
-            itg.rk4_step_arrays(Exploding(), *one_gaussian([0, 0, 0]), 0.0, 0.1)
+            itg.step_arrays(Exploding(), *one_gaussian([0, 0, 0]), 0.0, 0.1)
         assert err.value.stage == "k2"
+
+
+class TestRecordTimes:
+    def test_every_stride_th_step_plus_last(self):
+        steps, times = itg.record_times(0.0, 1.0, itg.IntegratorConfig(step_count=10, record_stride=4))
+        assert steps == [0, 4, 8, 10]
+        assert times == [0.0 + s * 0.1 for s in steps]
+
+    def test_stride_above_step_count_keeps_both_ends(self):
+        steps, times = itg.record_times(1.0, 0.0, itg.IntegratorConfig(step_count=3, record_stride=5))
+        assert steps == [0, 3]
+        assert times == [1.0, 0.0]
+
+    def test_rollout_records_at_record_times(self):
+        cfg = itg.IntegratorConfig(step_count=7, record_stride=3)
+        traj = itg.rollout(make_cloud([[0.1, 0.2, 0.3]]), 0.2, 0.9, cfg, AnalyticField("drift"))
+        np.testing.assert_array_equal(traj.times, itg.record_times(0.2, 0.9, cfg)[1])
 
 
 class TestRollout:
@@ -160,7 +189,7 @@ class TestRollout:
         v = np.zeros_like(p)
         h = 0.1
         for s in range(5):
-            p, q, ls, v = itg.rk4_step_arrays(f, p, q, ls, v, s * h, h, step_index=s)
+            p, q, ls, v = itg.step_arrays(f, p, q, ls, v, s * h, h, step_index=s)
             np.testing.assert_array_equal(traj.positions[s + 1], p)
 
     def test_determinism(self):

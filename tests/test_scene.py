@@ -204,3 +204,18 @@ class TestTrajectoryCsv:
         t2, p2 = sc.import_trajectory_csv(path)
         np.testing.assert_array_equal(t2, times)
         np.testing.assert_array_equal(p2, positions)
+
+    def test_short_row_names_path_and_line(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        sc.export_trajectory_csv(np.zeros(1), np.zeros((1, 3, 3)), path)
+        lines = path.read_text().splitlines()
+        lines[2] = "0,0.0,1,0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(sc.SceneParseError, match=f"{path}, line 3: expected 6 columns, got 4"):
+            sc.import_trajectory_csv(path)
+
+    def test_empty_file_parse_error(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(sc.SceneParseError, match="header"):
+            sc.import_trajectory_csv(path)

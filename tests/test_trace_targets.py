@@ -2,12 +2,15 @@
 
 ``perfbench/tracing.py`` drops the metrics of a traced function that no
 longer exists, so renaming one away would silently shrink a traced run's
-report.  These tests install the tracer and run one CLI render and one
-short CLI training run.
+report.  These tests install the tracer and run CLI commands that render,
+train and integrate.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 from gsdyn import cli
 
@@ -21,20 +24,25 @@ def load_tracing():
     return module
 
 
-def traced_run(tmp_path, argv):
-    """Generate a tiny drift scene, then run argv (with the scene's path
-    appended) under the tracer; returns the tracer."""
-    gen = tmp_path / "gen"
-    assert cli.main(["generate", "--kind", "drift", "--n-gaussians", "4", "--n-frames", "2", "--out", str(gen)]) == 0
+def trace(argv):
+    """Run argv under the tracer; returns the tracer."""
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
-        code = cli.main(argv + ["--scene", str(gen / "scene.json"), "--out", str(tmp_path / "out")])
+        code = cli.main(argv)
     finally:
         tracer.uninstall()
     assert code == cli.EXIT_OK
     assert tracer.missing == []
     return tracer
+
+
+def traced_run(tmp_path, argv):
+    """Generate a tiny drift scene, then run argv (with the scene's path
+    appended) under the tracer; returns the tracer."""
+    gen = tmp_path / "gen"
+    assert cli.main(["generate", "--kind", "drift", "--n-gaussians", "4", "--n-frames", "2", "--out", str(gen)]) == 0
+    return trace(argv + ["--scene", str(gen / "scene.json"), "--out", str(tmp_path / "out")])
 
 
 def test_traced_targets_exist_and_render_is_traced(tmp_path):
@@ -51,3 +59,23 @@ def test_training_is_traced(tmp_path):
         "fields.neural_backward", "fields.zero_grads", "feature_grid.tv",
     } <= recorded
     assert tracer.counts["fields.grad_buffers_mb"] > 0
+
+
+@pytest.mark.parametrize("command", ["generate", "simulate", "inject"])
+def test_integration_is_traced(tmp_path, command):
+    spin, sphere = tmp_path / "spin.json", tmp_path / "sphere.json"
+    spin.write_text(json.dumps({"kind": "spin"}))
+    sphere.write_text(json.dumps({"shape": "sphere", "center": [0.5, 0.5, 0.5], "radius": 0.3}))
+    if command == "generate":
+        tracer = trace(["generate", "--kind", "vortex", "--n-gaussians", "4", "--n-frames", "3",
+                        "--out", str(tmp_path / "out")])
+    elif command == "simulate":
+        tracer = traced_run(tmp_path, ["simulate", "--field", str(spin), "--t0", "0", "--t1", "1", "--steps", "5"])
+    else:
+        tracer = traced_run(tmp_path, ["inject", "--field", str(spin), "--mask", str(sphere), "--steps", "5"])
+    recorded = {name for name, _, _, _ in tracer.spans}
+    expected = {"integrate.rollout", "fields.analytic", "quaternions.apply_increment"}
+    if command == "inject":
+        expected.add("fields.blend")
+    assert expected <= recorded
+    assert tracer.counts["integrate.gaussian_steps"] > 0
