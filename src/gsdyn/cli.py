@@ -127,6 +127,8 @@ def generate_scene(kind: str, n_gaussians: int, n_frames: int, seed: int, params
 
 def cmd_generate(args):
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise UsageError("--params must be a JSON object")
     if args.n_gaussians < 1 or args.n_frames < 2:
         raise UsageError("need at least 1 gaussian and 2 frames")
     data = generate_scene(args.kind, args.n_gaussians, args.n_frames, args.seed, params)
@@ -279,7 +281,7 @@ def cmd_render(args):
     data = load_scene(args.scene)
     if not data.cameras:
         raise UsageError("scene has no cameras")
-    if args.camera_index >= len(data.cameras):
+    if not 0 <= args.camera_index < len(data.cameras):
         raise UsageError(f"camera index {args.camera_index} out of range")
     camera = data.cameras[args.camera_index]
     out = Path(args.out)
@@ -308,6 +310,11 @@ def cmd_eval(args):
                 f"unsupported metric {m!r} (supported: {', '.join(SUPPORTED_METRICS)}; "
                 "lpips needs a pretrained network and is not provided)"
             )
+    image_metrics = [m for m in metrics if m in ("psnr", "ssim", "dssim")]
+    if "position" in metrics and not (args.pred and args.gt):
+        raise UsageError("the position metric needs --pred and --gt")
+    if image_metrics and not (args.pred_frames and args.gt_frames):
+        raise UsageError(f"{', '.join(image_metrics)} need --pred-frames and --gt-frames")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -336,7 +343,6 @@ def cmd_eval(args):
             err = float(np.mean(np.linalg.norm(pred[fi] - gt_pos[gi], axis=-1)))
             observed = _is_observed(t, observed_times)
             rows.append([fi, t, observed, err])
-    image_metrics = [m for m in metrics if m in ("psnr", "ssim", "dssim")]
     if image_metrics:
         pred_frames = sorted(Path(args.pred_frames).glob("*.ppm"))
         gt_frames = sorted(Path(args.gt_frames).glob("*.ppm"))

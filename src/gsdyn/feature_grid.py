@@ -11,13 +11,17 @@ CSR matrix S of shape (6N, cells) whose row n*6 + k holds query n's four
 bilinear corner weights on plane k.  The features are S @ F, the plane
 gradients S^T @ U for an upstream U, and the query gradients come from an
 operator with the same corners whose entries are the weights' derivatives
-along each plane axis.  Operators are rebuilt from the positions on every
-call; nothing but the positions needs to be kept for the backward pass.
+along each plane axis.  The corners of a query batch (:class:`Corners`) are
+found once, by :func:`lookup`, which can write them into buffers that the
+caller keeps; :func:`lookup_grad` builds both operators from those corners
+and the current planes, and finds the corners again only when none are
+passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -102,21 +106,41 @@ def create_grid(
     )
 
 
-def _corners(grid: HexPlaneGrid, positions, t: float):
-    """Bilinear corners of every (query, plane) pair.
+class Corners(NamedTuple):
+    """Bilinear corners of every (query, plane) pair of a batch of N queries.
 
-    Returns (cells, cols, fu, fv, ju, jv).  cells stacks the planes' cells
-    plane after plane as one (cells, C) array.  cols (N, 6, 4) indexes it at
-    the corners 00, 10, 01, 11 of each query's cell on each plane, the first
-    digit stepping along the plane's first axis.  fu and fv (N, 6) are the
-    offsets inside the cell along the plane's two axes, and ju and jv their
-    derivatives by the query coordinate, 0 where the query is clamped.
+    cols (N, 6, 4) indexes the stacked plane cells at the corners 00, 10,
+    01, 11 of each query's cell on each plane, the first digit stepping
+    along the plane's first axis.  fu and fv (N, 6) are the offsets inside
+    the cell along the plane's two axes, and ju and jv their derivatives by
+    the query coordinate, 0 where the query is clamped.
     """
+
+    cols: np.ndarray
+    fu: np.ndarray
+    fv: np.ndarray
+    ju: np.ndarray
+    jv: np.ndarray
+
+
+def empty_corners(n: int) -> Corners:
+    """Uninitialized corner buffers for a batch of n queries."""
+    return Corners(np.empty((n, 6, 4), dtype=np.int32), *(np.empty((n, 6)) for _ in range(4)))
+
+
+def _cells(grid: HexPlaneGrid):
+    """The planes' cells stacked plane after plane as one (cells, C) array."""
+    return np.concatenate([p.reshape(-1, grid.channels) for p in grid.planes])
+
+
+def _corners(grid: HexPlaneGrid, positions, t: float, out: Corners = None) -> Corners:
+    """The :class:`Corners` of a query batch, written into ``out`` when given."""
     positions = np.asarray(positions, dtype=float)
     if not (np.all(np.isfinite(positions)) and np.isfinite(t)):
         raise FloatingPointError("feature grid: non-finite query")
+    if out is None:
+        out = empty_corners(len(positions))
     r0, r1 = np.array([p.shape[:2] for p in grid.planes], dtype=np.int32).T
-    cells = np.concatenate([p.reshape(-1, grid.channels) for p in grid.planes])
     lo = np.append(grid.bounds_lo, grid.t0)
     span = np.append(grid.bounds_hi, grid.t1) - lo
     u = (np.column_stack([positions, np.full(len(positions), t)]) - lo) / span
@@ -128,10 +152,12 @@ def _corners(grid: HexPlaneGrid, positions, t: float):
     i0 = np.minimum(np.floor(su).astype(np.int32), r0 - 2)
     j0 = np.minimum(np.floor(sv).astype(np.int32), r1 - 2)
     c00 = np.cumsum(r0 * r1, dtype=np.int32) - r0 * r1 + i0 * r1 + j0
-    cols = np.stack([c00, c00 + r1, c00 + 1, c00 + r1 + 1], axis=-1)
-    ju = np.take(slope, _AXES[:, 0], axis=1) * (r0 - 1)
-    jv = np.take(slope, _AXES[:, 1], axis=1) * (r1 - 1)
-    return cells, cols, su - i0, sv - j0, ju, jv
+    np.stack([c00, c00 + r1, c00 + 1, c00 + r1 + 1], axis=-1, out=out.cols)
+    np.subtract(su, i0, out=out.fu)
+    np.subtract(sv, j0, out=out.fv)
+    np.multiply(np.take(slope, _AXES[:, 0], axis=1), r0 - 1, out=out.ju)
+    np.multiply(np.take(slope, _AXES[:, 1], axis=1), r1 - 1, out=out.jv)
+    return out
 
 
 def _operator(cols, weights, n_cells: int):
@@ -148,25 +174,31 @@ def _weights(fu, fv):
     return np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv], axis=-1)
 
 
-def lookup(grid: HexPlaneGrid, positions, t: float) -> np.ndarray:
+def lookup(grid: HexPlaneGrid, positions, t: float, corners: Corners = None) -> np.ndarray:
     """(N, 6*C) feature vectors at (positions, t): six bilinear plane samples, concatenated.
 
     positions is an (N, 3) batch; positions are clamped into the grid bounds
-    before normalization.
+    before normalization.  With ``corners`` (buffers from
+    :func:`empty_corners` for N queries) the batch's corners are written
+    there, for :func:`lookup_grad` to reuse.
     """
-    cells, cols, fu, fv, _, _ = _corners(grid, positions, t)
+    cols, fu, fv, _, _ = _corners(grid, positions, t, corners)
+    cells = _cells(grid)
     return (_operator(cols, _weights(fu, fv), len(cells)) @ cells).reshape(-1, grid.feature_size)
 
 
-def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream):
+def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream, corners: Corners = None):
     """Exact gradients of :func:`lookup`.
 
     positions is (N, 3) and upstream (N, 6*C).  Returns
     (plane_grads, g_position, g_t): plane_grads mirrors grid.planes with
     nonzero entries only at the <= 4 touched nodes per plane per query;
-    g_position / g_t are the gradients w.r.t. the query.
+    g_position / g_t are the gradients w.r.t. the query.  ``corners`` are
+    the ones :func:`lookup` wrote for this query; they are found again from
+    (positions, t) when None.
     """
-    cells, cols, fu, fv, ju, jv = _corners(grid, positions, t)
+    cols, fu, fv, ju, jv = _corners(grid, positions, t) if corners is None else corners
+    cells = _cells(grid)
     n = len(cols)
     up = np.asarray(upstream, dtype=float).reshape(-1, grid.channels)
     g_cells = _operator(cols, _weights(fu, fv), len(cells)).T @ up
@@ -179,7 +211,7 @@ def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream):
     b0, b1 = (1 - fu) * jv, fu * jv
     d_weights = np.stack([-a0, a0, -a1, a1, -b0, -b1, b0, b1], axis=-1)
     d_op = _operator(np.concatenate([cols, cols], axis=-1), d_weights, len(cells))
-    g_axis = np.einsum("nc,nc->n", d_op @ cells, np.repeat(up, 2, axis=0))
+    g_axis = np.einsum("nac,nc->na", (d_op @ cells).reshape(-1, 2, grid.channels), up)
     g_query = g_axis.reshape(n, 12) @ _AXIS_SELECT
     return plane_grads, g_query[:, :3], g_query[:, 3]
 

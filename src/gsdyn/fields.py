@@ -242,6 +242,22 @@ def time_encoding(t: float, frequencies: int = 4) -> np.ndarray:
     return np.concatenate([np.sin(freqs * t), np.cos(freqs * t)])
 
 
+class ForwardCache:
+    """What :meth:`NeuralVelocityField.backward` reads of one forward pass.
+
+    activations[0] is the MLP input (grid features, position, time
+    encoding), and activations[i + 1] the output of layer i; corners are
+    the feature grid's bilinear corners of the query, and t its time.  The
+    buffers are allocated once and refilled by every forward pass given
+    this cache.
+    """
+
+    def __init__(self, n: int, widths, corners: feature_grid.Corners = None):
+        self.t = 0.0
+        self.activations = [np.empty((n, w)) for w in widths]
+        self.corners = feature_grid.empty_corners(n) if corners is None else corners
+
+
 class NeuralVelocityField(VelocityField):
     """MLP dynamical law conditioned on grid features.
 
@@ -289,27 +305,49 @@ class NeuralVelocityField(VelocityField):
     def zero_grads(self):
         return [np.zeros_like(p) for p in self.parameters()]
 
-    def _inputs(self, positions, t):
-        feats = feature_grid.lookup(self.grid, positions, t)
-        enc = np.broadcast_to(time_encoding(t, self.time_frequencies), (positions.shape[0], 2 * self.time_frequencies))
-        return np.concatenate([feats, positions, enc], axis=1)
+    def new_cache(self, n: int, corners: feature_grid.Corners = None) -> "ForwardCache":
+        """Empty buffers for :meth:`forward` to record a batch of n rows
+        into, around the given corner buffers if any."""
+        return ForwardCache(n, [w.shape[0] for w in self.weights] + [self.weights[-1].shape[1]], corners)
 
-    def forward(self, positions, t, want_cache: bool = False):
-        """MLP output (N, 9); optionally returns the cache needed by :meth:`backward`."""
+    def forward(self, positions, t, want_cache: bool = False, cache: "ForwardCache" = None):
+        """MLP output (N, 9); optionally returns the cache needed by :meth:`backward`.
+
+        The pass is recorded into ``cache`` in place when one is given (a
+        :meth:`new_cache` for N rows), and into fresh buffers otherwise; the
+        output is the cache's last activation, so it changes when the cache
+        is refilled.
+        """
         positions = np.asarray(positions, dtype=float)
-        x = self._inputs(positions, t)
-        activations = [x]
-        h = x
+        n = len(positions)
+        if cache is not None and cache.activations[0].shape[0] != n:
+            raise FieldError(f"forward: cache holds {cache.activations[0].shape[0]} rows, got {n}")
+        # A fresh cache's activations are allocated after the lookup has freed
+        # its temporaries.  Allocated before, they left those temporaries at
+        # the top of the heap, where glibc's malloc gave them back to the
+        # system on every call: a 500-Gaussian neural rollout made four times
+        # the page faults and took a third longer.
+        corners = feature_grid.empty_corners(n) if cache is None else cache.corners
+        feats = feature_grid.lookup(self.grid, positions, t, corners=corners)
+        if cache is None:
+            cache = self.new_cache(n, corners)
+        cache.t = t
+        x = cache.activations[0]
+        c = self.grid.feature_size
+        x[:, :c] = feats
+        x[:, c : c + 3] = positions
+        x[:, c + 3 :] = time_encoding(t, self.time_frequencies)
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
+        for i, (w, b, z) in enumerate(zip(self.weights, self.biases, cache.activations[1:])):
+            np.matmul(cache.activations[i], w, out=z)
+            z += b
             if not np.all(np.isfinite(z)):
                 raise FloatingPointError(f"non-finite activation in mlp layer {i}")
-            h = z if i == last else np.tanh(z)
-            activations.append(h)
+            if i != last:
+                np.tanh(z, out=z)
         if want_cache:
-            return h, (positions, t, activations)
-        return h
+            return z, cache
+        return z
 
     def backward(self, cache, upstream, grads=None):
         """Reverse-mode gradients of :meth:`forward`.
@@ -320,7 +358,7 @@ class NeuralVelocityField(VelocityField):
         ``grads`` (a fresh :meth:`zero_grads` list when None), so the
         gradient of a batch sum equals the sum of per-item gradients.
         """
-        positions, t, activations = cache
+        activations = cache.activations
         upstream = np.asarray(upstream, dtype=float)
         if upstream.shape != activations[-1].shape:
             raise FieldError(
@@ -341,7 +379,10 @@ class NeuralVelocityField(VelocityField):
         c = self.grid.feature_size
         g_feat = g[:, :c]
         g_pos_direct = g[:, c : c + 3]
-        plane_grads, g_pos_grid, _ = feature_grid.lookup_grad(self.grid, positions, t, g_feat)
+        positions = activations[0][:, c : c + 3]
+        plane_grads, g_pos_grid, _ = feature_grid.lookup_grad(
+            self.grid, positions, cache.t, g_feat, corners=cache.corners
+        )
         for acc, pg in zip(grads[2 * len(self.weights) :], plane_grads):
             acc += pg
         return grads, g_pos_direct + g_pos_grid
@@ -356,7 +397,11 @@ class NeuralVelocityField(VelocityField):
 
 
 class SummedField(VelocityField):
-    """base + lam * ext, componentwise on derivatives."""
+    """base + lam * ext, componentwise on derivatives.
+
+    Post-step events run through base, then through ext unless lam is 0,
+    so that lam = 0 reproduces the base field exactly.
+    """
 
     def __init__(self, base: VelocityField, ext: VelocityField, lam: float):
         self.base = base
@@ -371,6 +416,8 @@ class SummedField(VelocityField):
 
     def apply_events(self, positions, velocities, t=0.0, step_index=0):
         p, v = self.base.apply_events(positions, velocities, t, step_index)
+        if self.lam == 0.0:
+            return p, v
         return self.ext.apply_events(p, v, t, step_index)
 
 

@@ -120,9 +120,9 @@ def rk4_increments(field, p, v, t, h, step_index=0, tape=None, method="rk4"):
     whose zero d_velocity channel is neither checked nor combined (v may
     then be None), and appends d_velocity for second-order fields.  Rotation
     and log-scale derivatives are combined with the same stage weights as
-    position.  With a ``tape`` list the field must be neural: its stages run
-    through ``NeuralVelocityField.forward``, and each stage's cache is
-    appended to the tape for the backward pass.
+    position.  With a ``tape`` the field must be neural: the tape holds one
+    ``NeuralVelocityField.new_cache`` per stage, and stage i's forward pass
+    is recorded into tape[i] for the backward pass.
     """
     nodes, weights = _TABLEAUS[method]
     channels = 4 if field.second_order else 3
@@ -136,8 +136,7 @@ def rk4_increments(field, p, v, t, h, step_index=0, tape=None, method="rk4"):
             k = field.evaluate_batch(stage_p, stage_v, t + c * h, step_index=step_index)
             _check_finite(k[:channels], step_index, f"k{i + 1}")
         else:
-            out, cache = field.forward(stage_p, t + c * h, want_cache=True)
-            tape.append(cache)
+            out = field.forward(stage_p, t + c * h, cache=tape[i])
             k = (out[:, 0:3], out[:, 3:6], out[:, 6:9])
         ks.append(k)
 

@@ -6,11 +6,16 @@ rasterizer is evaluation-only).  The total objective is
     total = data + lambda_coh * coherence + lambda_anchor * anchor + lambda_tv * tv
 
 Gradients are exact reverse-mode derivatives of the discrete computation
-graph: every RK4 stage of every step is cached on the forward pass and
-replayed backward (discretize-then-differentiate, no adjoint ODE).  The
-differentiable state per Gaussian is (position, rotation-tangent, log-scale
-increment); the tangent channels accumulate linearly, so the anchor loss in
-tangent space stays an exact quadratic.
+graph: every RK4 stage of every step is recorded on a tape on the forward
+pass and replayed backward (discretize-then-differentiate, no adjoint ODE).
+A stage's record is the MLP's activations and the feature grid's bilinear
+corners.  :func:`fit` keeps one tape of such stage buffers, as long as its
+longest segment, and refills it for every segment, the coherence step and
+every epoch; each is reversed before the next is recorded, so only one
+segment's record is alive at a time.  The differentiable state per Gaussian
+is (position, rotation-tangent, log-scale increment); the tangent channels
+accumulate linearly, so the anchor loss in tangent space stays an exact
+quadratic.
 """
 
 from __future__ import annotations
@@ -61,6 +66,12 @@ class TrainingConfig:
             raise ValueError("loss weights must be nonnegative")
         if not (0.0 < self.train_fraction <= 1.0):
             raise ValueError("train_fraction must be in (0, 1]")
+        if self.frame_stride < 1:
+            raise ValueError("frame_stride must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if self.coherence_variant not in ("literal", "relative"):
             raise ValueError(f"unknown coherence variant {self.coherence_variant!r}")
 
@@ -126,12 +137,11 @@ def adam_step(params, grads, moments, config: TrainingConfig, step_index: int, n
 # ---------------------------------------------------------------------------
 # Differentiable unrolled integration (neural field only)
 
-def _backward_rk4_step(field: NeuralVelocityField, step_cache, g_p, g_theta, g_scale, grads):
-    """Reverse one RK4 step: upstream (g_p, g_theta, g_scale) on the step's
-    outputs -> gradient on the step's input position; params accumulate into
-    ``grads``.  Tangent/scale gradients pass through unchanged (linear
-    accumulation)."""
-    caches, h = step_cache
+def _backward_rk4_step(field: NeuralVelocityField, caches, h, g_p, g_theta, g_scale, grads):
+    """Reverse one RK4 step of size h recorded in the four stage ``caches``:
+    upstream (g_p, g_theta, g_scale) on the step's outputs -> gradient on
+    the step's input position; params accumulate into ``grads``.
+    Tangent/scale gradients pass through unchanged (linear accumulation)."""
     g_p_total = g_p.copy()
     g_next = None  # gradient on the input position of stage i + 1
     for i in range(3, -1, -1):
@@ -145,49 +155,67 @@ def _backward_rk4_step(field: NeuralVelocityField, step_cache, g_p, g_theta, g_s
     return g_p_total
 
 
-@dataclass
 class UnrollCache:
     """Forward tape of an unrolled integration segment.
 
-    ``legs[k]`` lists the (stage caches, h) steps from checkpoint k - 1 (or
-    the segment start) to checkpoint k; it is empty for a zero span.
+    ``stages`` holds one ``NeuralVelocityField.new_cache`` per RK4 stage,
+    in step order; ``legs[k]`` is the (step count, step size) from
+    checkpoint k - 1 (or the segment start) to checkpoint k, (0, 0.0) for a
+    zero span.  A tape passed back to :func:`unroll_segment` is refilled in
+    place from its first stage and grows only when a segment has more
+    stages than it holds, so one tape serves every segment and epoch of a
+    fit and only one segment's record is alive at a time.
     """
 
-    legs: list
-    n_gaussians: int
+    def __init__(self):
+        self.stages = []
+        self.legs = []
+        self.n_gaussians = 0
+
+    def step_stages(self, field: NeuralVelocityField, first: int):
+        """The four stages of the RK4 step that starts at stage ``first``,
+        allocating those the tape lacks."""
+        stop = first + len(RK4_NODES)
+        while len(self.stages) < stop:
+            self.stages.append(field.new_cache(self.n_gaussians))
+        return self.stages[first:stop]
 
 
-def unroll_segment(field: NeuralVelocityField, p0, t_start, checkpoint_times, steps_per_unit):
+def unroll_segment(field: NeuralVelocityField, p0, t_start, checkpoint_times, steps_per_unit, tape=None):
     """Integrate positions from (p0, t_start) through the checkpoint times.
 
     Step sizes are uniform within each sub-span, ceil(|span| * steps_per_unit)
     steps per sub-span.  Returns (checkpoints, cache) where checkpoints is a
     list of (positions, rotation-tangents, scale-increments) at each
     checkpoint time; tangents/increments are relative to the segment start.
+    cache is ``tape`` (an :class:`UnrollCache`) refilled, or a new one when
+    None.
     """
     p = np.asarray(p0, dtype=float)
     n = p.shape[0]
+    cache = UnrollCache() if tape is None else tape
+    if cache.n_gaussians != n:
+        cache.stages, cache.n_gaussians = [], n
+    cache.legs = []
     theta = np.zeros((n, 3))
     scale = np.zeros((n, 3))
     t = t_start
-    legs = []
+    first = 0
     checkpoints = []
     for t_ck in checkpoint_times:
         span = t_ck - t
         n_steps = max(1, math.ceil(abs(span) * steps_per_unit)) if span else 0
         h = span / max(1, n_steps)
-        leg = []
         for s in range(n_steps):
-            caches = []
-            dp, dtheta, dscale = rk4_increments(field, p, None, t + s * h, h, tape=caches)
+            dp, dtheta, dscale = rk4_increments(field, p, None, t + s * h, h, tape=cache.step_stages(field, first))
+            first += len(RK4_NODES)
             p = p + dp
             theta = theta + dtheta
             scale = scale + dscale
-            leg.append((caches, h))
         t = t_ck
         checkpoints.append((p.copy(), theta.copy(), scale.copy()))
-        legs.append(leg)
-    return checkpoints, UnrollCache(legs, n)
+        cache.legs.append((n_steps, h))
+    return checkpoints, cache
 
 
 def backward_through_rollout(field: NeuralVelocityField, cache: UnrollCache, checkpoint_grads, grads=None):
@@ -206,12 +234,15 @@ def backward_through_rollout(field: NeuralVelocityField, cache: UnrollCache, che
     g_p = np.zeros((n, 3))
     g_theta = np.zeros((n, 3))
     g_scale = np.zeros((n, 3))
-    for leg, ck in zip(reversed(cache.legs), reversed(checkpoint_grads)):
+    first = len(RK4_NODES) * sum(n_steps for n_steps, _ in cache.legs)
+    for (n_steps, h), ck in zip(reversed(cache.legs), reversed(checkpoint_grads)):
         for acc, g in zip((g_p, g_theta, g_scale), ck or ()):
             if g is not None:
                 acc += g
-        for step in reversed(leg):
-            g_p = _backward_rk4_step(field, step, g_p, g_theta, g_scale, grads)
+        for _ in range(n_steps):
+            first -= len(RK4_NODES)
+            stages = cache.stages[first : first + len(RK4_NODES)]
+            g_p = _backward_rk4_step(field, stages, h, g_p, g_theta, g_scale, grads)
     return grads
 
 
@@ -357,17 +388,22 @@ def _build_plan(scene: SceneData, config: TrainingConfig) -> _Plan:
 
 
 def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: TrainingConfig, coh_rows=None,
-                            want_grads: bool = True):
-    """One full forward (and optionally backward) pass over the plan."""
+                            want_grads: bool = True, tape: UnrollCache = None):
+    """One full forward (and optionally backward) pass over the plan.
+
+    Every segment, then the coherence step, is recorded on ``tape`` (a new
+    :class:`UnrollCache` when None) and reversed before the next one runs.
+    """
     n = len(plan.cloud)
+    tape = UnrollCache() if tape is None else tape
     grads = field.zero_grads() if want_grads else None
     data_sum = 0.0
     anchor_sum = 0.0
     denom = max(1, plan.n_data_frames) * n
 
     for seg in plan.segments:
-        checkpoints, cache = unroll_segment(
-            field, seg.p_start, seg.t_start, seg.checkpoint_times, config.steps_per_unit
+        checkpoints, _ = unroll_segment(
+            field, seg.p_start, seg.t_start, seg.checkpoint_times, config.steps_per_unit, tape
         )
         ck_grads = []
         for (p, theta, scale), target, is_anchor in zip(checkpoints, seg.data_targets, seg.anchor_end):
@@ -382,16 +418,16 @@ def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: Tra
                 gs = config.lambda_anchor * 2.0 * scale
             ck_grads.append((gp, gt, gs))
         if want_grads:
-            backward_through_rollout(field, cache, ck_grads, grads)
+            backward_through_rollout(field, tape, ck_grads, grads)
     data = data_sum / denom
 
     # coherence: one short RK4 step from the canonical cloud
     p0 = plan.cloud.positions
-    caches = []
+    caches = tape.step_stages(field, 0)
     p_next = p0 + rk4_increments(field, p0, None, plan.cloud.time, COHERENCE_STEP, tape=caches)[0]
     coherence, g_xh = _coherence(p0, p_next, plan.neighbors, config.coherence_variant, coh_rows)
     if want_grads and config.lambda_coh > 0:
-        _backward_rk4_step(field, (caches, COHERENCE_STEP), config.lambda_coh * g_xh, np.zeros((n, 3)),
+        _backward_rk4_step(field, caches, COHERENCE_STEP, config.lambda_coh * g_xh, np.zeros((n, 3)),
                            np.zeros((n, 3)), grads)
 
     tv = feature_grid.tv_loss(field.grid)
@@ -432,11 +468,12 @@ def fit(scene: SceneData, config: TrainingConfig = TrainingConfig()) -> FitResul
     params = field.parameters()
     moments = None
     history = []
+    tape = UnrollCache()
     for epoch in range(config.epochs):
         coh_rows = None
         if n > COHERENCE_BATCH:
             coh_rows = np.sort(rng.choice(n, size=COHERENCE_BATCH, replace=False))
-        report, grads = _epoch_losses_and_grads(field, plan, config, coh_rows)
+        report, grads = _epoch_losses_and_grads(field, plan, config, coh_rows, tape=tape)
         params, moments = adam_step(params, grads, moments, config, epoch + 1, field.parameter_names())
         history.append(replace(report, epoch=epoch))
 

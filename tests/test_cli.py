@@ -93,6 +93,13 @@ class TestGenerate:
     def test_invalid_kind_usage_error(self, tmp_path):
         assert run(["generate", "--kind", "nonsense", "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("params", ["[1, 2]", "3", '"drift"'])
+    def test_params_not_an_object_usage_error(self, tmp_path, capsys, params):
+        out = tmp_path / "x"
+        assert run(["generate", "--kind", "drift", "--params", params, "--out", str(out)]) == cli.EXIT_USAGE
+        assert "--params must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
             run(["generate", "--kind", "drift", "--config", str(tmp_path / "none.json"),
@@ -134,6 +141,17 @@ class TestTrain:
     def test_missing_scene_usage_error(self, tmp_path):
         assert run(["train", "--scene", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("flags", [
+        ["--stride", "0"], ["--stride", "-2"], ["--epochs", "0"], ["--epochs", "-3"],
+        ["--learning-rate", "0"], ["--learning-rate", "-0.01"], ["--learning-rate", "nan"],
+        ["--learning-rate", "inf"],
+    ], ids=" ".join)
+    def test_bad_training_value_usage_error(self, drift_scene, tmp_path, flags):
+        out = tmp_path / "fit"
+        assert run(["train", "--scene", str(drift_scene / "scene.json"), *flags,
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        assert not (out / "checkpoint.gsd").exists()
 
 
 class TestSimulate:
@@ -387,6 +405,13 @@ class TestRenderCommand:
         assert run(["render", "--scene", str(drift_scene / "scene.json"),
                     "--camera-index", "5", "--out", str(tmp_path / "r")]) == cli.EXIT_USAGE
 
+    def test_negative_camera_index_usage_error(self, drift_scene, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run(["render", "--scene", str(drift_scene / "scene.json"),
+                    "--camera-index", "-1", "--out", str(out)]) == cli.EXIT_USAGE
+        assert "camera index -1 out of range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_perfect_prediction(self, drift_scene, tmp_path):
@@ -399,6 +424,23 @@ class TestEval:
         assert lines[0] == "frame_index,time,observed,mean_position_error"
         for line in lines[1:-1]:
             assert float(line.split(",")[-1]) == 0.0
+
+    @pytest.mark.parametrize("metrics, given", [
+        ("psnr", []), ("ssim", ["--pred-frames"]), ("dssim", ["--gt-frames"]),
+        ("position", []), ("position", ["--pred"]), ("position,ssim", ["--gt", "--pred-frames", "--gt-frames"]),
+    ])
+    def test_missing_inputs_usage_error(self, drift_scene, tmp_path, capsys, metrics, given):
+        frames = tmp_path / "frames"
+        assert run(["render", "--scene", str(drift_scene / "scene.json"), "--out", str(frames)]) == cli.EXIT_OK
+        paths = {"--pred": drift_scene / "trajectory.csv", "--gt": drift_scene / "scene.json",
+                 "--pred-frames": frames, "--gt-frames": frames}
+        out = tmp_path / "ev"
+        argv = ["eval", "--metrics", metrics, "--out", str(out)]
+        for flag in given:
+            argv += [flag, str(paths[flag])]
+        assert run(argv) == cli.EXIT_USAGE
+        assert "need" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lpips_refused(self, drift_scene, tmp_path):
         code = run(["eval", "--pred", str(drift_scene / "trajectory.csv"),

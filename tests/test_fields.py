@@ -215,6 +215,13 @@ class TestNeuralField:
         with pytest.raises(FieldError, match="upstream shape"):
             field.backward(cache, np.zeros((3, 9)))
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_forward_cache_row_mismatch(self, rows):
+        # one row would otherwise broadcast over a three-row cache
+        field = NeuralVelocityField(small_grid(), hidden=(4,), seed=0)
+        with pytest.raises(FieldError, match="cache holds 3 rows"):
+            field.forward(np.full((rows, 3), 0.5), 0.5, cache=field.new_cache(3))
+
     def test_time_encoding_shape(self):
         enc = time_encoding(0.25, frequencies=4)
         assert enc.shape == (8,)

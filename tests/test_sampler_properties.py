@@ -159,3 +159,41 @@ def test_backward_adds_fresh_result_into_given_buffer(grid, n, hidden, seed):
     for acc, s, f in zip(buf, start, fresh):
         np.testing.assert_array_equal(acc, s + f)
     np.testing.assert_array_equal(g_pos, g_fresh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(queries(), st.integers(0, 2**16))
+def test_kept_corners_give_the_recomputed_gradients(case, seed):
+    grid, positions, t, _ = case
+    upstream = np.random.default_rng(seed).uniform(-1, 1, (len(positions), grid.feature_size))
+    corners = fg.empty_corners(len(positions))
+    np.testing.assert_array_equal(fg.lookup(grid, positions, t, corners=corners), fg.lookup(grid, positions, t))
+    kept = fg.lookup_grad(grid, positions, t, upstream, corners=corners)
+    found = fg.lookup_grad(grid, positions, t, upstream)
+    for a, b in zip(kept[0], found[0]):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(kept[1], found[1])
+    np.testing.assert_array_equal(kept[2], found[2])
+
+
+@settings(max_examples=30, deadline=None)
+@given(grids(), st.integers(1, 6), st.lists(st.integers(1, 8), min_size=1, max_size=2), st.integers(0, 2**16))
+def test_forward_into_reused_cache_matches_fresh(grid, n, hidden, seed):
+    rng = np.random.default_rng(seed)
+    field = NeuralVelocityField(grid, hidden=tuple(hidden), seed=seed, output_scale=1.0)
+    lo, hi = grid.bounds_lo, grid.bounds_hi
+    t0, t1 = grid.t0, grid.t1
+    cache = field.new_cache(n)
+    field.forward(rng.uniform(lo - 0.1, hi + 0.1, (n, 3)), rng.uniform(t0, t1), cache=cache)
+    positions = rng.uniform(lo - 0.1, hi + 0.1, (n, 3))
+    t = rng.uniform(t0, t1)
+    out, same = field.forward(positions, t, want_cache=True, cache=cache)
+    assert same is cache
+    fresh_out, fresh = field.forward(positions, t, want_cache=True)
+    np.testing.assert_array_equal(out, fresh_out)
+    upstream = rng.standard_normal((n, 9))
+    grads, g_pos = field.backward(cache, upstream)
+    fresh_grads, fresh_g_pos = field.backward(fresh, upstream)
+    for a, b in zip(grads, fresh_grads):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(g_pos, fresh_g_pos)

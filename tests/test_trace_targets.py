@@ -59,6 +59,12 @@ def test_training_is_traced(tmp_path):
         "fields.neural_backward", "fields.zero_grads", "feature_grid.tv",
     } <= recorded
     assert tracer.counts["fields.grad_buffers_mb"] > 0
+    # every neural forward samples the grid once and every backward reaches
+    # its gradient, so the grid layers' metrics cover the whole fit
+    calls, _ = tracer.self_times()
+    assert calls["feature_grid.lookup"] == calls["fields.neural_forward"] > 0
+    assert calls["feature_grid.lookup_grad"] == calls["fields.neural_backward"] > 0
+    assert tracer.counts["feature_grid.lookup.rows"] == tracer.counts["fields.neural_forward.rows"]
 
 
 @pytest.mark.parametrize("command", ["generate", "simulate", "inject"])

@@ -1,5 +1,8 @@
 """Losses, coherence regularizer, unrolled gradients, Adam, and fit."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -354,6 +357,98 @@ class TestUnrolledGradients:
         assert worst < 1e-4
 
 
+def unequal_segment_plan():
+    """An extrapolation plan whose two segments differ in length: 8 frames,
+    the leading 75 percent supervised, anchors at frames 0 and 2, so the
+    segments span 2 and 3 frame intervals."""
+    scene = cli.generate_scene("vortex", 6, 8, seed=31)
+    cfg = train.TrainingConfig(train_fraction=0.75, hidden=(6,), grid_spatial_resolution=4,
+                               grid_time_resolution=4, grid_channels=2, knn_k=2, steps_per_unit=8)
+    plan = train._build_plan(scene, cfg)
+    lengths = [len(seg.checkpoint_times) for seg in plan.segments]
+    assert lengths == [2, 3]
+    return scene, cfg, plan
+
+
+def segment_steps(seg, steps_per_unit):
+    times = [seg.t_start, *seg.checkpoint_times]
+    return sum(int(np.ceil(abs(b - a) * steps_per_unit)) for a, b in zip(times, times[1:]))
+
+
+class TestTape:
+    """One reusable tape records every segment and the coherence step."""
+
+    def test_reused_tape_matches_fresh_tapes(self):
+        _, cfg, plan = unequal_segment_plan()
+        field = tiny_field(seed=32, n_channels=2, res=4, hidden=(6,))
+        rng = np.random.default_rng(33)
+        tape = train.UnrollCache()
+        for seg in [*plan.segments, *reversed(plan.segments), plan.segments[1]]:
+            ck_grads = [(rng.standard_normal(seg.p_start.shape), rng.standard_normal(seg.p_start.shape), None)
+                        for _ in seg.checkpoint_times]
+            args = (field, seg.p_start, seg.t_start, seg.checkpoint_times, cfg.steps_per_unit)
+            fresh_cks, fresh = train.unroll_segment(*args)
+            reused_cks, reused = train.unroll_segment(*args, tape)
+            assert reused is tape
+            for a, b in zip(fresh_cks, reused_cks):
+                for x, y in zip(a, b):
+                    np.testing.assert_array_equal(x, y)
+            for a, b in zip(train.backward_through_rollout(field, fresh, ck_grads),
+                            train.backward_through_rollout(field, reused, ck_grads)):
+                np.testing.assert_array_equal(a, b)
+
+    def test_reused_tape_epochs_match_fresh_tapes(self):
+        _, cfg, plan = unequal_segment_plan()
+        fields = [tiny_field(seed=34, n_channels=2, res=4, hidden=(6,)) for _ in range(2)]
+        tape = train.UnrollCache()
+        moments = [None, None]
+        for epoch in range(3):
+            fresh_report, fresh = train._epoch_losses_and_grads(fields[0], plan, cfg)
+            reused_report, reused = train._epoch_losses_and_grads(fields[1], plan, cfg, tape=tape)
+            assert fresh_report == reused_report
+            for a, b in zip(fresh, reused):
+                np.testing.assert_array_equal(a, b)
+            for i, (f, g) in enumerate(zip(fields, (fresh, reused))):
+                _, moments[i] = train.adam_step(f.parameters(), g, moments[i], cfg, epoch + 1)
+
+    def test_fit_allocates_the_longest_segment_once(self, monkeypatch):
+        calls = []
+        new_cache = NeuralVelocityField.new_cache
+
+        def counted(self, n):
+            calls.append(n)
+            return new_cache(self, n)
+
+        monkeypatch.setattr(NeuralVelocityField, "new_cache", counted)
+        scene, cfg, plan = unequal_segment_plan()
+        steps = [segment_steps(seg, cfg.steps_per_unit) for seg in plan.segments]
+        assert steps[0] < steps[1]
+        train.fit(scene, replace(cfg, epochs=3))
+        assert calls == [len(scene.cloud)] * (4 * max(steps))
+
+    def test_epoch_peak_memory_is_one_segment_tape(self):
+        scene = cli.generate_scene("vortex", 200, 9, seed=35)
+        cfg = train.TrainingConfig(hidden=(16, 16), grid_spatial_resolution=4, grid_time_resolution=4,
+                                   grid_channels=2, knn_k=4, steps_per_unit=16)
+        plan = train._build_plan(scene, cfg)
+        assert [len(seg.checkpoint_times) for seg in plan.segments] == [4, 4]
+        field = tiny_field(seed=36, n_channels=2, res=4, hidden=(16, 16))
+        seg = plan.segments[0]
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_segment = peak(lambda: train.unroll_segment(field, seg.p_start, seg.t_start, seg.checkpoint_times,
+                                                        cfg.steps_per_unit))
+        epoch = peak(lambda: train._epoch_losses_and_grads(field, plan, cfg))
+        assert epoch < 1.3 * one_segment
+
+
 class TestFit:
     def test_zero_motion_scene(self):
         scene = cli.generate_scene("zero", 6, 5, seed=13)
@@ -465,3 +560,12 @@ class TestConfigValidation:
     def test_bad_variant_rejected(self):
         with pytest.raises(ValueError):
             train.TrainingConfig(coherence_variant="absolute")
+
+    @pytest.mark.parametrize("field, value", [
+        ("frame_stride", 0), ("frame_stride", -1), ("epochs", 0), ("epochs", -3),
+        ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+    ])
+    def test_bad_schedule_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            train.TrainingConfig(**{field: value})
