@@ -6,7 +6,7 @@ through a small vector-field algebra; a CPU rasterizer and PSNR/SSIM metrics
 support evaluation.
 """
 
-from .anchors import Anchor, AnchorSet, anchor_loss, nearest_past_anchor
+from .anchors import Anchor, AnchorSet, nearest_past_anchor
 from .feature_grid import HexPlaneGrid, create_grid, lookup, lookup_grad, tv_loss
 from .fields import (
     AnalyticField,
@@ -20,7 +20,7 @@ from .fields import (
 )
 from .integrate import IntegratorConfig, Trajectory, anchor_aware_rollout, anchored_states, rollout
 from .render import Image, dssim, project, psnr, rasterize, ssim, write_ppm
-from .scene import Bounds, CameraSpec, GaussianCloud, SceneData, knn, load_scene, save_scene
-from .train import FitResult, LossReport, TrainingConfig, coherence_loss, fit, total_loss, trajectory_data_loss
+from .scene import CameraSpec, GaussianCloud, SceneData, knn, load_scene, save_scene
+from .train import FitResult, LossReport, TrainingConfig, coherence_loss, fit, total_loss
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
-"""Waypoint snapshots and the anchor-consistency loss.
+"""Waypoint snapshots and the anchor-consistency deviation.
 
 Anchors store full Gaussian states at fixed times.  Rollouts reinitialize
 from the nearest anchor so integration error cannot accumulate across
-anchors, and training can softly penalize the mismatch between an integrated
-state and the stored snapshot.
+anchors, and training softly penalizes the deviation of an integrated state
+from the stored snapshot (:func:`state_deviation`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import quaternions
 from .scene import GaussianCloud
 
 
@@ -68,49 +67,18 @@ class AnchorSet:
 
 def nearest_past_anchor(anchor_set: AnchorSet, t: float) -> Anchor:
     """Anchor with maximal time <= t; exact matches return that anchor."""
-    best = None
-    for a in anchor_set:
-        if a.time <= t and (best is None or a.time > best.time):
-            best = a
-    if best is None:
+    past = [a for a in anchor_set if a.time <= t]
+    if not past:
         raise ValueError(f"no anchor at or before t={t}")
-    return best
+    return past[-1]
 
 
 def nearest_future_anchor(anchor_set: AnchorSet, t: float) -> Anchor:
     """Anchor with minimal time >= t (for backward queries)."""
-    best = None
-    for a in anchor_set:
-        if a.time >= t and (best is None or a.time < best.time):
-            best = a
-    if best is None:
+    future = [a for a in anchor_set if a.time >= t]
+    if not future:
         raise ValueError(f"no anchor at or after t={t}")
-    return best
-
-
-def anchor_loss(integrated_clouds, anchor_set: AnchorSet) -> float:
-    """Sum over anchors and Gaussians of the squared deviation between the
-    integrated state and the stored snapshot.
-
-    The deviation is the L2 norm over the concatenated (position,
-    rotation-tangent, log_scale) vector; rotation deviation is measured as
-    the log of the relative rotation, which is immune to quaternion sign
-    ambiguity.  ``integrated_clouds`` must align one-to-one with the set.
-    """
-    if len(integrated_clouds) != len(anchor_set):
-        raise ValueError(
-            f"got {len(integrated_clouds)} integrated states for {len(anchor_set)} anchors"
-        )
-    total = 0.0
-    for cloud, anchor in zip(integrated_clouds, anchor_set):
-        stored = anchor.cloud
-        if len(cloud) != len(stored):
-            raise ValueError("integrated cloud size differs from anchor snapshot")
-        dp = cloud.positions - stored.positions
-        dr = quaternions.relative_tangent(cloud.rotations, stored.rotations)
-        ds = cloud.log_scales - stored.log_scales
-        total += state_deviation(dp, dr, ds)
-    return total
+    return future[0]
 
 
 def state_deviation(d_position, d_rotation, d_log_scale) -> float:

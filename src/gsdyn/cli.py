@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -67,17 +68,33 @@ def _config_snapshot(args) -> dict:
     return out
 
 
-def _load_field_spec(path, checkpoint_field=None):
+def _read_spec(path, build):
+    """build(spec) of the JSON spec in the file at path; a bad spec is a
+    usage error that names the file."""
     with open(path) as f:
         spec = json.load(f)
+    try:
+        return build(spec)
+    except fields.FieldError as e:
+        raise UsageError(f"{path}: {e}") from e
 
+
+def _load_field_spec(path, checkpoint_field=None):
     def loader(ckpt_path):
         if ckpt_path == "@checkpoint" and checkpoint_field is not None:
             return checkpoint_field
         field, _, _ = train.load_checkpoint(ckpt_path)
         return field
 
-    return fields.build_field(spec, neural_loader=loader)
+    return _read_spec(path, lambda spec: fields.build_field(spec, neural_loader=loader))
+
+
+def finite(text: str) -> float:
+    """argparse type of --t0, --t1 and --lam: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +246,6 @@ def cmd_simulate(args):
     field, cloud, anchor_set, _ = _resolve_inputs(
         args, make_field, "need --scene for the initial cloud (checkpoint has no anchors)"
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = IntegratorConfig(method=args.method, step_count=_span_steps(args), record_stride=args.record_stride)
     if args.anchored:
         if anchor_set is None or len(anchor_set) == 0:
@@ -241,6 +256,8 @@ def cmd_simulate(args):
     else:
         traj = integrate.rollout(cloud, args.t0, args.t1, config, field)
         times, positions = traj.times, traj.positions
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     export_trajectory_csv(times, positions, out / "trajectory.csv")
     return ["trajectory.csv"]
 
@@ -254,8 +271,7 @@ def cmd_inject(args):
         base = checkpoint_field if checkpoint_field is not None else fields.ZeroField()
         injected = _load_field_spec(args.field, checkpoint_field)
         if args.mask:
-            with open(args.mask) as f:
-                mask = fields.build_mask(json.load(f))
+            mask = _read_spec(args.mask, fields.build_mask)
             return fields.blend_masked(base, fields.compose_add(fields.ZeroField(), injected, args.lam), mask)
         return fields.compose_add(base, injected, args.lam)
 
@@ -425,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--field", default=None, help="JSON field composition spec")
     p.add_argument("--scene", default=None, help="scene providing the initial cloud")
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--t0", type=finite, required=True)
+    p.add_argument("--t1", type=finite, required=True)
     p.add_argument("--anchored", action="store_true", help="reinitialize from stored anchors")
     integrator_flags(p)
     p.set_defaults(func=cmd_simulate)
@@ -436,11 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--field", required=True, help="JSON composition/field spec for the injected dynamics")
     p.add_argument("--mask", default=None, help="JSON mask spec (sphere or box)")
-    p.add_argument("--lam", type=float, default=1.0,
+    p.add_argument("--lam", type=finite, default=1.0,
                    help="weight of the injected field: base + lam * field, or lam * field inside --mask")
     p.add_argument("--scene", default=None)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
+    p.add_argument("--t0", type=finite, default=0.0)
+    p.add_argument("--t1", type=finite, default=1.0)
     p.add_argument("--render-frames", action="store_true")
     integrator_flags(p)
     p.set_defaults(func=cmd_inject)

@@ -5,10 +5,11 @@ sampled bilinearly at a (position, t) query and the per-plane samples are
 concatenated in that fixed order.  Exact gradients of the sampling are
 provided for training.
 
-Sampling is one sparse linear map.  The planes' cells are stacked plane
-after plane into a (cells, C) array F, and a batch of N queries builds a
-CSR matrix S of shape (6N, cells) whose row n*6 + k holds query n's four
-bilinear corner weights on plane k.  The features are S @ F, the plane
+Sampling is one sparse linear map.  A grid stores its planes' cells
+stacked plane after plane as one (cells, C) array F, ``HexPlaneGrid.cells``,
+and a batch of N queries builds a CSR matrix S of shape (6N, cells) whose
+row n*6 + k holds query n's four bilinear corner weights on plane k.  The
+features are S @ F, read from the grid's storage without a copy, the plane
 gradients S^T @ U for an upstream U, and the query gradients come from an
 operator with the same corners whose entries are the weights' derivatives
 along each plane axis.  The corners of a query batch (:class:`Corners`) are
@@ -20,7 +21,7 @@ passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 from typing import NamedTuple
 
 import numpy as np
@@ -33,50 +34,55 @@ _AXES = np.array(PLANE_AXES)
 _AXIS_SELECT = np.eye(4)[_AXES.ravel()]  # (12, 4): one-hot query axis of each plane axis
 
 
-@dataclass
 class HexPlaneGrid:
     """Six feature planes plus the box used to normalize query coordinates.
 
-    planes[k] has shape (rows, cols, channels); every plane shares the same
-    channel count.  Out-of-bounds queries are clamped to the boundary, which
-    gives a defined, smooth continuation for rollouts that leave the trained
-    window.
+    The planes' cells are stacked plane after plane, in PLANE_ORDER, as the
+    rows of one (cells, C) array ``cells``; ``planes[k]`` is a (rows, cols,
+    C) view of plane k's rows, so a write through either changes both.
+    Every plane shares the same channel count.  Out-of-bounds queries are
+    clamped to the boundary, which gives a defined, smooth continuation for
+    rollouts that leave the trained window.
     """
 
-    planes: list  # six (R0, R1, C) arrays
-    bounds_lo: np.ndarray  # (3,)
-    bounds_hi: np.ndarray  # (3,)
-    t0: float = 0.0
-    t1: float = 1.0
-
-    def __post_init__(self):
-        if len(self.planes) != 6:
+    def __init__(self, planes, bounds_lo, bounds_hi, t0: float = 0.0, t1: float = 1.0):
+        if len(planes) != 6:
             raise ValueError("grid needs exactly six planes")
-        channels = {p.shape[2] for p in self.planes}
-        if len(channels) != 1:
+        if len({p.shape[2] for p in planes}) != 1:
             raise ValueError("all planes must share one channel count")
-        for name, p in zip(PLANE_ORDER, self.planes):
+        for name, p in zip(PLANE_ORDER, planes):
             if p.shape[0] < 2 or p.shape[1] < 2:
                 raise ValueError(f"plane {name}: resolution must be at least 2x2")
             if not np.all(np.isfinite(p)):
                 raise ValueError(f"plane {name}: non-finite entries")
+        self.resolution = np.array([p.shape[:2] for p in planes], dtype=np.int32)  # (6, 2)
+        self.cells = np.concatenate([np.reshape(p, (-1, p.shape[2])) for p in planes], dtype=float)
+        self.bounds_lo = np.asarray(bounds_lo, dtype=float)
+        self.bounds_hi = np.asarray(bounds_hi, dtype=float)
+        self.t0, self.t1 = t0, t1
 
     @property
     def channels(self) -> int:
-        return self.planes[0].shape[2]
+        return self.cells.shape[1]
 
     @property
     def feature_size(self) -> int:
         return 6 * self.channels
 
-    def copy(self) -> "HexPlaneGrid":
-        return HexPlaneGrid(
-            planes=[p.copy() for p in self.planes],
-            bounds_lo=self.bounds_lo.copy(),
-            bounds_hi=self.bounds_hi.copy(),
-            t0=self.t0,
-            t1=self.t1,
-        )
+    def planes_of(self, cells) -> list:
+        """The six (rows, cols, C) plane views of a (cells, C) array laid out like ``cells``."""
+        ends = np.cumsum(self.resolution.prod(axis=1))
+        return [cells[e - r0 * r1 : e].reshape(r0, r1, -1) for e, (r0, r1) in zip(ends, self.resolution)]
+
+    @property
+    def planes(self) -> list:
+        return self.planes_of(self.cells)
+
+    def with_cells(self, cells) -> "HexPlaneGrid":
+        """This grid over ``cells``, a (cells, C) array that it keeps as its storage."""
+        grid = copy.copy(self)
+        grid.cells = cells
+        return grid
 
 
 def create_grid(
@@ -128,11 +134,6 @@ def empty_corners(n: int) -> Corners:
     return Corners(np.empty((n, 6, 4), dtype=np.int32), *(np.empty((n, 6)) for _ in range(4)))
 
 
-def _cells(grid: HexPlaneGrid):
-    """The planes' cells stacked plane after plane as one (cells, C) array."""
-    return np.concatenate([p.reshape(-1, grid.channels) for p in grid.planes])
-
-
 def _corners(grid: HexPlaneGrid, positions, t: float, out: Corners = None) -> Corners:
     """The :class:`Corners` of a query batch, written into ``out`` when given."""
     positions = np.asarray(positions, dtype=float)
@@ -140,7 +141,7 @@ def _corners(grid: HexPlaneGrid, positions, t: float, out: Corners = None) -> Co
         raise FloatingPointError("feature grid: non-finite query")
     if out is None:
         out = empty_corners(len(positions))
-    r0, r1 = np.array([p.shape[:2] for p in grid.planes], dtype=np.int32).T
+    r0, r1 = grid.resolution.T
     lo = np.append(grid.bounds_lo, grid.t0)
     span = np.append(grid.bounds_hi, grid.t1) - lo
     u = (np.column_stack([positions, np.full(len(positions), t)]) - lo) / span
@@ -183,63 +184,58 @@ def lookup(grid: HexPlaneGrid, positions, t: float, corners: Corners = None) -> 
     there, for :func:`lookup_grad` to reuse.
     """
     cols, fu, fv, _, _ = _corners(grid, positions, t, corners)
-    cells = _cells(grid)
-    return (_operator(cols, _weights(fu, fv), len(cells)) @ cells).reshape(-1, grid.feature_size)
+    return (_operator(cols, _weights(fu, fv), len(grid.cells)) @ grid.cells).reshape(-1, grid.feature_size)
 
 
 def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream, corners: Corners = None):
     """Exact gradients of :func:`lookup`.
 
-    positions is (N, 3) and upstream (N, 6*C).  Returns
-    (plane_grads, g_position, g_t): plane_grads mirrors grid.planes with
-    nonzero entries only at the <= 4 touched nodes per plane per query;
-    g_position / g_t are the gradients w.r.t. the query.  ``corners`` are
-    the ones :func:`lookup` wrote for this query; they are found again from
-    (positions, t) when None.
+    positions is (N, 3) and upstream (N, 6*C).  Returns (g_cells,
+    g_position, g_t): g_cells is laid out like grid.cells, with nonzero
+    rows only at the <= 4 touched nodes per plane per query
+    (``grid.planes_of`` splits it by plane); g_position / g_t are the
+    gradients w.r.t. the query.  ``corners`` are the ones :func:`lookup`
+    wrote for this query; they are found again from (positions, t) when
+    None.
     """
     cols, fu, fv, ju, jv = _corners(grid, positions, t) if corners is None else corners
-    cells = _cells(grid)
-    n = len(cols)
+    n_cells = len(grid.cells)
     up = np.asarray(upstream, dtype=float).reshape(-1, grid.channels)
-    g_cells = _operator(cols, _weights(fu, fv), len(cells)).T @ up
-    ends = np.cumsum([p.shape[0] * p.shape[1] for p in grid.planes])[:-1]
-    plane_grads = [g.reshape(p.shape) for g, p in zip(np.split(g_cells, ends), grid.planes)]
+    g_cells = _operator(cols, _weights(fu, fv), n_cells).T @ up
 
     # derivatives of the corner weights by the query coordinate along each
     # plane's two axes: one operator row per (query, plane, axis)
     a0, a1 = (1 - fv) * ju, fv * ju
     b0, b1 = (1 - fu) * jv, fu * jv
     d_weights = np.stack([-a0, a0, -a1, a1, -b0, -b1, b0, b1], axis=-1)
-    d_op = _operator(np.concatenate([cols, cols], axis=-1), d_weights, len(cells))
-    g_axis = np.einsum("nac,nc->na", (d_op @ cells).reshape(-1, 2, grid.channels), up)
-    g_query = g_axis.reshape(n, 12) @ _AXIS_SELECT
-    return plane_grads, g_query[:, :3], g_query[:, 3]
+    d_op = _operator(np.concatenate([cols, cols], axis=-1), d_weights, n_cells)
+    g_axis = np.einsum("nac,nc->na", (d_op @ grid.cells).reshape(-1, 2, grid.channels), up)
+    g_query = g_axis.reshape(len(cols), 12) @ _AXIS_SELECT
+    return g_cells, g_query[:, :3], g_query[:, 3]
+
+
+def _tv_differences(grid: HexPlaneGrid):
+    """Per plane: the differences of vertically and horizontally adjacent
+    entries, and their total count."""
+    for plane in grid.planes:
+        dh = plane[1:, :, :] - plane[:-1, :, :]
+        dv = plane[:, 1:, :] - plane[:, :-1, :]
+        yield dh, dv, dh.size + dv.size
 
 
 def tv_loss(grid: HexPlaneGrid) -> float:
     """Total-variation penalty: per plane, the mean of squared differences
     between horizontally and vertically adjacent entries; summed over planes.
     """
-    total = 0.0
-    for plane in grid.planes:
-        dh = plane[1:, :, :] - plane[:-1, :, :]
-        dv = plane[:, 1:, :] - plane[:, :-1, :]
-        count = dh.size + dv.size
-        total += (np.sum(dh**2) + np.sum(dv**2)) / count
-    return float(total)
+    return float(sum((np.sum(dh**2) + np.sum(dv**2)) / count for dh, dv, count in _tv_differences(grid)))
 
 
-def tv_grad(grid: HexPlaneGrid):
-    """Gradient of :func:`tv_loss` w.r.t. every plane entry."""
-    grads = []
-    for plane in grid.planes:
-        g = np.zeros_like(plane)
-        dh = plane[1:, :, :] - plane[:-1, :, :]
-        dv = plane[:, 1:, :] - plane[:, :-1, :]
-        count = dh.size + dv.size
+def tv_grad(grid: HexPlaneGrid) -> np.ndarray:
+    """Gradient of :func:`tv_loss` w.r.t. every plane entry, laid out like grid.cells."""
+    grads = np.zeros_like(grid.cells)
+    for g, (dh, dv, count) in zip(grid.planes_of(grads), _tv_differences(grid)):
         g[1:, :, :] += 2.0 * dh / count
         g[:-1, :, :] -= 2.0 * dh / count
         g[:, 1:, :] += 2.0 * dv / count
         g[:, :-1, :] -= 2.0 * dv / count
-        grads.append(g)
     return grads

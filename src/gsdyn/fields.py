@@ -11,6 +11,7 @@ field.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,6 +122,13 @@ class AnalyticField(VelocityField):
         unknown = set(params) - set(self.params)
         if unknown:
             raise FieldError(f"{kind}: unknown parameters {sorted(unknown)}")
+        for key, value in params.items():
+            try:
+                finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise FieldError(f"{kind}: parameter {key!r} must be numeric and finite, got {value!r}")
         self.params.update(params)
         self.second_order = kind in _SECOND_ORDER_KINDS
         if kind == "gravity_bounce" and not (0.0 < self.params["gamma"] < 1.0):
@@ -263,8 +271,13 @@ class NeuralVelocityField(VelocityField):
 
     Input is feature vector + position + sinusoidal time encoding; output is
     a 9-vector (d_position, d_rotation, d_log_scale).  Strictly first-order:
-    no acceleration channel.  The field owns its feature grid; grid planes
-    are part of the trainable parameters.
+    no acceleration channel.
+
+    Every trainable number lives in one float64 vector ``theta``: W0, b0,
+    W1, b1, ..., then the grid's stacked plane cells.  ``weights``,
+    ``biases`` and the grid's cells are views into it.  The field copies the
+    given grid's cells into ``theta`` and leaves that grid as it was.
+    Gradients are vectors with the same layout, which :meth:`views` splits.
     """
 
     def __init__(
@@ -275,35 +288,45 @@ class NeuralVelocityField(VelocityField):
         seed: int = 0,
         output_scale: float = 0.0,
     ):
-        self.grid = grid
         self.time_frequencies = time_frequencies
         self.input_size = grid.feature_size + 3 + 2 * time_frequencies
         sizes = [self.input_size, *hidden, 9]
+        self._shapes = [s for nin, nout in zip(sizes[:-1], sizes[1:]) for s in ((nin, nout), (nout,))]
+        self._shapes += [(r0, r1, grid.channels) for r0, r1 in grid.resolution]
+        self._ends = np.cumsum([math.prod(s) for s in self._shapes])
+        self.theta = np.zeros(self._ends[-1])
+        groups = self.views(self.theta)
+        n_mlp = 2 * (len(sizes) - 1)  # weight and bias groups
+        self.weights, self.biases = groups[0:n_mlp:2], groups[1:n_mlp:2]
         rng = np.random.default_rng(seed)
-        self.weights = []
-        self.biases = []
         for i, (nin, nout) in enumerate(zip(sizes[:-1], sizes[1:])):
             scale = output_scale if i == len(sizes) - 2 else 1.0
-            self.weights.append(rng.standard_normal((nin, nout)) * scale / np.sqrt(nin))
-            self.biases.append(np.zeros(nout))
+            self.weights[i][:] = rng.standard_normal((nin, nout)) * scale / np.sqrt(nin)
+        cells = self.theta[-grid.cells.size :].reshape(grid.cells.shape)
+        cells[:] = grid.cells
+        self.grid = grid.with_cells(cells)
 
-    # parameter group order: W0, b0, W1, b1, ..., then the six grid planes
+    def views(self, vec):
+        """Views of a vector laid out like ``theta``, one per parameter group
+        in :meth:`parameters` order."""
+        return [vec[e - math.prod(s) : e].reshape(s) for e, s in zip(self._ends, self._shapes)]
+
     def parameters(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        out.extend(self.grid.planes)
-        return out
+        """The parameter groups W0, b0, W1, b1, ..., then the six grid planes:
+        views into ``theta``."""
+        return self.views(self.theta)
 
     def parameter_names(self):
-        names = []
-        for i in range(len(self.weights)):
-            names.extend([f"mlp_w{i}", f"mlp_b{i}"])
-        names.extend(f"plane_{n}" for n in feature_grid.PLANE_ORDER)
-        return names
+        mlp = [f"mlp_{kind}{i}" for i in range(len(self.weights)) for kind in "wb"]
+        return mlp + [f"plane_{n}" for n in feature_grid.PLANE_ORDER]
+
+    def group_of(self, index: int) -> str:
+        """Name of the parameter group that holds ``theta[index]``."""
+        return self.parameter_names()[int(np.searchsorted(self._ends, index, side="right"))]
 
     def zero_grads(self):
-        return [np.zeros_like(p) for p in self.parameters()]
+        """A zero gradient vector, laid out like ``theta``."""
+        return np.zeros_like(self.theta)
 
     def new_cache(self, n: int, corners: feature_grid.Corners = None) -> "ForwardCache":
         """Empty buffers for :meth:`forward` to record a batch of n rows
@@ -352,11 +375,12 @@ class NeuralVelocityField(VelocityField):
     def backward(self, cache, upstream, grads=None):
         """Reverse-mode gradients of :meth:`forward`.
 
-        upstream: (N, 9) gradient on the output.  Returns (grads,
-        g_positions): the parameter gradients, aligned with
-        :meth:`parameters` and summed over the batch, are added into
-        ``grads`` (a fresh :meth:`zero_grads` list when None), so the
+        upstream: (N, 9) gradient on the output.  The parameter gradients,
+        summed over the batch, are added into ``grads`` (a vector laid out
+        like ``theta``; a fresh :meth:`zero_grads` when None), so the
         gradient of a batch sum equals the sum of per-item gradients.
+        Returns (:meth:`views` of grads, aligned with :meth:`parameters`,
+        g_positions).
         """
         activations = cache.activations
         upstream = np.asarray(upstream, dtype=float)
@@ -366,26 +390,26 @@ class NeuralVelocityField(VelocityField):
             )
         if grads is None:
             grads = self.zero_grads()
+        groups = self.views(grads)
         g = upstream
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             h_in = activations[i]
             if i != last:
                 g = g * (1.0 - activations[i + 1] ** 2)  # tanh'
-            grads[2 * i] += h_in.T @ g
-            grads[2 * i + 1] += g.sum(axis=0)
+            groups[2 * i] += h_in.T @ g
+            groups[2 * i + 1] += g.sum(axis=0)
             g = g @ self.weights[i].T
         # split the input gradient: grid features, raw position, time encoding
         c = self.grid.feature_size
         g_feat = g[:, :c]
         g_pos_direct = g[:, c : c + 3]
         positions = activations[0][:, c : c + 3]
-        plane_grads, g_pos_grid, _ = feature_grid.lookup_grad(
+        g_cells, g_pos_grid, _ = feature_grid.lookup_grad(
             self.grid, positions, cache.t, g_feat, corners=cache.corners
         )
-        for acc, pg in zip(grads[2 * len(self.weights) :], plane_grads):
-            acc += pg
-        return grads, g_pos_direct + g_pos_grid
+        grads[-g_cells.size :] += g_cells.ravel()
+        return groups, g_pos_direct + g_pos_grid
 
     def evaluate_batch(self, positions, velocities, t, step_index=0):
         out = self.forward(np.asarray(positions, dtype=float), t)
@@ -523,13 +547,25 @@ def box_mask(lo, hi, edge_width: float = 0.0) -> Callable:
 # Composition-tree parsing (scene/config file blocks)
 
 
+def _check_keys(spec, what: str, *keys):
+    """Raise FieldError unless spec is a JSON object holding every key."""
+    if not isinstance(spec, dict):
+        raise FieldError(f"{what} must be a JSON object, got {type(spec).__name__}")
+    for key in keys:
+        if key not in spec:
+            raise FieldError(f"{what} needs the key {key!r}")
+
+
 def build_mask(spec: dict) -> Callable:
-    shape = spec.get("shape")
+    _check_keys(spec, "mask", "shape")
+    shape = spec["shape"]
     if shape == "sphere":
+        _check_keys(spec, "sphere mask", "center", "radius")
         return sphere_mask(spec["center"], spec["radius"], spec.get("edge_width", 0.0))
     if shape == "box":
+        _check_keys(spec, "box mask", "lo", "hi")
         return box_mask(spec["lo"], spec["hi"], spec.get("edge_width", 0.0))
-    raise FieldError(f"unknown mask shape {spec.get('shape')!r}")
+    raise FieldError(f"unknown mask shape {shape!r}")
 
 
 def build_field(spec: dict, neural_loader: Callable = None) -> VelocityField:
@@ -539,24 +575,29 @@ def build_field(spec: dict, neural_loader: Callable = None) -> VelocityField:
     {"kind": "zero"}, or {"kind": "neural", "checkpoint": path} (resolved via
     neural_loader).  Interior nodes: {"op": "add", "lam": x, "children":
     [base, ext]} or {"op": "blend", "mask": {...}, "children": [base,
-    injected]}.
+    injected]}.  A node that is not an object or lacks a key it needs
+    raises :class:`FieldError` naming the key.
     """
+    _check_keys(spec, "field")
     if "op" in spec:
         children = spec.get("children", [])
-        if len(children) != 2:
+        if not isinstance(children, list) or len(children) != 2:
             raise FieldError(f"composition op {spec['op']!r} needs exactly two children")
         a = build_field(children[0], neural_loader)
         b = build_field(children[1], neural_loader)
         if spec["op"] == "add":
             return compose_add(a, b, spec.get("lam", 1.0))
         if spec["op"] == "blend":
+            _check_keys(spec, "blend", "mask")
             return blend_masked(a, b, build_mask(spec["mask"]))
         raise FieldError(f"unknown composition op {spec['op']!r}")
     kind = spec.get("kind")
     if kind == "zero":
         return ZeroField()
     if kind == "neural":
+        _check_keys(spec, "neural field", "checkpoint")
         if neural_loader is None:
             raise FieldError("neural leaf present but no checkpoint loader provided")
         return neural_loader(spec["checkpoint"])
+    _check_keys(spec.get("params", {}), f"{kind} params")
     return AnalyticField(kind, seed=spec.get("seed", 0), **spec.get("params", {}))

@@ -33,13 +33,6 @@ def multiply(a, b):
     )
 
 
-def conjugate(q):
-    q = np.asarray(q, dtype=float)
-    out = q.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
 def exp_map(v):
     """Map a rotation 3-vector (axis * angle) to a unit quaternion.
 
@@ -58,21 +51,6 @@ def exp_map(v):
     return np.concatenate([w, xyz], axis=-1)
 
 
-def log_map(q):
-    """Map a unit quaternion to its rotation 3-vector (inverse of exp_map)."""
-    q = np.asarray(q, dtype=float)
-    # canonicalize sign so the returned angle is in [0, pi]
-    sign = np.where(q[..., :1] < 0, -1.0, 1.0)
-    q = q * sign
-    w = np.clip(q[..., :1], -1.0, 1.0)
-    s = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
-    angle = 2.0 * np.arctan2(s, w)
-    small = s < 1e-8
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k = np.where(small, 2.0, angle / np.where(s == 0, 1.0, s))
-    return k * q[..., 1:]
-
-
 def to_matrix(q):
     """Rotation matrices (..., 3, 3) of unit quaternions (..., 4)."""
     w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
@@ -84,11 +62,6 @@ def to_matrix(q):
         ],
         axis=-2,
     )
-
-
-def relative_tangent(q, q_ref):
-    """Rotation vector of q relative to q_ref, log(q * q_ref^-1)."""
-    return log_map(multiply(q, conjugate(q_ref)))
 
 
 def apply_increment(q, delta_v):

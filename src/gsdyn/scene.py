@@ -44,23 +44,6 @@ def _vec(x, n, name):
 
 
 @dataclass(frozen=True)
-class Bounds:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def contains(self, positions: np.ndarray) -> bool:
-        return bool(np.all(positions >= self.lo) and np.all(positions <= self.hi))
-
-    @staticmethod
-    def of(positions: np.ndarray, pad: float = 0.0) -> "Bounds":
-        if len(positions) == 0:
-            return Bounds(lo=np.zeros(3), hi=np.zeros(3))
-        lo = positions.min(axis=0) - pad
-        hi = positions.max(axis=0) + pad
-        return Bounds(lo=lo, hi=hi)
-
-
-@dataclass(frozen=True)
 class GaussianCloud:
     """An ordered set of Gaussian primitives at one normalized time in [0, 1].
 
@@ -74,12 +57,6 @@ class GaussianCloud:
     colors: np.ndarray  # (N, 3)
     opacities: np.ndarray  # (N,)
     time: float = 0.0
-    bounds: Bounds = None
-
-    def __post_init__(self):
-        if self.bounds is None or not self.bounds.contains(self.positions):
-            # bounds are recomputed when violated, never silently clipped
-            object.__setattr__(self, "bounds", Bounds.of(self.positions))
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -115,12 +92,7 @@ class GaussianCloud:
         return self
 
     def with_positions(self, positions: np.ndarray, time: float = None) -> "GaussianCloud":
-        return replace(
-            self,
-            positions=np.asarray(positions, dtype=float),
-            time=self.time if time is None else time,
-            bounds=self.bounds,
-        )
+        return self.evolved(positions, time=time)
 
     def evolved(self, positions, rotations=None, log_scales=None, time=None) -> "GaussianCloud":
         return replace(
@@ -129,7 +101,6 @@ class GaussianCloud:
             rotations=self.rotations if rotations is None else np.asarray(rotations, dtype=float),
             log_scales=self.log_scales if log_scales is None else np.asarray(log_scales, dtype=float),
             time=self.time if time is None else time,
-            bounds=self.bounds,
         )
 
 
@@ -185,7 +156,8 @@ def load_scene(path) -> SceneData:
 
     Raises :class:`SceneParseError` on malformed files and
     :class:`SceneValidationError` on invariant violations; both name the
-    offending field and index.
+    offending field and index.  Keys it does not read, such as the
+    ``bounds`` box that older files carry, are ignored.
     """
     try:
         with open(path) as f:
@@ -209,16 +181,6 @@ def load_scene(path) -> SceneData:
             columns[name].append(a)
     arrays = {name: np.array(columns[name], dtype=float).reshape(-1, width) for name, width in _ROW_VECTORS}
 
-    bounds = None
-    if "bounds" in doc:
-        try:
-            bounds = Bounds(
-                lo=np.asarray(doc["bounds"]["lo"], dtype=float),
-                hi=np.asarray(doc["bounds"]["hi"], dtype=float),
-            )
-        except (KeyError, TypeError) as e:
-            raise SceneParseError(f"bounds: {e}") from e
-
     cloud = GaussianCloud(
         positions=arrays["position"],
         rotations=arrays["rotation"],
@@ -226,7 +188,6 @@ def load_scene(path) -> SceneData:
         colors=arrays["color"],
         opacities=np.array(opacities, dtype=float),
         time=float(doc.get("time", 0.0)),
-        bounds=bounds,
     ).validate()
 
     cameras = []
@@ -275,7 +236,6 @@ def save_scene(scene: SceneData, path) -> None:
     """
     cloud = scene.cloud
     doc = {
-        "bounds": {"lo": cloud.bounds.lo.tolist(), "hi": cloud.bounds.hi.tolist()},
         "time": cloud.time,
         "gaussians": [
             {
@@ -288,15 +248,7 @@ def save_scene(scene: SceneData, path) -> None:
             for i in range(len(cloud))
         ],
         "cameras": [
-            {
-                "eye": c.eye.tolist(),
-                "look_at": c.look_at.tolist(),
-                "up": c.up.tolist(),
-                "vertical_fov": c.vertical_fov,
-                "width": c.width,
-                "height": c.height,
-                "near": c.near,
-            }
+            {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in vars(c).items()}
             for c in scene.cameras
         ],
     }

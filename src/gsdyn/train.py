@@ -15,7 +15,9 @@ every epoch; each is reversed before the next is recorded, so only one
 segment's record is alive at a time.  The differentiable state per Gaussian
 is (position, rotation-tangent, log-scale increment); the tangent channels
 accumulate linearly, so the anchor loss in tangent space stays an exact
-quadratic.
+quadratic.  The field's parameters are one vector, ``field.theta``; the
+gradients of an epoch and Adam's two moments are vectors with its layout,
+so an Adam step is a few whole-vector operations.
 """
 
 from __future__ import annotations
@@ -95,43 +97,31 @@ def total_loss(data: float, coherence: float, anchor: float, tv: float, config: 
     return total, LossReport(total=total, data=data, coherence=coherence, anchor=anchor, tv=tv)
 
 
-def trajectory_data_loss(predicted: np.ndarray, ground_truth: np.ndarray) -> float:
-    """Mean squared position error over (frames x Gaussians)."""
-    predicted = np.asarray(predicted, dtype=float)
-    ground_truth = np.asarray(ground_truth, dtype=float)
-    if predicted.shape != ground_truth.shape:
-        raise ValueError(f"frame mismatch: predicted {predicted.shape} vs ground truth {ground_truth.shape}")
-    return float(np.mean(np.sum((predicted - ground_truth) ** 2, axis=-1)))
+def adam_step(field: NeuralVelocityField, grads, moments, config: TrainingConfig, step_index: int):
+    """Standard bias-corrected Adam update of ``field.theta``, in place.
 
-
-def adam_step(params, grads, moments, config: TrainingConfig, step_index: int, names=None):
-    """Standard bias-corrected Adam update, in place.
-
-    moments is (m, v) — lists of arrays shaped like params; pass None on the
-    first call.  names labels the parameter groups in errors.  A non-finite
-    gradient raises :class:`TrainingError` before any parameter changes.
-    Returns (params, moments).
+    grads is a vector laid out like theta, and moments is (m, v), two such
+    vectors; pass None on the first call.  A non-finite gradient raises
+    :class:`TrainingError`, naming its parameter group, before theta
+    changes.  Returns the moments.
     """
+    theta = field.theta
+    if grads.shape != theta.shape:
+        raise ValueError(f"shape mismatch: theta {theta.shape} vs grad {grads.shape}")
+    if not np.all(np.isfinite(grads)):
+        first = np.flatnonzero(~np.isfinite(grads))[0]
+        raise TrainingError(f"non-finite gradient in parameter group {field.group_of(first)}")
     if moments is None:
-        moments = ([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+        moments = (np.zeros_like(theta), np.zeros_like(theta))
     m, v = moments
-    if not (len(params) == len(grads) == len(m) == len(v)):
-        raise ValueError("parameter / gradient group count mismatch")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in parameter group {names[i] if names else i}")
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bc1 = 1.0 - b1**step_index
-    bc2 = 1.0 - b2**step_index
-    for p, g, mi, vi in zip(params, grads, m, v):
-        mi *= b1
-        mi += (1 - b1) * g
-        vi *= b2
-        vi += (1 - b2) * g**2
-        p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + ADAM_EPS)
-    return params, moments
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grads**2
+    bc1 = 1.0 - ADAM_BETA1**step_index
+    bc2 = 1.0 - ADAM_BETA2**step_index
+    theta -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    return moments
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +214,7 @@ def backward_through_rollout(field: NeuralVelocityField, cache: UnrollCache, che
     checkpoint_grads aligns with the cache's checkpoints; each entry is
     (g_position, g_tangent, g_scale) or None.  Returns parameter gradients
     aligned with ``field.parameters()`` (accumulated into ``grads`` when
-    given).
+    given), a vector laid out like ``field.theta``.
     """
     if len(checkpoint_grads) != len(cache.legs):
         raise TrainingError(f"cache holds {len(cache.legs)} checkpoints, got {len(checkpoint_grads)} gradients")
@@ -432,8 +422,7 @@ def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: Tra
 
     tv = feature_grid.tv_loss(field.grid)
     if want_grads and config.lambda_tv > 0:
-        for acc, g in zip(grads[2 * len(field.weights):], feature_grid.tv_grad(field.grid)):
-            acc += config.lambda_tv * g
+        grads[-field.grid.cells.size :] += config.lambda_tv * feature_grid.tv_grad(field.grid).ravel()
 
     total, report = total_loss(data, coherence, anchor_sum, tv, config)
     return report, grads
@@ -465,7 +454,6 @@ def fit(scene: SceneData, config: TrainingConfig = TrainingConfig()) -> FitResul
     field = NeuralVelocityField(grid, hidden=config.hidden, seed=config.seed + 1, output_scale=0.0)
 
     rng = np.random.default_rng(config.seed + 2)
-    params = field.parameters()
     moments = None
     history = []
     tape = UnrollCache()
@@ -474,7 +462,7 @@ def fit(scene: SceneData, config: TrainingConfig = TrainingConfig()) -> FitResul
         if n > COHERENCE_BATCH:
             coh_rows = np.sort(rng.choice(n, size=COHERENCE_BATCH, replace=False))
         report, grads = _epoch_losses_and_grads(field, plan, config, coh_rows, tape=tape)
-        params, moments = adam_step(params, grads, moments, config, epoch + 1, field.parameter_names())
+        moments = adam_step(field, grads, moments, config, epoch + 1)
         history.append(replace(report, epoch=epoch))
 
     anchor_set = AnchorSet()
@@ -513,7 +501,11 @@ def save_checkpoint(path, field: NeuralVelocityField, anchor_set: AnchorSet = No
 
 
 def load_checkpoint(path):
-    """Returns (field, anchor_set or None, meta)."""
+    """Returns (field, anchor_set or None, meta).
+
+    Each named parameter array is copied into its view of ``field.theta``;
+    an array whose shape differs from its view raises ValueError naming it.
+    """
     meta, arrays = arrayio.load_bundle(path)
     if meta.get("kind") != "gsdyn_checkpoint":
         raise ValueError(f"{path}: not a training checkpoint")
@@ -527,23 +519,20 @@ def load_checkpoint(path):
     field = NeuralVelocityField(
         grid, hidden=tuple(meta["hidden"]), time_frequencies=int(meta["time_frequencies"])
     )
-    field.weights = [arrays[f"mlp_w{i}"] for i in range(meta["n_layers"])]
-    field.biases = [arrays[f"mlp_b{i}"] for i in range(meta["n_layers"])]
+    for name, view in zip(field.parameter_names(), field.parameters()):
+        if arrays[name].shape != view.shape:
+            raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {view.shape}")
+        view[...] = arrays[name]
     anchor_set = None
     if meta.get("n_anchors", 0) > 0:
         anchor_set = AnchorSet()
-        template = GaussianCloud(
-            positions=arrays["anchor_positions"][0],
-            rotations=arrays["anchor_rotations"][0],
-            log_scales=arrays["anchor_log_scales"][0],
-            colors=arrays["anchor_colors"],
-            opacities=arrays["anchor_opacities"],
-        )
         for i, t_a in enumerate(meta["anchor_times"]):
-            cloud = template.evolved(
+            cloud = GaussianCloud(
                 positions=arrays["anchor_positions"][i],
                 rotations=arrays["anchor_rotations"][i],
                 log_scales=arrays["anchor_log_scales"][i],
+                colors=arrays["anchor_colors"],
+                opacities=arrays["anchor_opacities"],
                 time=min(max(t_a, 0.0), 1.0),
             )
             anchor_set.insert(cloud, t_a)

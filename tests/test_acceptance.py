@@ -181,7 +181,7 @@ def test_criterion_05_gradient_correctness():
             return r.total
 
         eps = 1e-6
-        for name, p, g in zip(field.parameter_names(), field.parameters(), grads):
+        for name, p, g in zip(field.parameter_names(), field.parameters(), field.views(grads)):
             flat_p, flat_g = p.reshape(-1), g.reshape(-1)
             for idx in rng.choice(flat_p.size, size=min(3, flat_p.size), replace=False):
                 flat_p[idx] += eps

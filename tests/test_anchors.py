@@ -1,13 +1,14 @@
-"""Anchor snapshots, nearest-anchor queries, and the anchor loss."""
+"""Anchor snapshots, nearest-anchor queries, and the anchor term of training."""
 
 import numpy as np
 import pytest
 
 from gsdyn import anchors as anc
 from gsdyn import integrate as itg
-from gsdyn.fields import AnalyticField
-from gsdyn.quaternions import exp_map
-from gsdyn.scene import GaussianCloud
+from gsdyn import train
+from gsdyn.feature_grid import create_grid
+from gsdyn.fields import AnalyticField, NeuralVelocityField
+from gsdyn.scene import GaussianCloud, SceneData
 
 
 def make_cloud(positions, time=0.0):
@@ -88,62 +89,42 @@ class TestNearestAnchor:
 
 
 class TestAnchorLoss:
+    """The anchor term of the training objective, :func:`state_deviation`,
+    summed over the checkpoints that end at an anchor."""
+
     def test_exact_match_zero(self):
-        aset = anc.AnchorSet()
-        cloud = make_cloud([[0.3, 0.4, 0.5]])
-        aset.insert(cloud, 0.0)
-        assert anc.anchor_loss([cloud], aset) == 0.0
+        zero = np.zeros((1, 3))
+        assert anc.state_deviation(zero, zero, zero) == 0.0
 
     def test_single_offset(self):
-        aset = anc.AnchorSet()
-        stored = make_cloud([[0.0, 0.0, 0.0]])
-        aset.insert(stored, 0.0)
-        moved = stored.with_positions(np.array([[1.0, 0.0, 0.0]]))
-        assert anc.anchor_loss([moved], aset) == pytest.approx(1.0)
+        zero = np.zeros((1, 3))
+        assert anc.state_deviation(np.array([[1.0, 0.0, 0.0]]), zero, zero) == pytest.approx(1.0)
 
     def test_two_anchor_sum(self):
-        aset = anc.AnchorSet()
-        stored = make_cloud([[0.0, 0.0, 0.0]])
-        aset.insert(stored, 0.0)
-        aset.insert(stored, 1.0)
-        a = stored.with_positions(np.array([[1.0, 0.0, 0.0]]))
-        b = stored.with_positions(np.array([[0.0, 2.0, 0.0]]))
-        assert anc.anchor_loss([a, b], aset) == pytest.approx(5.0)
-
-    def test_rotation_term_sign_invariant(self):
-        aset = anc.AnchorSet()
-        stored = make_cloud([[0.0, 0.0, 0.0]])
-        aset.insert(stored, 0.0)
-        theta = np.array([0.3, 0.0, 0.0])
-        q = exp_map(theta)
-        rotated = stored.evolved(positions=stored.positions, rotations=q[None, :])
-        flipped = stored.evolved(positions=stored.positions, rotations=-q[None, :])
-        loss_a = anc.anchor_loss([rotated], aset)
-        loss_b = anc.anchor_loss([flipped], aset)
-        assert loss_a == pytest.approx(0.09, abs=1e-12)
-        assert loss_b == pytest.approx(loss_a, abs=1e-12)
+        # a field with a zero output layer stays at each segment's start
+        # anchor; the anchors at t = 0.5 and t = 1 are 1 and 2 away from it
+        frames = np.zeros((5, 2, 3))
+        frames[:, 1] = 0.5
+        frames[2:, 0, 0] = 1.0
+        frames[4, 0, 1] = 2.0
+        scene = SceneData(cloud=make_cloud(frames[0]), trajectory_times=np.linspace(0.0, 1.0, 5),
+                          trajectory_positions=frames)
+        cfg = train.TrainingConfig(hidden=(4,), grid_spatial_resolution=3, grid_time_resolution=3,
+                                   grid_channels=1, knn_k=1, steps_per_unit=4)
+        plan = train._build_plan(scene, cfg)
+        assert plan.anchor_times == [0.0, 0.5, 1.0]
+        grid = create_grid(np.zeros(3), np.ones(3), spatial_resolution=3, time_resolution=3, channels=1)
+        report, _ = train._epoch_losses_and_grads(NeuralVelocityField(grid, hidden=(4,)), plan, cfg,
+                                                  want_grads=False)
+        assert report.anchor == pytest.approx(5.0)
 
     def test_log_scale_term(self):
-        aset = anc.AnchorSet()
-        stored = make_cloud([[0.0, 0.0, 0.0]])
-        aset.insert(stored, 0.0)
-        scaled = stored.evolved(positions=stored.positions,
-                                log_scales=stored.log_scales + [0.1, 0.0, 0.0])
-        assert anc.anchor_loss([scaled], aset) == pytest.approx(0.01)
-
-    def test_count_mismatch_rejected(self):
-        aset = anc.AnchorSet()
-        aset.insert(make_cloud([[0, 0, 0]]), 0.0)
-        with pytest.raises(ValueError, match="anchors"):
-            anc.anchor_loss([], aset)
+        zero = np.zeros((1, 3))
+        assert anc.state_deviation(zero, zero, np.array([[0.1, 0.0, 0.0]])) == pytest.approx(0.01)
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(0)
-        aset = anc.AnchorSet()
-        stored = make_cloud(rng.uniform(0, 1, (5, 3)))
-        aset.insert(stored, 0.0)
-        perturbed = stored.with_positions(stored.positions + rng.normal(0, 0.1, (5, 3)))
-        assert anc.anchor_loss([perturbed], aset) > 0.0
+        assert anc.state_deviation(*rng.normal(0, 0.1, (3, 5, 3))) > 0.0
 
 
 class TestAnchorInterpolationProperty:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gsdyn import cli, feature_grid, integrate, train
+from gsdyn import arrayio, cli, feature_grid, integrate, train
 from gsdyn.anchors import AnchorSet
 from gsdyn.fields import AnalyticField, NeuralVelocityField
 from gsdyn.scene import export_trajectory_csv, import_trajectory_csv, load_scene, save_scene
@@ -98,6 +98,16 @@ class TestGenerate:
         out = tmp_path / "x"
         assert run(["generate", "--kind", "drift", "--params", params, "--out", str(out)]) == cli.EXIT_USAGE
         assert "--params must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,params", [
+        ("drift", '{"delta": "abc"}'), ("drift", '{"delta": [0.1, null, 0]}'), ("spin", '{"omega": Infinity}'),
+    ])
+    def test_non_numeric_param_usage_error(self, tmp_path, capsys, kind, params):
+        out = tmp_path / "x"
+        assert run(["generate", "--kind", kind, "--params", params, "--out", str(out)]) == cli.EXIT_USAGE
+        key = next(iter(json.loads(params)))
+        assert f"{kind}: parameter '{key}' must be numeric and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_flag_removed(self, tmp_path):
@@ -288,6 +298,31 @@ class TestSimulate:
                     "--anchored", "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flag,value", [("--t0", "nan"), ("--t1", "nan"), ("--t1", "inf"), ("--t0", "inf")])
+    def test_nonfinite_time_usage_error(self, drift_scene, tmp_path, capsys, flag, value):
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({"kind": "drift"}))
+        out = tmp_path / "o"
+        times = {"--t0": "0", "--t1": "1", flag: value}
+        with pytest.raises(SystemExit) as exit_info:
+            run(["simulate", "--field", str(spec), "--scene", str(drift_scene / "scene.json"),
+                 *(x for item in times.items() for x in item), "--out", str(out)])
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert f"argument {flag}: expected a finite number, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_array_of_another_shape_names_array(self, drift_scene, tmp_path, capsys):
+        ckpt = anchored_checkpoint(drift_scene, tmp_path / "ck.gsd")
+        meta, arrays = arrayio.load_bundle(ckpt)
+        arrays["mlp_b0"] = arrays["mlp_b0"][:1]
+        arrayio.save_bundle(ckpt, meta, arrays)
+        out = tmp_path / "o"
+        assert run(["simulate", "--checkpoint", str(ckpt), "--t0", "0", "--t1", "1",
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "array 'mlp_b0' has shape (1,), expected (8,)" in err
+        assert not out.exists()
+
     def test_equal_endpoints_usage_error(self, drift_scene, tmp_path):
         spec = tmp_path / "f.json"
         spec.write_text(json.dumps({"kind": "drift"}))
@@ -298,6 +333,35 @@ class TestSimulate:
 
 
 class TestInject:
+    @pytest.mark.parametrize("flag,value", [("--lam", "nan"), ("--lam", "inf"), ("--t0", "inf"), ("--t1", "nan")])
+    def test_nonfinite_value_usage_error(self, drift_scene, tmp_path, capsys, flag, value):
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({"kind": "drift"}))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_info:
+            run(["inject", "--field", str(spec), "--scene", str(drift_scene / "scene.json"), flag, value,
+                 "--out", str(out)])
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert f"argument {flag}: expected a finite number, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,spec,message", [
+        ("mask.json", {"shape": "sphere", "radius": 0.25}, "sphere mask needs the key 'center'"),
+        ("field.json", [{"kind": "drift"}], "field must be a JSON object, got list"),
+        ("field.json", {"kind": "neural"}, "neural field needs the key 'checkpoint'"),
+    ], ids=["sphere-without-center", "field-list", "neural-without-checkpoint"])
+    def test_malformed_spec_names_file_and_key(self, drift_scene, tmp_path, capsys, name, spec, message):
+        files = {"field.json": {"kind": "drift"}, "mask.json": {"shape": "sphere", "center": [0.5] * 3,
+                                                                "radius": 0.25}}
+        files[name] = spec
+        for file_name, content in files.items():
+            (tmp_path / file_name).write_text(json.dumps(content))
+        out = tmp_path / "o"
+        assert run(["inject", "--field", str(tmp_path / "field.json"), "--mask", str(tmp_path / "mask.json"),
+                    "--scene", str(drift_scene / "scene.json"), "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"error: {tmp_path / name}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_mask_matches_base_rollout(self, drift_scene, tmp_path):
         spec = tmp_path / "spin.json"
         spec.write_text(json.dumps({"kind": "spin", "params": {"omega": 3.0}}))

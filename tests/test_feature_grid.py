@@ -86,8 +86,8 @@ class TestLookupGrad:
     def test_node_query_full_gradient_on_single_node(self):
         grid = random_grid(seed=7, res=5, channels=2)
         upstream = np.ones((1, 12))
-        plane_grads, _, _ = fg.lookup_grad(grid, np.array([[0.5, 0.5, 0.5]]), 0.5, upstream)
-        for g in plane_grads:
+        g_cells, _, _ = fg.lookup_grad(grid, np.array([[0.5, 0.5, 0.5]]), 0.5, upstream)
+        for g in grid.planes_of(g_cells):
             nz = np.argwhere(np.any(g != 0, axis=2))
             np.testing.assert_array_equal(nz, [[2, 2]])
             np.testing.assert_allclose(g[2, 2], 1.0)
@@ -95,8 +95,8 @@ class TestLookupGrad:
     def test_cell_center_quarter_weights(self):
         planes = [np.random.default_rng(k).uniform(-1, 1, (2, 2, 1)) for k in range(6)]
         grid = fg.HexPlaneGrid(planes=planes, bounds_lo=np.zeros(3), bounds_hi=np.ones(3))
-        plane_grads, _, _ = fg.lookup_grad(grid, np.array([[0.5, 0.5, 0.5]]), 0.5, np.ones((1, 6)))
-        for g in plane_grads:
+        g_cells, _, _ = fg.lookup_grad(grid, np.array([[0.5, 0.5, 0.5]]), 0.5, np.ones((1, 6)))
+        for g in grid.planes_of(g_cells):
             np.testing.assert_allclose(g[:, :, 0], 0.25)
 
     def test_plane_entries_match_finite_differences(self):
@@ -105,7 +105,7 @@ class TestLookupGrad:
         t = 0.43
         rng = np.random.default_rng(9)
         upstream = rng.uniform(-1, 1, (1, 12))
-        plane_grads, _, _ = fg.lookup_grad(grid, p, t, upstream)
+        plane_grads = grid.planes_of(fg.lookup_grad(grid, p, t, upstream)[0])
         eps = 1e-4
         for k in range(6):
             idx = np.argwhere(plane_grads[k] != 0)
@@ -205,7 +205,7 @@ class TestTvLoss:
 
     def test_tv_grad_matches_finite_differences(self):
         grid = random_grid(seed=16, res=3, channels=1)
-        grads = fg.tv_grad(grid)
+        grads = grid.planes_of(fg.tv_grad(grid))
         eps = 1e-6
         for k in range(6):
             for i in range(3):

@@ -1,6 +1,7 @@
 """Velocity fields: analytic kinds, the neural head, and the composition algebra."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,44 @@ class TestNeuralField:
         with pytest.raises(FieldError, match="cache holds 3 rows"):
             field.forward(np.full((rows, 3), 0.5), 0.5, cache=field.new_cache(3))
 
+    def test_every_parameter_is_a_view_of_theta(self):
+        field = NeuralVelocityField(small_grid(seed=11), hidden=(6, 5), seed=11, output_scale=1.0)
+        views = [*field.parameters(), *field.weights, *field.biases, field.grid.cells, *field.grid.planes]
+        assert all(np.shares_memory(v, field.theta) for v in views)
+        assert sum(p.size for p in field.parameters()) == field.theta.size
+        assert [p.shape for p in field.views(field.zero_grads())] == [p.shape for p in field.parameters()]
+        p = np.random.default_rng(12).uniform(0, 1, (3, 3))
+        before = field.forward(p, 0.4).copy()
+        field.theta[-1] += 1.0  # the last channel of the zt plane's last cell
+        field.theta[field.weights[0].size] += 1.0  # the first entry of b0
+        assert np.all(field.forward(p, 0.4) != before)
+
+    def test_lookup_reads_the_cells_without_a_copy(self):
+        grid = fg.create_grid(np.zeros(3), np.ones(3), seed=13)  # 36,864 cell floats
+        positions = np.full((4, 3), 0.5)
+        fg.lookup(grid, positions, 0.5)
+        tracemalloc.start()
+        try:
+            fg.lookup(grid, positions, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.cells.nbytes / 4
+
+    def test_grid_given_to_a_second_field_leaves_the_first(self):
+        grid = small_grid(seed=14)
+        cells = grid.cells.copy()
+        first = NeuralVelocityField(grid, hidden=(4,), seed=1, output_scale=1.0)
+        p = np.random.default_rng(15).uniform(0, 1, (3, 3))
+        before = first.forward(p, 0.6).copy()
+        second = NeuralVelocityField(grid, hidden=(4,), seed=2, output_scale=1.0)
+        second.theta[:] = 0.5
+        first.forward(p, 0.6)
+        np.testing.assert_array_equal(first.forward(p, 0.6), before)
+        np.testing.assert_array_equal(grid.cells, cells)
+        assert not np.shares_memory(first.theta, second.theta)
+        assert not np.shares_memory(grid.cells, first.theta)
+
     def test_time_encoding_shape(self):
         enc = time_encoding(0.25, frequencies=4)
         assert enc.shape == (8,)
@@ -402,3 +441,26 @@ class TestBuildField:
     def test_bad_mask_shape(self):
         with pytest.raises(FieldError):
             build_mask({"shape": "torus"})
+
+    @pytest.mark.parametrize("build,spec,match", [
+        (build_mask, {"shape": "sphere", "radius": 1.0}, "sphere mask needs the key 'center'"),
+        (build_mask, {"shape": "box", "lo": [0, 0, 0]}, "box mask needs the key 'hi'"),
+        (build_mask, [0.5, 0.5, 0.5], "mask must be a JSON object, got list"),
+        (build_field, [{"kind": "drift"}], "field must be a JSON object, got list"),
+        (build_field, {"kind": "neural"}, "neural field needs the key 'checkpoint'"),
+        (build_field, {"op": "blend", "children": [{"kind": "zero"}, {"kind": "zero"}]},
+         "blend needs the key 'mask'"),
+        (build_field, {"kind": "drift", "params": [1.0]}, "drift params must be a JSON object"),
+    ])
+    def test_malformed_spec_names_the_key(self, build, spec, match):
+        with pytest.raises(FieldError, match=match):
+            build(spec)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("drift", {"delta": "abc"}), ("drift", {"delta": [0.1, None, 0.0]}), ("spin", {"omega": float("inf")}),
+        ("spin", {"center": [0.5, float("nan"), 0.5]}),
+    ])
+    def test_non_numeric_parameter_names_kind_and_key(self, kind, params):
+        key = next(iter(params))
+        with pytest.raises(FieldError, match=f"{kind}: parameter '{key}' must be numeric and finite"):
+            AnalyticField(kind, **params)

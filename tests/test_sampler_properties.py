@@ -108,7 +108,7 @@ def test_lookup_grad_matches_finite_differences(case, seed):
     grid, positions, t, kinds = case
     rng = np.random.default_rng(seed)
     upstream = rng.uniform(-1, 1, (len(positions), grid.feature_size))
-    plane_grads, g_pos, g_t = fg.lookup_grad(grid, positions, t, upstream)
+    g_cells, g_pos, g_t = fg.lookup_grad(grid, positions, t, upstream)
     g_query = np.concatenate([g_pos, g_t[:, None]], axis=1)
 
     def objective(shift):
@@ -133,12 +133,12 @@ def test_lookup_grad_matches_finite_differences(case, seed):
     direction = [rng.uniform(-1, 1, p.shape) for p in grid.planes]
     moved = []
     for sign in (1.0, -1.0):
-        g = grid.copy()
+        g = grid.with_cells(grid.cells.copy())
         for plane, d in zip(g.planes, direction):
             plane += sign * EPS * d
         moved.append(np.sum(upstream * fg.lookup(g, positions, t)))
     fd = (moved[0] - moved[1]) / (2 * EPS)
-    exact = sum(np.sum(pg * d) for pg, d in zip(plane_grads, direction))
+    exact = sum(np.sum(pg * d) for pg, d in zip(grid.planes_of(g_cells), direction))
     np.testing.assert_allclose(exact, fd, rtol=1e-6, atol=1e-6)
 
 
@@ -151,13 +151,14 @@ def test_backward_adds_fresh_result_into_given_buffer(grid, n, hidden, seed):
     positions = rng.uniform(lo - 0.1, hi + 0.1, (n, 3))
     _, cache = field.forward(positions, 0.5 * (grid.t0 + grid.t1), want_cache=True)
     upstream = rng.standard_normal((n, 9))
-    fresh, g_fresh = field.backward(cache, upstream)
-    start = [rng.standard_normal(p.shape) for p in field.parameters()]
-    buf = [s.copy() for s in start]
+    fresh = field.zero_grads()
+    _, g_fresh = field.backward(cache, upstream, grads=fresh)
+    start = rng.standard_normal(field.theta.size)
+    buf = start.copy()
     out, g_pos = field.backward(cache, upstream, grads=buf)
-    assert out is buf
-    for acc, s, f in zip(buf, start, fresh):
-        np.testing.assert_array_equal(acc, s + f)
+    assert [g.shape for g in out] == [p.shape for p in field.parameters()]
+    assert all(np.shares_memory(g, buf) for g in out)
+    np.testing.assert_array_equal(buf, start + fresh)
     np.testing.assert_array_equal(g_pos, g_fresh)
 
 

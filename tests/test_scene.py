@@ -50,6 +50,13 @@ class TestLoadScene:
         assert len(data.cloud) == 1
         assert not hasattr(data, "knn_k")
 
+    def test_bounds_key_ignored(self, tmp_path):
+        # scene files written before the bounds box left the schema still load
+        doc = {"bounds": {"lo": [0.0, 0.0, 0.0], "hi": [0.0, 0.0, 0.0]}, "gaussians": [MINIMAL_GAUSSIAN]}
+        data = sc.load_scene(write_scene_doc(tmp_path, doc))
+        assert len(data.cloud) == 1
+        assert not hasattr(data.cloud, "bounds")
+
     def test_out_of_range_opacity_names_field(self, tmp_path):
         bad = dict(MINIMAL_GAUSSIAN, opacity=1.5)
         path = write_scene_doc(tmp_path, {"gaussians": [bad]})
@@ -131,6 +138,7 @@ class TestRoundTrip:
                             trajectory_positions=traj)
         path = tmp_path / "scene.json"
         sc.save_scene(data, path)
+        assert "bounds" not in json.loads(path.read_text())
         back = sc.load_scene(path)
         np.testing.assert_array_equal(back.cloud.positions, cloud.positions)
         np.testing.assert_array_equal(back.cloud.rotations, cloud.rotations)
@@ -139,13 +147,7 @@ class TestRoundTrip:
         assert back.cloud.time == 0.25
 
 
-class TestBounds:
-    def test_bounds_recomputed_when_violated(self):
-        cloud = make_cloud([[0, 0, 0], [5, 0, 0]])
-        shifted = cloud.with_positions(np.array([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0]]))
-        # positions moved outside the old box; bounds must cover them again
-        assert shifted.bounds.contains(shifted.positions)
-
+class TestEvolution:
     def test_index_identity_under_evolution(self):
         cloud = make_cloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
         evolved = cloud.evolved(positions=cloud.positions + 0.1)

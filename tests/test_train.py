@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gsdyn import cli, feature_grid as fg, integrate as itg, train
+from gsdyn import arrayio, cli, feature_grid as fg, integrate as itg, train
 from gsdyn.fields import AnalyticField, NeuralVelocityField, ZeroField
 from gsdyn.scene import GaussianCloud, SceneData, knn
 
@@ -163,56 +163,83 @@ class TestTotalLoss:
             assert vals[1] == pytest.approx(0.5 * (vals[0] + vals[2]), rel=1e-12)
 
 
+def still_epoch(frames):
+    """Loss report of one epoch, over a scene with the given (F, N, 3)
+    frames, of a field whose zero output layer keeps every segment at its
+    start anchor."""
+    scene = SceneData(cloud=make_cloud(frames[0]), trajectory_times=np.linspace(0.0, 1.0, len(frames)),
+                      trajectory_positions=frames)
+    cfg = train.TrainingConfig(hidden=(4,), grid_spatial_resolution=3, grid_time_resolution=3,
+                               grid_channels=1, knn_k=1, steps_per_unit=4)
+    plan = train._build_plan(scene, cfg)
+    report, _ = train._epoch_losses_and_grads(tiny_field(output_scale=0.0), plan, cfg, want_grads=False)
+    return report, plan
+
+
 class TestTrajectoryDataLoss:
+    """The data term: mean squared position error over supervised frames
+    and Gaussians."""
+
     def test_exact_zero(self):
-        x = np.random.default_rng(5).uniform(0, 1, (3, 4, 3))
-        assert train.trajectory_data_loss(x, x) == 0.0
+        frames = np.tile(np.random.default_rng(5).uniform(0, 1, (1, 4, 3)), (3, 1, 1))
+        assert still_epoch(frames)[0].data == 0.0
 
     def test_single_offset(self):
-        gt = np.zeros((4, 1, 3))
-        pred = gt.copy()
-        pred[2, 0, 2] = 2.0
-        assert train.trajectory_data_loss(pred, gt) == pytest.approx(1.0)
+        frames = np.tile([[[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]], (5, 1, 1))
+        frames[1, 0, 2] += 2.0  # not an anchor frame: anchors are t = 0, 0.5, 1
+        report, plan = still_epoch(frames)
+        assert plan.n_data_frames == 4
+        assert report.data == pytest.approx(4.0 / (4 * 2))
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(6)
-        gt = rng.uniform(0, 1, (3, 5, 3))
-        pred = gt + rng.normal(0, 0.1, gt.shape)
+        frames = rng.uniform(0, 1, (5, 3, 3))
+        report, plan = still_epoch(frames)
         total = 0.0
-        for f in range(3):
-            for g in range(5):
-                total += float(np.sum((pred[f, g] - gt[f, g]) ** 2))
-        assert train.trajectory_data_loss(pred, gt) == pytest.approx(total / 15, rel=1e-12)
+        for seg in plan.segments:
+            for target in seg.data_targets:
+                for g in range(3):
+                    total += float(np.sum((seg.p_start[g] - target[g]) ** 2))
+        assert report.data == pytest.approx(total / (plan.n_data_frames * 3), rel=1e-12)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            train.trajectory_data_loss(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)))
+
+def theta_of(*groups):
+    """A field whose parameter groups start with these values, rest zero."""
+    field = tiny_field()
+    field.theta[:] = 0.0
+    for view, values in zip(field.parameters(), groups):
+        view.reshape(-1)[: len(values)] = values
+    return field
 
 
 class TestAdam:
     def test_zero_grad_keeps_params(self):
         cfg = train.TrainingConfig()
-        params = [np.array([1.0, 2.0])]
-        grads = [np.zeros(2)]
-        params, moments = train.adam_step(params, grads, None, cfg, 1)
-        np.testing.assert_array_equal(params[0], [1.0, 2.0])
+        field = theta_of([1.0, 2.0])
+        before = field.theta.copy()
+        grads = field.zero_grads()
+        moments = train.adam_step(field, grads, None, cfg, 1)
+        np.testing.assert_array_equal(field.theta, before)
         # after a real gradient, a zero-grad step decays the moments by beta1
-        train.adam_step(params, [np.array([1.0, 1.0])], moments, cfg, 2)
-        m_before = moments[0][0].copy()
-        train.adam_step(params, grads, moments, cfg, 3)
-        np.testing.assert_allclose(moments[0][0], train.ADAM_BETA1 * m_before)
+        train.adam_step(field, np.ones_like(grads), moments, cfg, 2)
+        m_before = moments[0].copy()
+        train.adam_step(field, grads, moments, cfg, 3)
+        np.testing.assert_allclose(moments[0], train.ADAM_BETA1 * m_before)
 
     def test_first_step_magnitude(self):
         cfg = train.TrainingConfig(learning_rate=0.01)
-        params = [np.array([0.0])]
-        train.adam_step(params, [np.array([3.0])], None, cfg, 1)
+        field = theta_of()
+        grads = field.zero_grads()
+        grads[0] = 3.0
+        train.adam_step(field, grads, None, cfg, 1)
         # bias correction makes the first update ~ -lr * sign(g)
-        assert params[0][0] == pytest.approx(-0.01, rel=1e-6)
+        assert field.theta[0] == pytest.approx(-0.01, rel=1e-6)
+        np.testing.assert_array_equal(field.theta[1:], 0.0)
 
     def test_three_step_hand_oracle(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         cfg = train.TrainingConfig(learning_rate=lr)
-        params = [np.array([1.0])]
+        field = theta_of([1.0])
         moments = None
         grads_seq = [0.5, -0.2, 0.8]
         # scalar reference computation
@@ -221,20 +248,25 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             x -= lr * (m / (1 - b1**i)) / (np.sqrt(v / (1 - b2**i)) + eps)
-            params, moments = train.adam_step(params, [np.array([g])], moments, cfg, i)
-            assert params[0][0] == pytest.approx(x, rel=1e-12)
+            grads = field.zero_grads()
+            grads[0] = g
+            moments = train.adam_step(field, grads, moments, cfg, i)
+            assert field.theta[0] == pytest.approx(x, rel=1e-12)
 
     def test_shape_mismatch(self):
+        field = tiny_field()
         with pytest.raises(ValueError):
-            train.adam_step([np.zeros(2)], [np.zeros(3)], None, train.TrainingConfig(), 1)
+            train.adam_step(field, np.zeros(field.theta.size + 1), None, train.TrainingConfig(), 1)
 
     def test_nonfinite_gradient_rejected_before_update(self):
-        params = [np.zeros(2), np.ones(3)]
-        grads = [np.ones(2), np.array([np.nan, 0.0, 1.0])]
+        field = tiny_field()
+        before = field.theta.copy()
+        grads = np.ones_like(field.theta)
+        plane_xy = field.parameter_names().index("plane_xy")
+        field.views(grads)[plane_xy][1, 0, 0] = np.nan
         with pytest.raises(train.TrainingError, match="plane_xy"):
-            train.adam_step(params, grads, None, train.TrainingConfig(), 1, ["mlp_w0", "plane_xy"])
-        np.testing.assert_array_equal(params[0], np.zeros(2))
-        np.testing.assert_array_equal(params[1], np.ones(3))
+            train.adam_step(field, grads, None, train.TrainingConfig(), 1)
+        np.testing.assert_array_equal(field.theta, before)
 
 
 class TestUnrolledGradients:
@@ -261,7 +293,7 @@ class TestUnrolledGradients:
         p0 = np.full((2, 3), 0.5)
         target = [p0 + [0.1, 0.0, 0.0]]
         loss, grads = self.loss_and_grads(field, p0, [0.5], target)
-        bias_grad = grads[2 * len(field.weights) - 1]
+        bias_grad = field.views(grads)[2 * len(field.weights) - 1]
         assert np.any(bias_grad[:3] != 0.0)
         eps = 1e-6
         field.biases[-1][0] += eps
@@ -277,7 +309,7 @@ class TestUnrolledGradients:
         params = field.parameters()
         rng = np.random.default_rng(9)
         eps = 1e-6
-        for name, p, g in zip(field.parameter_names(), params, grads):
+        for name, p, g in zip(field.parameter_names(), params, field.views(grads)):
             flat_p = p.reshape(-1)
             flat_g = g.reshape(-1)
             worst = 0.0
@@ -315,8 +347,7 @@ class TestUnrolledGradients:
         g0 = epoch_grads(0.0)
         g1 = epoch_grads(0.1)
         g2 = epoch_grads(0.2)
-        for a, b, c in zip(g0, g1, g2):
-            np.testing.assert_allclose(c - a, 2.0 * (b - a), atol=1e-10)
+        np.testing.assert_allclose(g2 - g0, 2.0 * (g1 - g0), atol=1e-10)
 
     @pytest.mark.parametrize("variant", ["relative", "literal"])
     def test_subsampled_coherence_finite_differences(self, variant):
@@ -344,8 +375,8 @@ class TestUnrolledGradients:
         rng = np.random.default_rng(24)
         eps = 1e-6
         worst = 0.0
-        for p, a, b in zip(field.parameters(), with_coh, without):
-            flat_p, flat_g = p.reshape(-1), (a - b).reshape(-1)
+        for p, g in zip(field.parameters(), field.views(with_coh - without)):
+            flat_p, flat_g = p.reshape(-1), g.reshape(-1)
             for idx in rng.choice(flat_p.size, size=min(3, flat_p.size), replace=False):
                 flat_p[idx] += eps
                 up = coherence()
@@ -393,9 +424,8 @@ class TestTape:
             for a, b in zip(fresh_cks, reused_cks):
                 for x, y in zip(a, b):
                     np.testing.assert_array_equal(x, y)
-            for a, b in zip(train.backward_through_rollout(field, fresh, ck_grads),
-                            train.backward_through_rollout(field, reused, ck_grads)):
-                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(train.backward_through_rollout(field, fresh, ck_grads),
+                                          train.backward_through_rollout(field, reused, ck_grads))
 
     def test_reused_tape_epochs_match_fresh_tapes(self):
         _, cfg, plan = unequal_segment_plan()
@@ -406,10 +436,9 @@ class TestTape:
             fresh_report, fresh = train._epoch_losses_and_grads(fields[0], plan, cfg)
             reused_report, reused = train._epoch_losses_and_grads(fields[1], plan, cfg, tape=tape)
             assert fresh_report == reused_report
-            for a, b in zip(fresh, reused):
-                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(fresh, reused)
             for i, (f, g) in enumerate(zip(fields, (fresh, reused))):
-                _, moments[i] = train.adam_step(f.parameters(), g, moments[i], cfg, epoch + 1)
+                moments[i] = train.adam_step(f, g, moments[i], cfg, epoch + 1)
 
     def test_fit_allocates_the_longest_segment_once(self, monkeypatch):
         calls = []
@@ -463,8 +492,7 @@ class TestFit:
         a = train.fit(scene, small_training_config)
         b = train.fit(scene, small_training_config)
         assert [r.total for r in a.history] == [r.total for r in b.history]
-        for pa, pb in zip(a.field.parameters(), b.field.parameters()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.field.theta, b.field.theta)
 
     def test_one_gradient_buffer_per_epoch(self, monkeypatch):
         calls = []
@@ -546,6 +574,19 @@ class TestCheckpointIo:
         # loaded field evaluates identically
         p = scene.cloud.positions
         np.testing.assert_array_equal(field.forward(p, 0.3), res.field.forward(p, 0.3))
+        # the loaded field writes the same bytes back
+        again = tmp_path / "again.gsd"
+        train.save_checkpoint(again, field, aset, extra_meta={"note": 1})
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_array_of_another_shape_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.gsd"
+        train.save_checkpoint(path, tiny_field())
+        meta, arrays = arrayio.load_bundle(path)
+        arrays["mlp_b0"] = arrays["mlp_b0"][:1]  # a (1,) bias would broadcast into its view
+        arrayio.save_bundle(path, meta, arrays)
+        with pytest.raises(ValueError, match=r"'mlp_b0' has shape \(1,\), expected \(5,\)"):
+            train.load_checkpoint(path)
 
 
 class TestConfigValidation:
