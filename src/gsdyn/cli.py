@@ -43,29 +43,16 @@ class UsageError(Exception):
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, artifacts: list):
-    manifest = {
-        "command": command,
-        "config": config,
-        "out": str(out_dir),
-        "artifacts": sorted(artifacts),
-    }
+    manifest = {"command": command, "config": config, "out": str(out_dir), "artifacts": sorted(artifacts)}
     if "seed" in config:
         manifest["seed"] = config["seed"]
-    path = out_dir / "manifest.json"
-    with open(path, "w") as f:
+    with open(out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, sort_keys=True, indent=1)
         f.write("\n")
-    return path
 
 
 def _config_snapshot(args) -> dict:
-    skip = {"func", "command"}
-    out = {}
-    for k, v in vars(args).items():
-        if k in skip:
-            continue
-        out[k] = str(v) if isinstance(v, Path) else v
-    return out
+    return {k: v for k, v in vars(args).items() if k not in ("func", "command")}
 
 
 def _read_spec(path, build):
@@ -182,8 +169,8 @@ def cmd_train(args):
     with open(out / "loss_history.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["epoch", "total", "data", "coherence", "anchor", "tv"])
-        for r in result.history:
-            w.writerow([r.epoch, repr(r.total), repr(r.data), repr(r.coherence), repr(r.anchor), repr(r.tv)])
+        w.writerows([r.epoch, repr(r.total), repr(r.data), repr(r.coherence), repr(r.anchor), repr(r.tv)]
+                    for r in result.history)
     return ["checkpoint.gsd", "loss_history.csv"], {"supervised_frames": len(result.supervised_times)}
 
 
@@ -300,14 +287,14 @@ def cmd_render(args):
     if not 0 <= args.camera_index < len(data.cameras):
         raise UsageError(f"camera index {args.camera_index} out of range")
     camera = data.cameras[args.camera_index]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     clouds = [data.cloud]
     if args.trajectory:
         _, positions = import_trajectory_csv(args.trajectory)
         if positions.shape[1] != len(data.cloud):
             raise UsageError("trajectory gaussian count does not match the scene")
         clouds = (data.cloud.with_positions(p) for p in positions)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     return _write_frames(out, clouds, camera)
 
 
@@ -331,8 +318,6 @@ def cmd_eval(args):
         raise UsageError("the position metric needs --pred and --gt")
     if image_metrics and not (args.pred_frames and args.gt_frames):
         raise UsageError(f"{', '.join(image_metrics)} need --pred-frames and --gt-frames")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     observed_times = None
     if args.train_manifest:
@@ -367,25 +352,28 @@ def cmd_eval(args):
         if rows and len(rows) != len(pred_frames):
             raise UsageError(f"trajectory has {len(rows)} frames but the frame directories hold {len(pred_frames)}")
         header.extend(image_metrics)
-        fn = {"psnr": render.psnr, "ssim": render.ssim, "dssim": render.dssim}
         for fi, (pf, gf) in enumerate(zip(pred_frames, gt_frames)):
             a = render.read_ppm(pf)
             b = render.read_ppm(gf)
-            vals = [fn[m](a, b) for m in image_metrics]
+            scores = {}
+            if "psnr" in image_metrics:
+                scores["psnr"] = render.psnr(a, b)
+            if "ssim" in image_metrics or "dssim" in image_metrics:  # one SSIM serves both
+                scores["ssim"] = render.ssim(a, b)
+                scores["dssim"] = render.dssim_of(scores["ssim"])
+            vals = [scores[m] for m in image_metrics]
             if "position" in metrics:
                 rows[fi].extend(vals)
             else:
                 rows.append([fi, float(fi), _is_observed(None, None), *vals])
 
+    out = Path(args.out)  # made only once every input has been read and checked
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "metrics.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for r in rows:
-            w.writerow(r)
-        means = ["mean", "", ""] + [
-            repr(float(np.mean([r[j] for r in rows]))) for j in range(3, len(header))
-        ]
-        w.writerow(means)
+        w.writerows(rows)
+        w.writerow(["mean", "", ""] + [repr(float(np.mean([r[j] for r in rows]))) for j in range(3, len(header))])
 
     col = "  ".join(f"{h:>22}" for h in header)
     print(col)

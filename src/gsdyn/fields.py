@@ -108,14 +108,19 @@ class AnalyticField(VelocityField):
     """One of the ten closed-form fields, selected by ``kind``.
 
     Stochastic kinds draw their noise from a counter-based generator keyed
-    by (seed, step index), so evaluation is deterministic and independent of
-    how the cloud is partitioned across workers.  Noise is held constant
-    across the stages of a single integration step.
+    by (seed, step index), so evaluation is deterministic.  The draw is not
+    tied to a Gaussian or to a global time: row i of a batch takes the i-th
+    draw, so it depends on the row's position in the batch, and the step
+    index is the caller's, which restarts at 0 in every rollout (and so in
+    every sub-span of an anchored query).  Noise is held constant across
+    the stages of a single integration step.
     """
 
     def __init__(self, kind: str, seed: int = 0, **params):
         if kind not in ANALYTIC_KINDS:
             raise FieldError(f"unknown analytic field kind {kind!r}")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise FieldError(f"{kind}: 'seed' must be a non-negative integer, got {seed!r}")
         self.kind = kind
         self.seed = int(seed)
         self.params = dict(_DEFAULT_PARAMS[kind])

@@ -4,7 +4,10 @@ Each frame projects the whole cloud in one vectorized pass through a pinhole
 camera, with the affine (Jacobian) approximation for covariance transport as
 in EWA splatting.  The kept Gaussians are sorted front to back by depth, then
 index, and alpha-composited one after another within a 3-sigma pixel
-footprint.  Forward pass only: no gradients flow through rendering.
+footprint whose bounds and coefficients are computed for all of them first.
+Forward pass only: no gradients flow through rendering.  SSIM's 11x11
+Gaussian window is separable: two 11-tap passes, along rows and then
+columns, filter the moment images x, y, x^2, y^2, xy of all channels at once.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quaternions
 from .scene import CameraSpec, GaussianCloud
@@ -108,29 +111,29 @@ def rasterize(cloud: GaussianCloud, camera: CameraSpec, stats: RenderStats = Non
     order = order[~(cloud.opacities[order] <= 0.0)]
     radii = FOOTPRINT_SIGMAS * np.sqrt(np.maximum(np.linalg.eigvalsh(cov2d[order])[:, -1], 0.0))
     inverses = np.linalg.inv(cov2d[order])
-
-    ys = np.arange(h)
-    xs = np.arange(w)
-    for i, radius, inv in zip(order, radii, inverses):
-        mx, my = mean2d[i]
-        x0 = max(int(np.floor(mx - radius)), 0)
-        x1 = min(int(np.ceil(mx + radius)) + 1, w)
-        y0 = max(int(np.floor(my - radius)), 0)
-        y1 = min(int(np.ceil(my + radius)) + 1, h)
-        if x0 >= x1 or y0 >= y1:
-            continue
-        dx = xs[x0:x1] + 0.5 - mx
-        dy = ys[y0:y1] + 0.5 - my
-        qform = (
-            inv[0, 0] * dx[None, :] ** 2
-            + 2.0 * inv[0, 1] * dy[:, None] * dx[None, :]
-            + inv[1, 1] * dy[:, None] ** 2
-        )
-        alpha = np.minimum(float(cloud.opacities[i]) * np.exp(-0.5 * qform), ALPHA_MAX)
+    mean_x, mean_y = mean2d[order].T
+    # pixel bounds [x0, x1) x [y0, y1) of each 3-sigma footprint, clipped to the image
+    bounds = np.stack([
+        np.maximum(np.floor(mean_x - radii), 0.0), np.minimum(np.ceil(mean_x + radii) + 1.0, w),
+        np.maximum(np.floor(mean_y - radii), 0.0), np.minimum(np.ceil(mean_y + radii) + 1.0, h),
+    ], axis=1)
+    hit = (bounds[:, 0] < bounds[:, 1]) & (bounds[:, 2] < bounds[:, 3])
+    # per Gaussian: mean, quadratic-form coefficients (2 * inv01 premultiplied), opacity
+    scalars = np.column_stack([
+        mean_x, mean_y, inverses[:, 0, 0], 2.0 * inverses[:, 0, 1], inverses[:, 1, 1], cloud.opacities[order],
+    ])[hit].tolist()
+    setup = zip(bounds[hit].astype(int).tolist(), scalars, cloud.colors[order[hit]])
+    centres_x = np.arange(w) + 0.5
+    centres_y = np.arange(h) + 0.5
+    for (x0, x1, y0, y1), (mx, my, a, b, c, opacity), color in setup:
+        dx = centres_x[x0:x1] - mx
+        dy = (centres_y[y0:y1] - my)[:, None]
+        qform = a * dx**2 + b * dy * dx + c * dy**2
+        alpha = np.minimum(opacity * np.exp(-0.5 * qform), ALPHA_MAX)
         t_patch = transmittance[y0:y1, x0:x1]
-        weight = t_patch * alpha
-        image[y0:y1, x0:x1] += weight[:, :, None] * cloud.colors[i]
-        transmittance[y0:y1, x0:x1] = t_patch * (1.0 - alpha)
+        patch = image[y0:y1, x0:x1]
+        patch += (t_patch * alpha)[:, :, None] * color
+        t_patch *= 1.0 - alpha
     return Image(pixels=np.clip(image, 0.0, 1.0))
 
 
@@ -158,42 +161,41 @@ SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
 
 
-def _ssim_kernel():
+def _ssim_window() -> np.ndarray:
+    """The normalized 1-D Gaussian taps; their outer product is the 2-D window."""
     r = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
     g = np.exp(-(r**2) / (2.0 * SSIM_SIGMA**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
 def ssim(a: Image, b: Image) -> float:
     """Windowed SSIM (11x11 Gaussian window, sigma 1.5), mean over windows
     and channels; valid windows only."""
     _check_dims(a, b)
-    h, w = a.pixels.shape[:2]
-    if min(h, w) < SSIM_WINDOW:
+    if min(a.pixels.shape[:2]) < SSIM_WINDOW:
         raise ValueError(f"image smaller than the {SSIM_WINDOW}-pixel SSIM window")
-    kernel = _ssim_kernel()
-    vals = []
-    for c in range(3):
-        x = a.pixels[:, :, c]
-        y = b.pixels[:, :, c]
-        mu_x = convolve2d(x, kernel, mode="valid")
-        mu_y = convolve2d(y, kernel, mode="valid")
-        mu_xx = convolve2d(x * x, kernel, mode="valid")
-        mu_yy = convolve2d(y * y, kernel, mode="valid")
-        mu_xy = convolve2d(x * y, kernel, mode="valid")
-        var_x = mu_xx - mu_x**2
-        var_y = mu_yy - mu_y**2
-        cov = mu_xy - mu_x * mu_y
-        s = ((2 * mu_x * mu_y + SSIM_C1) * (2 * cov + SSIM_C2)) / (
-            (mu_x**2 + mu_y**2 + SSIM_C1) * (var_x + var_y + SSIM_C2)
-        )
-        vals.append(s.mean())
-    return float(np.mean(vals))
+    g = _ssim_window()
+    x, y = np.moveaxis(a.pixels, 2, 0), np.moveaxis(b.pixels, 2, 0)  # (3, H, W)
+    moments = np.stack([x, y, x * x, y * y, x * y])
+    for _ in range(2):  # filter along rows, then (axes swapped) along columns
+        moments = np.swapaxes(sliding_window_view(moments, SSIM_WINDOW, axis=-1) @ g, -1, -2)
+    mu_x, mu_y, mu_xx, mu_yy, mu_xy = moments  # (3, H - 10, W - 10) each
+    var_x = mu_xx - mu_x**2
+    var_y = mu_yy - mu_y**2
+    cov = mu_xy - mu_x * mu_y
+    s = ((2 * mu_x * mu_y + SSIM_C1) * (2 * cov + SSIM_C2)) / (
+        (mu_x**2 + mu_y**2 + SSIM_C1) * (var_x + var_y + SSIM_C2)
+    )
+    return float(np.mean(s.mean(axis=(1, 2))))
+
+
+def dssim_of(ssim_value: float) -> float:
+    """Structural dissimilarity (1 - SSIM) / 2 from an SSIM value."""
+    return (1.0 - ssim_value) / 2.0
 
 
 def dssim(a: Image, b: Image) -> float:
-    return (1.0 - ssim(a, b)) / 2.0
+    return dssim_of(ssim(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -235,18 +235,12 @@ def save_scene(scene: SceneData, path) -> None:
     the cloud to better than 1e-12 (bitwise, in practice).
     """
     cloud = scene.cloud
+    keys = [name for name, _ in _ROW_VECTORS] + ["opacity"]
+    rows = zip(*(a.tolist() for a in (cloud.positions, cloud.rotations, cloud.log_scales, cloud.colors,
+                                       cloud.opacities)))
     doc = {
         "time": cloud.time,
-        "gaussians": [
-            {
-                "position": cloud.positions[i].tolist(),
-                "rotation": cloud.rotations[i].tolist(),
-                "log_scale": cloud.log_scales[i].tolist(),
-                "color": cloud.colors[i].tolist(),
-                "opacity": float(cloud.opacities[i]),
-            }
-            for i in range(len(cloud))
-        ],
+        "gaussians": [dict(zip(keys, row)) for row in rows],
         "cameras": [
             {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in vars(c).items()}
             for c in scene.cameras
@@ -281,16 +275,19 @@ def knn(cloud: GaussianCloud, k: int) -> np.ndarray:
 
 
 def export_trajectory_csv(times, positions, path) -> None:
-    """Write a trajectory as CSV rows (frame_index, time, gaussian_index, x, y, z)."""
+    """Write a trajectory as CSV rows (frame_index, time, gaussian_index, x, y, z).
+
+    Floats are written with ``repr``, so a read returns the same bits; lines
+    end with ``\\r\\n`` as ``csv.writer`` ends them.
+    """
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
+    lines = ["frame_index,time,gaussian_index,x,y,z"]
+    for fi, (t, frame) in enumerate(zip(times.tolist(), positions.tolist())):
+        lines.extend(f"{fi},{t!r},{gi},{x!r},{y!r},{z!r}" for gi, (x, y, z) in enumerate(frame))
+    lines.append("")
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["frame_index", "time", "gaussian_index", "x", "y", "z"])
-        for fi in range(positions.shape[0]):
-            for gi in range(positions.shape[1]):
-                x, y, z = positions[fi, gi]
-                w.writerow([fi, repr(float(times[fi])), gi, repr(float(x)), repr(float(y)), repr(float(z))])
+        f.write("\r\n".join(lines))
 
 
 def import_trajectory_csv(path):
@@ -303,14 +300,14 @@ def import_trajectory_csv(path):
         for row in r:
             if len(row) < 6:
                 raise SceneParseError(f"{path}, line {r.line_num}: expected 6 columns, got {len(row)}")
-            rows.append((int(row[0]), float(row[1]), int(row[2]), float(row[3]), float(row[4]), float(row[5])))
+            rows.append(row)
     if not rows:
         raise SceneParseError(f"empty trajectory CSV {path}")
-    n_frames = max(r[0] for r in rows) + 1
-    n_gauss = max(r[2] for r in rows) + 1
-    times = np.zeros(n_frames)
-    positions = np.zeros((n_frames, n_gauss, 3))
-    for fi, t, gi, x, y, z in rows:
-        times[fi] = t
-        positions[fi, gi] = (x, y, z)
+    # numpy converts each str with Python's int() and float(): same values, same errors
+    columns = list(zip(*rows))
+    fi, gi = np.array(columns[0], dtype=int), np.array(columns[2], dtype=int)
+    times = np.zeros(fi.max() + 1)
+    positions = np.zeros((fi.max() + 1, gi.max() + 1, 3))
+    times[fi] = np.array(columns[1], dtype=float)
+    positions[fi, gi] = np.array(columns[3:6], dtype=float).T
     return times, positions

@@ -504,11 +504,18 @@ def load_checkpoint(path):
     """Returns (field, anchor_set or None, meta).
 
     Each named parameter array is copied into its view of ``field.theta``;
-    an array whose shape differs from its view raises ValueError naming it.
+    an array that is missing, or whose shape differs from its view, raises
+    ValueError naming it.
     """
-    meta, arrays = arrayio.load_bundle(path)
+    meta, bundle = arrayio.load_bundle(path)
     if meta.get("kind") != "gsdyn_checkpoint":
         raise ValueError(f"{path}: not a training checkpoint")
+
+    class Arrays(dict):
+        def __missing__(self, name):
+            raise ValueError(f"{path}: checkpoint has no array {name!r}")
+
+    arrays = Arrays(bundle)
     grid = feature_grid.HexPlaneGrid(
         planes=[arrays[f"plane_{n}"] for n in feature_grid.PLANE_ORDER],
         bounds_lo=arrays["bounds_lo"],

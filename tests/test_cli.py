@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gsdyn import arrayio, cli, feature_grid, integrate, train
+from gsdyn import arrayio, cli, feature_grid, integrate, render, train
 from gsdyn.anchors import AnchorSet
 from gsdyn.fields import AnalyticField, NeuralVelocityField
 from gsdyn.scene import export_trajectory_csv, import_trajectory_csv, load_scene, save_scene
@@ -323,6 +323,27 @@ class TestSimulate:
         assert str(ckpt) in err and "array 'mlp_b0' has shape (1,), expected (8,)" in err
         assert not out.exists()
 
+    def test_checkpoint_missing_array_names_array(self, drift_scene, tmp_path, capsys):
+        ckpt = anchored_checkpoint(drift_scene, tmp_path / "ck.gsd")
+        meta, arrays = arrayio.load_bundle(ckpt)
+        del arrays["mlp_w1"]
+        arrayio.save_bundle(ckpt, meta, arrays)
+        out = tmp_path / "o"
+        assert run(["simulate", "--checkpoint", str(ckpt), "--t0", "0", "--t1", "1",
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: checkpoint has no array 'mlp_w1'" in err
+        assert not out.exists()
+
+    def test_field_seed_not_an_integer_usage_error(self, drift_scene, tmp_path, capsys):
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({"kind": "drift", "seed": [1]}))
+        out = tmp_path / "o"
+        assert run(["simulate", "--field", str(spec), "--scene", str(drift_scene / "scene.json"),
+                    "--t0", "0", "--t1", "1", "--out", str(out)]) == cli.EXIT_USAGE
+        assert "'seed' must be a non-negative integer, got [1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_equal_endpoints_usage_error(self, drift_scene, tmp_path):
         spec = tmp_path / "f.json"
         spec.write_text(json.dumps({"kind": "drift"}))
@@ -465,6 +486,15 @@ class TestRenderCommand:
                     "--out", str(tmp_path / "r")]) == cli.EXIT_USAGE
         assert f"{traj}, line 4: expected 6 columns, got 4" in capsys.readouterr().err
 
+    def test_bad_trajectory_leaves_no_output(self, drift_scene, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("not,a,trajectory\n")
+        out = tmp_path / "r"
+        assert run(["render", "--scene", str(drift_scene / "scene.json"), "--trajectory", str(bad),
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        assert "unexpected trajectory CSV header" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_camera_index(self, drift_scene, tmp_path):
         assert run(["render", "--scene", str(drift_scene / "scene.json"),
                     "--camera-index", "5", "--out", str(tmp_path / "r")]) == cli.EXIT_USAGE
@@ -505,6 +535,29 @@ class TestEval:
         assert run(argv) == cli.EXIT_USAGE
         assert "need" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_prediction_leaves_no_output(self, drift_scene, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("not,a,trajectory\n")
+        out = tmp_path / "ev"
+        assert run(["eval", "--pred", str(bad), "--gt", str(drift_scene / "scene.json"),
+                    "--metrics", "position", "--out", str(out)]) == cli.EXIT_USAGE
+        assert "unexpected trajectory CSV header" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ssim_once_per_frame_pair(self, drift_scene, tmp_path, monkeypatch):
+        frames = tmp_path / "frames"
+        assert run(["render", "--scene", str(drift_scene / "scene.json"), "--trajectory",
+                    str(drift_scene / "trajectory.csv"), "--out", str(frames)]) == cli.EXIT_OK
+        calls = []
+        ssim = render.ssim
+        monkeypatch.setattr(render, "ssim", lambda a, b: calls.append(1) or ssim(a, b))
+        out = tmp_path / "ev"
+        assert run(["eval", "--pred-frames", str(frames), "--gt-frames", str(frames),
+                    "--metrics", "ssim,dssim", "--out", str(out)]) == cli.EXIT_OK
+        assert len(calls) == 8
+        rows = [r.split(",") for r in (out / "metrics.csv").read_text().splitlines()[1:-1]]
+        assert all(float(r[3]) == 1.0 and float(r[4]) == 0.0 for r in rows)
 
     def test_lpips_refused(self, drift_scene, tmp_path):
         code = run(["eval", "--pred", str(drift_scene / "trajectory.csv"),

@@ -464,3 +464,8 @@ class TestBuildField:
         key = next(iter(params))
         with pytest.raises(FieldError, match=f"{kind}: parameter '{key}' must be numeric and finite"):
             AnalyticField(kind, **params)
+
+    @pytest.mark.parametrize("seed", [[1], "1", 1.5, True, None, -1])
+    def test_seed_not_an_integer_names_the_key(self, seed):
+        with pytest.raises(FieldError, match="drift: 'seed' must be a non-negative integer"):
+            build_field({"kind": "drift", "seed": seed})

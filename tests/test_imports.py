@@ -1,6 +1,10 @@
-"""Every name a gsdyn module imports is used by that module."""
+"""Every name a gsdyn module imports is used by that module, and importing
+the CLI stays light."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,10 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(gsdyn.__file__).resolve().parents[1]))
+    code = "import sys, gsdyn.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

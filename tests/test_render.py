@@ -269,6 +269,36 @@ class TestSsim:
         with pytest.raises(ValueError, match="window"):
             render.ssim(gray(0.5, 8, 8), gray(0.5, 8, 8))
 
+    @staticmethod
+    def reference_ssim(a, b):
+        """SSIM by an explicit loop over every valid 11x11 window of each channel."""
+        r = np.arange(11) - 5.0
+        g = np.exp(-(r**2) / (2.0 * 1.5**2))
+        k = np.outer(g, g)
+        k /= k.sum()
+        c1, c2 = 0.01**2, 0.03**2
+        h, w = a.shape[:2]
+        per_channel = []
+        for c in range(3):
+            vals = []
+            for i in range(h - 10):
+                for j in range(w - 10):
+                    x, y = a[i:i + 11, j:j + 11, c], b[i:i + 11, j:j + 11, c]
+                    mx, my = np.sum(k * x), np.sum(k * y)
+                    vx, vy = np.sum(k * x * x) - mx**2, np.sum(k * y * y) - my**2
+                    cov = np.sum(k * x * y) - mx * my
+                    vals.append((2 * mx * my + c1) * (2 * cov + c2) / ((mx**2 + my**2 + c1) * (vx + vy + c2)))
+            per_channel.append(np.mean(vals))
+        return float(np.mean(per_channel))
+
+    @pytest.mark.parametrize("shape", [(17, 23, 3), (29, 12, 3), (11, 11, 3)])
+    def test_matches_windowed_reference(self, shape):
+        rng = np.random.default_rng(shape[0])
+        a = rng.uniform(0, 1, shape)
+        b = np.clip(a + rng.normal(0.0, 0.2, shape), 0.0, 1.0)
+        assert abs(render.ssim(render.Image(a), render.Image(b)) - self.reference_ssim(a, b)) < 1e-12
+        assert render.ssim(render.Image(a), render.Image(a)) == 1.0
+
     def test_dssim_definition(self):
         rng = np.random.default_rng(5)
         a = render.Image(pixels=rng.uniform(0, 1, (16, 16, 3)))

@@ -1,5 +1,7 @@
 """Scene types, neighbor queries, and file round trips."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -206,6 +208,22 @@ class TestTrajectoryCsv:
         t2, p2 = sc.import_trajectory_csv(path)
         np.testing.assert_array_equal(t2, times)
         np.testing.assert_array_equal(p2, positions)
+
+    def test_bytes_match_csv_writer_on_edge_values(self, tmp_path):
+        edges = [-0.0, 5e-324, 1e-07, 1e16, 0.1]
+        times = np.array([0.0, 1e-07, 0.1])
+        positions = np.array(edges * 3 + edges[:3], dtype=float).reshape(3, 2, 3)
+        path = tmp_path / "traj.csv"
+        sc.export_trajectory_csv(times, positions, path)
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(["frame_index", "time", "gaussian_index", "x", "y", "z"])
+        for fi in range(3):
+            for gi in range(2):
+                w.writerow([fi, repr(float(times[fi])), gi, *(repr(float(v)) for v in positions[fi, gi])])
+        assert path.read_bytes() == expected.getvalue().encode()
+        t2, p2 = sc.import_trajectory_csv(path)
+        assert t2.tobytes() == times.tobytes() and p2.tobytes() == positions.tobytes()
 
     def test_short_row_names_path_and_line(self, tmp_path):
         path = tmp_path / "traj.csv"
