@@ -216,13 +216,12 @@ def _span_steps(args) -> int:
     """Integration steps over [t0, t1]: --steps is per unit time."""
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    return max(1, round(abs(args.t1 - args.t0) * args.steps))
+    if args.t0 == args.t1:
+        raise UsageError("t0 and t1 must differ")
+    return integrate.span_steps(args.t1 - args.t0, args.steps)
 
 
 def cmd_simulate(args):
-    if args.t0 == args.t1:
-        raise UsageError("t0 and t1 must differ")
-
     def make_field(checkpoint_field):
         if args.field:
             return _load_field_spec(args.field, checkpoint_field)
@@ -323,6 +322,8 @@ def cmd_eval(args):
     if args.train_manifest:
         with open(args.train_manifest) as f:
             tm = json.load(f)
+        if not isinstance(tm, dict) or not isinstance(tm.get("out"), str):
+            raise UsageError(f"{args.train_manifest}: a training manifest is a JSON object with a string 'out' key")
         ckpt = Path(tm["out"]) / "checkpoint.gsd"
         if ckpt.exists():
             _, _, meta = train.load_checkpoint(ckpt)

@@ -49,7 +49,7 @@ _TABLEAUS = {"euler": ((0.0,), (1.0,)), "rk4": (RK4_NODES, RK4_WEIGHTS)}  # meth
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4"  # "euler" or "rk4"
-    step_count: int = 100  # rollout: steps over [t0, t1]; anchored queries: steps per unit time
+    step_count: int = 100  # rollout: steps over [t0, t1]; anchored queries: steps per unit time (span_steps)
     record_stride: int = 1
 
     def __post_init__(self):
@@ -59,6 +59,12 @@ class IntegratorConfig:
             raise ValueError("step_count must be >= 1")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+
+
+def span_steps(span: float, steps_per_unit) -> int:
+    """Steps over a time span: max(1, round(|span| * steps_per_unit)), 0 for
+    a zero span.  The one step rule of training, rollouts and anchored queries."""
+    return max(1, round(abs(span) * steps_per_unit)) if span else 0
 
 
 def record_times(t0: float, t1: float, config: IntegratorConfig):
@@ -226,7 +232,7 @@ def anchored_states(
     never crosses an intervening anchor, so the effective integration
     horizon stays short.  The times that share an anchor and a direction
     are integrated in one pass away from the anchor, each sub-span between
-    consecutive times taking max(1, round(|span| * step_count)) steps.
+    consecutive times taking :func:`span_steps` steps at step_count per unit.
     Returns one cloud per time, in the order given.
     """
     if len(anchor_set) == 0:
@@ -247,7 +253,7 @@ def anchored_states(
             group = (anchor.time, t < anchor.time)
             cloud, velocities, t_prev = anchor.cloud, anchor.velocities, anchor.time
         if t != t_prev:
-            steps = max(1, round(abs(t - t_prev) * config.step_count))
+            steps = span_steps(t - t_prev, config.step_count)
             cfg = IntegratorConfig(method=config.method, step_count=steps, record_stride=steps)
             traj = rollout(cloud, t_prev, t, cfg, field, velocities=velocities)
             cloud = traj.cloud_at(len(traj) - 1)

@@ -291,7 +291,8 @@ def export_trajectory_csv(times, positions, path) -> None:
 
 
 def import_trajectory_csv(path):
-    """Read a trajectory CSV written by :func:`export_trajectory_csv`; returns (times (F,), positions (F, N, 3))."""
+    """Read a trajectory CSV written by :func:`export_trajectory_csv`, one row per (frame, Gaussian) pair;
+    returns (times (F,), positions (F, N, 3))."""
     with open(path, newline="") as f:
         r = csv.reader(f)
         if next(r, [])[:3] != ["frame_index", "time", "gaussian_index"]:
@@ -306,8 +307,14 @@ def import_trajectory_csv(path):
     # numpy converts each str with Python's int() and float(): same values, same errors
     columns = list(zip(*rows))
     fi, gi = np.array(columns[0], dtype=int), np.array(columns[2], dtype=int)
-    times = np.zeros(fi.max() + 1)
-    positions = np.zeros((fi.max() + 1, gi.max() + 1, 3))
+    n_frames, n_gaussians = int(fi.max()) + 1, int(gi.max()) + 1
+    # the row count is checked first, so a stray huge index cannot size the bincount
+    if (min(fi.min(), gi.min()) < 0 or len(rows) != n_frames * n_gaussians
+            or np.any(np.bincount(fi * n_gaussians + gi) != 1)):
+        raise SceneParseError(f"{path}: need one row for each of {n_frames} frames x {n_gaussians} gaussians; "
+                              f"an index is negative, or a pair is missing or repeated")
+    times = np.zeros(n_frames)
+    positions = np.zeros((n_frames, n_gaussians, 3))
     times[fi] = np.array(columns[1], dtype=float)
     positions[fi, gi] = np.array(columns[3:6], dtype=float).T
     return times, positions

@@ -6,18 +6,22 @@ rasterizer is evaluation-only).  The total objective is
     total = data + lambda_coh * coherence + lambda_anchor * anchor + lambda_tv * tv
 
 Gradients are exact reverse-mode derivatives of the discrete computation
-graph: every RK4 stage of every step is recorded on a tape on the forward
-pass and replayed backward (discretize-then-differentiate, no adjoint ODE).
-A stage's record is the MLP's activations and the feature grid's bilinear
-corners.  :func:`fit` keeps one tape of such stage buffers, as long as its
-longest segment, and refills it for every segment, the coherence step and
-every epoch; each is reversed before the next is recorded, so only one
-segment's record is alive at a time.  The differentiable state per Gaussian
-is (position, rotation-tangent, log-scale increment); the tangent channels
-accumulate linearly, so the anchor loss in tangent space stays an exact
-quadratic.  The field's parameters are one vector, ``field.theta``; the
-gradients of an epoch and Adam's two moments are vectors with its layout,
-so an Adam step is a few whole-vector operations.
+graph (discretize-then-differentiate, no adjoint ODE).  The training plan
+cuts each segment into legs, one per supervised frame: (start time, step
+count, step size) triples whose count comes from :func:`integrate.span_steps`,
+the step rule of rollouts and anchored queries too.  The coherence term is a
+one-step leg of COHERENCE_STEP from the canonical cloud.
+:func:`unroll_segment` records every RK4 stage of its legs (the MLP's
+activations and the feature grid's bilinear corners) on a tape that
+:func:`backward_through_rollout` replays in reverse.  :func:`fit` refills one
+tape, as long as its longest segment, for every segment, the coherence leg
+and every epoch, so only one segment's record is alive at a time.  The
+differentiable state per Gaussian is (position, rotation-tangent, log-scale
+increment); the tangent channels accumulate linearly, so the anchor loss in
+tangent space stays an exact quadratic.  The field's parameters are one
+vector, ``field.theta``; the gradients of an epoch and Adam's two moments
+are vectors with its layout, so an Adam step is a few whole-vector
+operations.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from . import arrayio, feature_grid
 from .anchors import AnchorSet, state_deviation
 from .fields import NeuralVelocityField, VelocityField
-from .integrate import RK4_NODES, RK4_WEIGHTS, rk4_increments
+from .integrate import RK4_NODES, RK4_WEIGHTS, rk4_increments, span_steps
 from .scene import GaussianCloud, SceneData, knn
 
 COHERENCE_EPS = 1e-8  # the unspecified denominator epsilon
@@ -57,7 +61,7 @@ class TrainingConfig:
     knn_k: int = 8
     coherence_variant: str = "relative"  # "literal" or "relative"
     seed: int = 0
-    steps_per_unit: int = 32  # training-time integration resolution
+    steps_per_unit: int = 32  # steps per unit time of every leg (integrate.span_steps)
     hidden: tuple = (64, 64)
     grid_spatial_resolution: int = 32
     grid_time_resolution: int = 16
@@ -72,6 +76,8 @@ class TrainingConfig:
             raise ValueError("frame_stride must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.steps_per_unit < 1:
+            raise ValueError("steps_per_unit must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
         if self.coherence_variant not in ("literal", "relative"):
@@ -146,15 +152,14 @@ def _backward_rk4_step(field: NeuralVelocityField, caches, h, g_p, g_theta, g_sc
 
 
 class UnrollCache:
-    """Forward tape of an unrolled integration segment.
+    """Forward tape of unrolled legs: a segment's, or the coherence leg.
 
     ``stages`` holds one ``NeuralVelocityField.new_cache`` per RK4 stage,
-    in step order; ``legs[k]`` is the (step count, step size) from
-    checkpoint k - 1 (or the segment start) to checkpoint k, (0, 0.0) for a
-    zero span.  A tape passed back to :func:`unroll_segment` is refilled in
-    place from its first stage and grows only when a segment has more
-    stages than it holds, so one tape serves every segment and epoch of a
-    fit and only one segment's record is alive at a time.
+    in step order; ``legs`` are the (start time, step count, step size)
+    triples last unrolled, one per checkpoint.  A tape passed back to
+    :func:`unroll_segment` is refilled in place from its first stage and
+    grows only when the legs take more stages than it holds, so one tape
+    serves every segment, the coherence leg and every epoch of a fit.
     """
 
     def __init__(self):
@@ -162,49 +167,47 @@ class UnrollCache:
         self.legs = []
         self.n_gaussians = 0
 
-    def step_stages(self, field: NeuralVelocityField, first: int):
-        """The four stages of the RK4 step that starts at stage ``first``,
-        allocating those the tape lacks."""
-        stop = first + len(RK4_NODES)
-        while len(self.stages) < stop:
-            self.stages.append(field.new_cache(self.n_gaussians))
-        return self.stages[first:stop]
+
+def legs_between(times, steps_per_unit):
+    """The (start time, step count, step size) leg from each of ``times`` to
+    the next, its count from :func:`integrate.span_steps`."""
+    legs = []
+    for a, b in zip(times, times[1:]):
+        n_steps = span_steps(b - a, steps_per_unit)
+        legs.append((a, n_steps, (b - a) / max(1, n_steps)))
+    return legs
 
 
-def unroll_segment(field: NeuralVelocityField, p0, t_start, checkpoint_times, steps_per_unit, tape=None):
-    """Integrate positions from (p0, t_start) through the checkpoint times.
+def unroll_segment(field: NeuralVelocityField, p0, legs, tape=None):
+    """Integrate positions from p0 along ``legs``, (start time, step count,
+    step size) triples with a checkpoint at the end of each.
 
-    Step sizes are uniform within each sub-span, ceil(|span| * steps_per_unit)
-    steps per sub-span.  Returns (checkpoints, cache) where checkpoints is a
-    list of (positions, rotation-tangents, scale-increments) at each
-    checkpoint time; tangents/increments are relative to the segment start.
-    cache is ``tape`` (an :class:`UnrollCache`) refilled, or a new one when
-    None.
+    Returns (checkpoints, cache) where checkpoints is a list of (positions,
+    rotation-tangents, scale-increments) at each checkpoint; tangents and
+    increments are relative to p0.  cache is ``tape`` (an
+    :class:`UnrollCache`) refilled, or a new one when None.
     """
     p = np.asarray(p0, dtype=float)
     n = p.shape[0]
     cache = UnrollCache() if tape is None else tape
     if cache.n_gaussians != n:
         cache.stages, cache.n_gaussians = [], n
-    cache.legs = []
+    cache.legs = legs
     theta = np.zeros((n, 3))
     scale = np.zeros((n, 3))
-    t = t_start
     first = 0
     checkpoints = []
-    for t_ck in checkpoint_times:
-        span = t_ck - t
-        n_steps = max(1, math.ceil(abs(span) * steps_per_unit)) if span else 0
-        h = span / max(1, n_steps)
+    for t0, n_steps, h in legs:
         for s in range(n_steps):
-            dp, dtheta, dscale = rk4_increments(field, p, None, t + s * h, h, tape=cache.step_stages(field, first))
-            first += len(RK4_NODES)
+            stop = first + len(RK4_NODES)
+            while len(cache.stages) < stop:
+                cache.stages.append(field.new_cache(n))
+            dp, dtheta, dscale = rk4_increments(field, p, None, t0 + s * h, h, tape=cache.stages[first:stop])
+            first = stop
             p = p + dp
             theta = theta + dtheta
             scale = scale + dscale
-        t = t_ck
         checkpoints.append((p.copy(), theta.copy(), scale.copy()))
-        cache.legs.append((n_steps, h))
     return checkpoints, cache
 
 
@@ -224,8 +227,8 @@ def backward_through_rollout(field: NeuralVelocityField, cache: UnrollCache, che
     g_p = np.zeros((n, 3))
     g_theta = np.zeros((n, 3))
     g_scale = np.zeros((n, 3))
-    first = len(RK4_NODES) * sum(n_steps for n_steps, _ in cache.legs)
-    for (n_steps, h), ck in zip(reversed(cache.legs), reversed(checkpoint_grads)):
+    first = len(RK4_NODES) * sum(n_steps for _, n_steps, _ in cache.legs)
+    for (_, n_steps, h), ck in zip(reversed(cache.legs), reversed(checkpoint_grads)):
         for acc, g in zip((g_p, g_theta, g_scale), ck or ()):
             if g is not None:
                 acc += g
@@ -299,9 +302,8 @@ def _coherence(p, xh, neighbors, variant, rows=None):
 
 @dataclass
 class _Segment:
-    t_start: float
     p_start: np.ndarray  # (N, 3) ground-truth anchor positions
-    checkpoint_times: list
+    legs: list  # (start time, step count, step size) per checkpoint
     data_targets: list  # (N, 3) per checkpoint
     anchor_end: list  # bool per checkpoint
 
@@ -310,10 +312,9 @@ class _Segment:
 class _Plan:
     cloud: GaussianCloud
     segments: list
-    anchor_times: list
-    anchor_positions: list
+    anchors: AnchorSet  # ground-truth clouds at the anchor frames
+    supervised_times: np.ndarray
     neighbors: np.ndarray
-    n_data_frames: int
 
 
 @dataclass
@@ -322,7 +323,6 @@ class FitResult:
     anchors: AnchorSet
     history: list
     supervised_times: np.ndarray
-    config: TrainingConfig
 
 
 def _build_plan(scene: SceneData, config: TrainingConfig) -> _Plan:
@@ -335,6 +335,7 @@ def _build_plan(scene: SceneData, config: TrainingConfig) -> _Plan:
         raise TrainingError(f"only {len(keep)} supervised frames after stride/fraction filtering; need >= 2")
     sup_t = times[keep]
     sup_p = scene.trajectory_positions[keep]
+    sup_times = sup_t.tolist()
 
     # anchors at start / midpoint / end of the training window, snapped to
     # supervised frames; the final anchor is dropped in extrapolation runs
@@ -344,36 +345,27 @@ def _build_plan(scene: SceneData, config: TrainingConfig) -> _Plan:
         anchor_idx = anchor_idx[:-1]
     anchor_idx = sorted(set(anchor_idx))
 
-    segments = []
-    for a_pos, a in enumerate(anchor_idx):
-        if a_pos + 1 < len(anchor_idx):
-            stop = anchor_idx[a_pos + 1]
-        elif a < len(sup_t) - 1:
-            stop = len(sup_t) - 1  # trailing segment beyond the last anchor
-        else:
-            continue
-        ck = range(a + 1, stop + 1)
-        segments.append(
-            _Segment(
-                t_start=float(sup_t[a]),
-                p_start=sup_p[a],
-                checkpoint_times=[float(sup_t[j]) for j in ck],
-                data_targets=[sup_p[j] for j in ck],
-                anchor_end=[j in anchor_idx for j in ck],
-            )
+    # a segment runs from each anchor to the next; the last one runs on to
+    # the final supervised frame, past the last anchor in extrapolation runs
+    bounds = sorted({*anchor_idx, len(sup_t) - 1})
+    segments = [
+        _Segment(
+            p_start=sup_p[a],
+            legs=legs_between(sup_times[a : b + 1], config.steps_per_unit),
+            data_targets=list(sup_p[a + 1 : b + 1]),
+            anchor_end=[j in anchor_idx for j in range(a + 1, b + 1)],
         )
-
-    n = len(scene.cloud)
-    k = min(config.knn_k, n - 1)
-    neighbors = knn(scene.cloud, k)
-    n_data = sum(len(s.checkpoint_times) for s in segments)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    anchors = AnchorSet()
+    for i in anchor_idx:
+        anchors.insert(scene.cloud.with_positions(sup_p[i]), sup_times[i])
     return _Plan(
         cloud=scene.cloud,
         segments=segments,
-        anchor_times=[float(sup_t[i]) for i in anchor_idx],
-        anchor_positions=[sup_p[i] for i in anchor_idx],
-        neighbors=neighbors,
-        n_data_frames=n_data,
+        anchors=anchors,
+        supervised_times=sup_t,
+        neighbors=knn(scene.cloud, min(config.knn_k, len(scene.cloud) - 1)),
     )
 
 
@@ -381,20 +373,17 @@ def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: Tra
                             want_grads: bool = True, tape: UnrollCache = None):
     """One full forward (and optionally backward) pass over the plan.
 
-    Every segment, then the coherence step, is recorded on ``tape`` (a new
+    Every segment, then the coherence leg, is recorded on ``tape`` (a new
     :class:`UnrollCache` when None) and reversed before the next one runs.
     """
-    n = len(plan.cloud)
     tape = UnrollCache() if tape is None else tape
     grads = field.zero_grads() if want_grads else None
     data_sum = 0.0
     anchor_sum = 0.0
-    denom = max(1, plan.n_data_frames) * n
+    denom = (len(plan.supervised_times) - 1) * len(plan.cloud)  # every supervised frame but the first
 
     for seg in plan.segments:
-        checkpoints, _ = unroll_segment(
-            field, seg.p_start, seg.t_start, seg.checkpoint_times, config.steps_per_unit, tape
-        )
+        checkpoints, _ = unroll_segment(field, seg.p_start, seg.legs, tape)
         ck_grads = []
         for (p, theta, scale), target, is_anchor in zip(checkpoints, seg.data_targets, seg.anchor_end):
             dp = p - target
@@ -411,14 +400,12 @@ def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: Tra
             backward_through_rollout(field, tape, ck_grads, grads)
     data = data_sum / denom
 
-    # coherence: one short RK4 step from the canonical cloud
+    # coherence: a one-step leg from the canonical cloud
     p0 = plan.cloud.positions
-    caches = tape.step_stages(field, 0)
-    p_next = p0 + rk4_increments(field, p0, None, plan.cloud.time, COHERENCE_STEP, tape=caches)[0]
+    [(p_next, _, _)], _ = unroll_segment(field, p0, [(plan.cloud.time, 1, COHERENCE_STEP)], tape)
     coherence, g_xh = _coherence(p0, p_next, plan.neighbors, config.coherence_variant, coh_rows)
     if want_grads and config.lambda_coh > 0:
-        _backward_rk4_step(field, caches, COHERENCE_STEP, config.lambda_coh * g_xh, np.zeros((n, 3)),
-                           np.zeros((n, 3)), grads)
+        backward_through_rollout(field, tape, [(config.lambda_coh * g_xh, None, None)], grads)
 
     tv = feature_grid.tv_loss(field.grid)
     if want_grads and config.lambda_tv > 0:
@@ -465,11 +452,7 @@ def fit(scene: SceneData, config: TrainingConfig = TrainingConfig()) -> FitResul
         moments = adam_step(field, grads, moments, config, epoch + 1)
         history.append(replace(report, epoch=epoch))
 
-    anchor_set = AnchorSet()
-    for t_a, p_a in zip(plan.anchor_times, plan.anchor_positions):
-        anchor_set.insert(scene.cloud.with_positions(p_a), t_a)
-    sup_times = np.array(sorted({t for seg in plan.segments for t in [seg.t_start, *seg.checkpoint_times]}))
-    return FitResult(field=field, anchors=anchor_set, history=history, supervised_times=sup_times, config=config)
+    return FitResult(field=field, anchors=plan.anchors, history=history, supervised_times=plan.supervised_times)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ class TestAnchorLoss:
         cfg = train.TrainingConfig(hidden=(4,), grid_spatial_resolution=3, grid_time_resolution=3,
                                    grid_channels=1, knn_k=1, steps_per_unit=4)
         plan = train._build_plan(scene, cfg)
-        assert plan.anchor_times == [0.0, 0.5, 1.0]
+        assert plan.anchors.times.tolist() == [0.0, 0.5, 1.0]
         grid = create_grid(np.zeros(3), np.ones(3), spatial_resolution=3, time_resolution=3, channels=1)
         report, _ = train._epoch_losses_and_grads(NeuralVelocityField(grid, hidden=(4,)), plan, cfg,
                                                   want_grads=False)

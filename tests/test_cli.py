@@ -581,6 +581,18 @@ class TestEval:
         flags = [r.split(",")[2] for r in rows]
         assert flags == ["observed", "held-out"] * 4
 
+    @pytest.mark.parametrize("manifest", ['{"command": "train"}', '["out"]', '{"out": 3}'])
+    def test_bad_train_manifest_usage_error(self, drift_scene, tmp_path, capsys, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(manifest)
+        out = tmp_path / "ev"
+        code = run(["eval", "--pred", str(drift_scene / "trajectory.csv"), "--gt", str(drift_scene / "scene.json"),
+                    "--train-manifest", str(path), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and "'out'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fewer", ["frames", "trajectory"])
     def test_frame_count_mismatch_usage_error(self, drift_scene, tmp_path, capsys, fewer):
         scene, traj = drift_scene / "scene.json", drift_scene / "trajectory.csv"

@@ -234,6 +234,19 @@ class TestTrajectoryCsv:
         with pytest.raises(sc.SceneParseError, match=f"{path}, line 3: expected 6 columns, got 4"):
             sc.import_trajectory_csv(path)
 
+    @pytest.mark.parametrize("rows", [
+        ["0,0.0,0,1,2,3", "2,1.0,1,4,5,6"],  # frame 1 and half of frames 0 and 2 missing
+        ["0,0.0,0,1,2,3", "0,0.0,1,4,5,6", "1,1.0,0,7,8,9", "1,1.0,0,7,8,9"],  # (1, 0) twice, (1, 1) missing
+        ["0,0.0,0,1,2,3", "0,0.0,1,4,5,6", "0,0.0,1,4,5,6"],  # (0, 1) twice
+        ["0,0.0,0,1,2,3", "-1,1.0,0,4,5,6"],  # negative frame index
+        ["0,0.0,0,1,2,3", "0,0.0,-1,4,5,6"],  # negative gaussian index
+    ])
+    def test_rows_not_a_full_grid_rejected(self, tmp_path, rows):
+        path = tmp_path / "traj.csv"
+        path.write_text("\n".join(["frame_index,time,gaussian_index,x,y,z", *rows]) + "\n")
+        with pytest.raises(sc.SceneParseError, match=str(path)):
+            sc.import_trajectory_csv(path)
+
     def test_empty_file_parse_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

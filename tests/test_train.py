@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gsdyn import arrayio, cli, feature_grid as fg, integrate as itg, train
+from gsdyn.anchors import AnchorSet
 from gsdyn.fields import AnalyticField, NeuralVelocityField, ZeroField
 from gsdyn.scene import GaussianCloud, SceneData, knn
 
@@ -188,7 +189,7 @@ class TestTrajectoryDataLoss:
         frames = np.tile([[[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]], (5, 1, 1))
         frames[1, 0, 2] += 2.0  # not an anchor frame: anchors are t = 0, 0.5, 1
         report, plan = still_epoch(frames)
-        assert plan.n_data_frames == 4
+        assert len(plan.supervised_times) - 1 == 4
         assert report.data == pytest.approx(4.0 / (4 * 2))
 
     def test_matches_double_loop(self):
@@ -200,7 +201,7 @@ class TestTrajectoryDataLoss:
             for target in seg.data_targets:
                 for g in range(3):
                     total += float(np.sum((seg.p_start[g] - target[g]) ** 2))
-        assert report.data == pytest.approx(total / (plan.n_data_frames * 3), rel=1e-12)
+        assert report.data == pytest.approx(total / ((len(plan.supervised_times) - 1) * 3), rel=1e-12)
 
 
 def theta_of(*groups):
@@ -279,7 +280,8 @@ class TestUnrolledGradients:
         return field, p0, list(ck_times), targets
 
     def loss_and_grads(self, field, p0, ck_times, targets, steps_per_unit=4):
-        checkpoints, cache = train.unroll_segment(field, p0, 0.0, ck_times, steps_per_unit)
+        legs = train.legs_between([0.0, *ck_times], steps_per_unit)
+        checkpoints, cache = train.unroll_segment(field, p0, legs)
         loss = 0.0
         ck_grads = []
         for (p, theta, scale), tgt in zip(checkpoints, targets):
@@ -325,7 +327,7 @@ class TestUnrolledGradients:
 
     def test_checkpoint_gradient_count_checked(self):
         field, p0, ck_times, targets = self.data_grad_setup(seed=10)
-        _, cache = train.unroll_segment(field, p0, 0.0, ck_times, 4)
+        _, cache = train.unroll_segment(field, p0, train.legs_between([0.0, *ck_times], 4))
         with pytest.raises(train.TrainingError, match="checkpoints"):
             train.backward_through_rollout(field, cache, [None])
 
@@ -396,14 +398,13 @@ def unequal_segment_plan():
     cfg = train.TrainingConfig(train_fraction=0.75, hidden=(6,), grid_spatial_resolution=4,
                                grid_time_resolution=4, grid_channels=2, knn_k=2, steps_per_unit=8)
     plan = train._build_plan(scene, cfg)
-    lengths = [len(seg.checkpoint_times) for seg in plan.segments]
+    lengths = [len(seg.legs) for seg in plan.segments]
     assert lengths == [2, 3]
     return scene, cfg, plan
 
 
-def segment_steps(seg, steps_per_unit):
-    times = [seg.t_start, *seg.checkpoint_times]
-    return sum(int(np.ceil(abs(b - a) * steps_per_unit)) for a, b in zip(times, times[1:]))
+def segment_steps(seg):
+    return sum(n_steps for _, n_steps, _ in seg.legs)
 
 
 class TestTape:
@@ -416,8 +417,8 @@ class TestTape:
         tape = train.UnrollCache()
         for seg in [*plan.segments, *reversed(plan.segments), plan.segments[1]]:
             ck_grads = [(rng.standard_normal(seg.p_start.shape), rng.standard_normal(seg.p_start.shape), None)
-                        for _ in seg.checkpoint_times]
-            args = (field, seg.p_start, seg.t_start, seg.checkpoint_times, cfg.steps_per_unit)
+                        for _ in seg.legs]
+            args = (field, seg.p_start, seg.legs)
             fresh_cks, fresh = train.unroll_segment(*args)
             reused_cks, reused = train.unroll_segment(*args, tape)
             assert reused is tape
@@ -450,7 +451,7 @@ class TestTape:
 
         monkeypatch.setattr(NeuralVelocityField, "new_cache", counted)
         scene, cfg, plan = unequal_segment_plan()
-        steps = [segment_steps(seg, cfg.steps_per_unit) for seg in plan.segments]
+        steps = [segment_steps(seg) for seg in plan.segments]
         assert steps[0] < steps[1]
         train.fit(scene, replace(cfg, epochs=3))
         assert calls == [len(scene.cloud)] * (4 * max(steps))
@@ -460,7 +461,7 @@ class TestTape:
         cfg = train.TrainingConfig(hidden=(16, 16), grid_spatial_resolution=4, grid_time_resolution=4,
                                    grid_channels=2, knn_k=4, steps_per_unit=16)
         plan = train._build_plan(scene, cfg)
-        assert [len(seg.checkpoint_times) for seg in plan.segments] == [4, 4]
+        assert [len(seg.legs) for seg in plan.segments] == [4, 4]
         field = tiny_field(seed=36, n_channels=2, res=4, hidden=(16, 16))
         seg = plan.segments[0]
 
@@ -472,10 +473,36 @@ class TestTape:
             finally:
                 tracemalloc.stop()
 
-        one_segment = peak(lambda: train.unroll_segment(field, seg.p_start, seg.t_start, seg.checkpoint_times,
-                                                        cfg.steps_per_unit))
+        one_segment = peak(lambda: train.unroll_segment(field, seg.p_start, seg.legs))
         epoch = peak(lambda: train._epoch_losses_and_grads(field, plan, cfg))
         assert epoch < 1.3 * one_segment
+
+
+class TestStepRule:
+    """Training legs take as many steps as anchored queries over the same spans."""
+
+    @pytest.mark.parametrize("times, stride, steps_per_unit, want", [
+        (np.linspace(0.0, 1.0, 21), 4, 32, 6),  # 0.2 * 32 = 6.4
+        (np.array([0.0, 0.1 + 0.2]), 1, 10, 3),  # 0.30000000000000004 * 10
+    ])
+    def test_plan_legs_match_anchored_queries(self, monkeypatch, times, stride, steps_per_unit, want):
+        frames = np.tile([[[0.2, 0.3, 0.4], [0.6, 0.5, 0.4]]], (len(times), 1, 1))
+        scene = SceneData(cloud=make_cloud(frames[0]), trajectory_times=times, trajectory_positions=frames)
+        plan = train._build_plan(scene, train.TrainingConfig(frame_stride=stride, steps_per_unit=steps_per_unit,
+                                                             knn_k=1))
+        leg_steps = [n_steps for seg in plan.segments for _, n_steps, _ in seg.legs]
+        rollout, counts = itg.rollout, []
+
+        def counted(cloud, t0, t1, config, field, velocities=None):
+            counts.append(config.step_count)
+            return rollout(cloud, t0, t1, config, field, velocities)
+
+        monkeypatch.setattr(itg, "rollout", counted)
+        anchors = AnchorSet()
+        anchors.insert(scene.cloud, times[0])
+        itg.anchored_states(anchors, plan.supervised_times[1:], itg.IntegratorConfig(step_count=steps_per_unit),
+                            ZeroField())
+        assert leg_steps == counts == [want] * (len(plan.supervised_times) - 1)
 
 
 class TestFit:
@@ -605,7 +632,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("frame_stride", 0), ("frame_stride", -1), ("epochs", 0), ("epochs", -3),
         ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
-        ("learning_rate", float("inf")),
+        ("learning_rate", float("inf")), ("steps_per_unit", 0), ("steps_per_unit", -2),
     ])
     def test_bad_schedule_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
