@@ -6,7 +6,7 @@ through a small vector-field algebra; a CPU rasterizer and PSNR/SSIM metrics
 support evaluation.
 """
 
-from .anchors import Anchor, AnchorSet, nearest_past_anchor
+from .anchors import Anchor, AnchorSet
 from .feature_grid import HexPlaneGrid, create_grid, lookup, lookup_grad, tv_loss
 from .fields import (
     AnalyticField,

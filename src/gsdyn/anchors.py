@@ -65,22 +65,6 @@ class AnchorSet:
         return entry
 
 
-def nearest_past_anchor(anchor_set: AnchorSet, t: float) -> Anchor:
-    """Anchor with maximal time <= t; exact matches return that anchor."""
-    past = [a for a in anchor_set if a.time <= t]
-    if not past:
-        raise ValueError(f"no anchor at or before t={t}")
-    return past[-1]
-
-
-def nearest_future_anchor(anchor_set: AnchorSet, t: float) -> Anchor:
-    """Anchor with minimal time >= t (for backward queries)."""
-    future = [a for a in anchor_set if a.time >= t]
-    if not future:
-        raise ValueError(f"no anchor at or after t={t}")
-    return future[0]
-
-
 def state_deviation(d_position, d_rotation, d_log_scale) -> float:
     """Squared L2 norm of a (position, rotation-tangent, log-scale) deviation,
     summed over Gaussians: the anchor term of the training objective."""

@@ -36,6 +36,7 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 GROUND_TRUTH_OVERSAMPLE = 10  # ground truth runs at 10x the default step count
+MAX_STEPS = 10**6  # most integration steps one simulate or inject may ask for
 
 
 class UsageError(Exception):
@@ -218,6 +219,9 @@ def _span_steps(args) -> int:
         raise UsageError("--steps must be >= 1")
     if args.t0 == args.t1:
         raise UsageError("t0 and t1 must differ")
+    total = abs(args.t1 - args.t0) * args.steps
+    if total > MAX_STEPS + 0.5:  # rounds above MAX_STEPS, or an infinite span
+        raise UsageError(f"|t1 - t0| * --steps asks for {total:.6g} steps; at most {MAX_STEPS} are allowed")
     return integrate.span_steps(args.t1 - args.t0, args.steps)
 
 
@@ -236,7 +240,9 @@ def cmd_simulate(args):
     if args.anchored:
         if anchor_set is None or len(anchor_set) == 0:
             raise UsageError("--anchored requires a checkpoint with anchors")
-        _, times = integrate.record_times(args.t0, args.t1, config)
+        legs = integrate.rollout_legs(args.t0, args.t1, config)
+        # the times a rollout records; t0 + 0 h turns a --t0 of -0 into 0.0
+        times = [args.t0 + 0 * legs[0][1], *(t0 + steps.stop * h for t0, h, steps in legs)]
         per_unit = IntegratorConfig(method=args.method, step_count=args.steps)
         positions = np.stack([c.positions for c in integrate.anchored_states(anchor_set, times, per_unit, field)])
     else:

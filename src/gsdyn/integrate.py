@@ -9,6 +9,10 @@ method (c = (0), b = (1)), classical RK4 the four-stage one.  Post-step
 events (e.g. floor bounce) are applied once per accepted step, never per
 stage.
 
+Time is walked in legs ``(t0, h, steps)``: step s of the range ``steps``
+runs from t0 + s h with step_index=s, and the leg ends at t0 + steps.stop h.
+:func:`rollout_legs` and :func:`legs_between` are the only leg builders.
+
 Negative step sizes integrate backward; forward-then-backward round trips on
 smooth fields cancel to solver accuracy, which is what makes learned
 dynamics reversible in practice.
@@ -22,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import quaternions
-from .anchors import AnchorSet, nearest_future_anchor, nearest_past_anchor
+from .anchors import AnchorSet
 from .fields import VelocityField
 from .scene import GaussianCloud
 
@@ -49,7 +53,7 @@ _TABLEAUS = {"euler": ((0.0,), (1.0,)), "rk4": (RK4_NODES, RK4_WEIGHTS)}  # meth
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4"  # "euler" or "rk4"
-    step_count: int = 100  # rollout: steps over [t0, t1]; anchored queries: steps per unit time (span_steps)
+    step_count: int = 100  # rollout_legs: steps over [t0, t1]; anchored queries: steps per unit time (legs_between)
     record_stride: int = 1
 
     def __post_init__(self):
@@ -67,16 +71,21 @@ def span_steps(span: float, steps_per_unit) -> int:
     return max(1, round(abs(span) * steps_per_unit)) if span else 0
 
 
-def record_times(t0: float, t1: float, config: IntegratorConfig):
-    """The steps a rollout over [t0, t1] records and their times.
+def legs_between(times, steps_per_unit) -> list:
+    """The leg from each of ``times`` to the next, of :func:`span_steps` steps."""
+    legs = []
+    for a, b in zip(times, times[1:]):
+        n = span_steps(b - a, steps_per_unit)
+        legs.append((a, (b - a) / max(1, n), range(n)))
+    return legs
 
-    Every record_stride-th step is recorded, plus the last one; step s lies
-    at t0 + s h with h = (t1 - t0) / step_count.  Returns (steps, times).
-    """
-    n = config.step_count
-    steps = [*range(0, n, config.record_stride), n]
+
+def rollout_legs(t0: float, t1: float, config: IntegratorConfig) -> list:
+    """The legs of a rollout over [t0, t1]: record_stride steps each, the
+    last one shorter when record_stride does not divide step_count."""
+    n, k = config.step_count, config.record_stride
     h = (t1 - t0) / n
-    return steps, [t0 + s * h for s in steps]
+    return [(t0, h, range(s, min(s + k, n))) for s in range(0, n, k)]
 
 
 @dataclass
@@ -186,35 +195,29 @@ def rollout(
 ) -> Trajectory:
     """Integrate the whole cloud from t0 to t1 with uniform steps.
 
-    h = (t1 - t0) / step_count; t1 < t0 integrates backward.  Snapshots are
-    taken at the steps of :func:`record_times`.
+    h = (t1 - t0) / step_count; t1 < t0 integrates backward.  The cloud
+    walks the legs of :func:`rollout_legs`; snapshots are its start state
+    and each leg's end state.
     """
     if t0 == t1:
         raise ValueError("rollout needs t0 != t1")
-    n = len(cloud)
-    h = (t1 - t0) / config.step_count
-    steps, times = record_times(t0, t1, config)
-    recorded = set(steps)
-
-    p = cloud.positions.copy()
-    q = cloud.rotations.copy()
-    ls = cloud.log_scales.copy()
-    v = np.zeros((n, 3)) if velocities is None else np.asarray(velocities, dtype=float).copy()
-
-    rec_p, rec_q, rec_ls, rec_v = [p.copy()], [q.copy()], [ls.copy()], [v.copy()]
-    for s in range(config.step_count):
-        p, q, ls, v = step_arrays(field, p, q, ls, v, t0 + s * h, h, step_index=s, method=config.method)
-        if s + 1 in recorded:
-            rec_p.append(p.copy())
-            rec_q.append(q.copy())
-            rec_ls.append(ls.copy())
-            rec_v.append(v.copy())
+    legs = rollout_legs(t0, t1, config)
+    v = np.zeros((len(cloud), 3)) if velocities is None else np.asarray(velocities, dtype=float)
+    state = (cloud.positions, cloud.rotations, cloud.log_scales, v)
+    # step_arrays returns new arrays, so the records need no copies
+    times, records = [t0 + 0 * legs[0][1]], [state]
+    for start, h, steps in legs:
+        for s in steps:
+            state = step_arrays(field, *state, start + s * h, h, step_index=s, method=config.method)
+        times.append(start + steps.stop * h)
+        records.append(state)
+    p, q, ls, v = zip(*records)
     return Trajectory(
         times=np.array(times),
-        positions=np.array(rec_p),
-        rotations=np.array(rec_q),
-        log_scales=np.array(rec_ls),
-        aux_velocities=np.array(rec_v) if field.second_order else None,
+        positions=np.array(p),
+        rotations=np.array(q),
+        log_scales=np.array(ls),
+        aux_velocities=np.array(v) if field.second_order else None,
         template=cloud,
     )
 
@@ -227,39 +230,34 @@ def anchored_states(
 ) -> list:
     """States at each of ``times``, integrating only from nearest admissible anchors.
 
-    Forward queries start from the nearest past anchor; queries before the
-    first anchor integrate backward from the nearest future one.  A span
-    never crosses an intervening anchor, so the effective integration
-    horizon stays short.  The times that share an anchor and a direction
-    are integrated in one pass away from the anchor, each sub-span between
-    consecutive times taking :func:`span_steps` steps at step_count per unit.
-    Returns one cloud per time, in the order given.
+    A query starts from the nearest anchor at or before it; a query before
+    the first anchor integrates backward from that anchor.  A span never
+    crosses an intervening anchor, so the effective integration horizon
+    stays short.  The times that share an anchor and a direction are walked
+    in one pass away from the anchor, along the :func:`legs_between` them
+    at step_count steps per unit time; each nonempty leg is one
+    :func:`rollout`.  Returns one cloud per time, in the order given.
     """
     if len(anchor_set) == 0:
         raise ValueError("anchor set is empty")
-    starts = []
-    for t in times:
-        try:
-            starts.append(nearest_past_anchor(anchor_set, t))
-        except ValueError:
-            starts.append(nearest_future_anchor(anchor_set, t))
-    order = sorted(range(len(times)), key=lambda i: (starts[i].time, times[i] < starts[i].time,
-                                                     abs(times[i] - starts[i].time)))
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"query times must be finite, got {times[~np.isfinite(times)][0]}")
+    anchor_times = anchor_set.times
+    start = np.maximum(np.searchsorted(anchor_times, times, side="right") - 1, 0)
+    backward = times < anchor_times[start]
     states = [None] * len(times)
-    group = None
-    for i in order:
-        anchor, t = starts[i], times[i]
-        if (anchor.time, t < anchor.time) != group:
-            group = (anchor.time, t < anchor.time)
-            cloud, velocities, t_prev = anchor.cloud, anchor.velocities, anchor.time
-        if t != t_prev:
-            steps = span_steps(t - t_prev, config.step_count)
-            cfg = IntegratorConfig(method=config.method, step_count=steps, record_stride=steps)
-            traj = rollout(cloud, t_prev, t, cfg, field, velocities=velocities)
-            cloud = traj.cloud_at(len(traj) - 1)
-            velocities = None if traj.aux_velocities is None else traj.aux_velocities[-1]
-            t_prev = t
-        states[i] = cloud
+    for a, back in sorted(set(zip(start.tolist(), backward.tolist()))):
+        anchor = anchor_set[a]
+        group = sorted(np.flatnonzero((start == a) & (backward == back)), key=lambda i: abs(times[i] - anchor.time))
+        cloud, velocities = anchor.cloud, anchor.velocities
+        for i, (t0, _, steps) in zip(group, legs_between([anchor.time, *times[group]], config.step_count)):
+            if steps:
+                cfg = IntegratorConfig(method=config.method, step_count=len(steps), record_stride=len(steps))
+                traj = rollout(cloud, t0, times[i], cfg, field, velocities=velocities)
+                cloud = traj.cloud_at(-1)
+                velocities = None if traj.aux_velocities is None else traj.aux_velocities[-1]
+            states[i] = cloud
     return states
 
 

@@ -40,11 +40,6 @@ class Image:
         return self.pixels.shape[0]
 
 
-@dataclass
-class RenderStats:
-    discarded: int = 0
-
-
 def _view_basis(camera: CameraSpec):
     forward = camera.look_at - camera.eye
     forward = forward / np.linalg.norm(forward)
@@ -91,7 +86,7 @@ def project(cloud: GaussianCloud, camera: CameraSpec):
     return mean2d, cov2d, depth, keep
 
 
-def rasterize(cloud: GaussianCloud, camera: CameraSpec, stats: RenderStats = None) -> Image:
+def rasterize(cloud: GaussianCloud, camera: CameraSpec) -> Image:
     """Front-to-back alpha compositing of the whole cloud over black.
 
     Depth sort is by view-space center depth with index tie-breaking, so
@@ -104,8 +99,6 @@ def rasterize(cloud: GaussianCloud, camera: CameraSpec, stats: RenderStats = Non
     transmittance = np.ones((h, w))
 
     mean2d, cov2d, depth, keep = project(cloud, camera)
-    if stats is not None:
-        stats.discarded += int(np.count_nonzero(~keep))
     order = np.flatnonzero(keep)
     order = order[np.lexsort((order, depth[order]))]
     order = order[~(cloud.opacities[order] <= 0.0)]

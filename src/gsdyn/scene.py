@@ -214,11 +214,24 @@ def load_scene(path) -> SceneData:
             positions = np.asarray(traj["positions"], dtype=float)
         except (KeyError, TypeError, ValueError) as e:
             raise SceneParseError(f"trajectories: {e}") from e
+        if times.ndim != 1:
+            raise SceneValidationError(f"trajectories.times: expected a list of times, got shape {times.shape}")
         if positions.ndim != 3 or positions.shape[0] != times.shape[0] or positions.shape[1] != len(cloud) or positions.shape[2] != 3:
             raise SceneValidationError(
                 f"trajectories.positions: shape {positions.shape} does not match "
                 f"{times.shape[0]} frames x {len(cloud)} gaussians x 3"
             )
+        bad = ~((times >= 0.0) & (times <= 1.0))  # NaN fails both comparisons
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SceneValidationError(f"trajectories.times[{i}]: value {times[i]} is not a time in [0, 1]")
+        bad = np.diff(times) <= 0.0
+        if bad.any():
+            i = int(np.argmax(bad)) + 1
+            raise SceneValidationError(f"trajectories.times[{i}]: {times[i]} does not exceed the time before it")
+        if not np.isfinite(positions).all():
+            f, g = np.argwhere(~np.isfinite(positions))[0][:2]
+            raise SceneValidationError(f"trajectories.positions: non-finite value in frame {f}, gaussian {g}")
 
     return SceneData(
         cloud=cloud,
@@ -306,7 +319,11 @@ def import_trajectory_csv(path):
         raise SceneParseError(f"empty trajectory CSV {path}")
     # numpy converts each str with Python's int() and float(): same values, same errors
     columns = list(zip(*rows))
-    fi, gi = np.array(columns[0], dtype=int), np.array(columns[2], dtype=int)
+    try:
+        fi, gi = np.array(columns[0], dtype=int), np.array(columns[2], dtype=int)
+        row_times, xyz = np.array(columns[1], dtype=float), np.array(columns[3:6], dtype=float).T
+    except (ValueError, OverflowError) as e:  # OverflowError: an index beyond int64
+        raise SceneParseError(f"{path}: {e}") from e
     n_frames, n_gaussians = int(fi.max()) + 1, int(gi.max()) + 1
     # the row count is checked first, so a stray huge index cannot size the bincount
     if (min(fi.min(), gi.min()) < 0 or len(rows) != n_frames * n_gaussians
@@ -315,6 +332,8 @@ def import_trajectory_csv(path):
                               f"an index is negative, or a pair is missing or repeated")
     times = np.zeros(n_frames)
     positions = np.zeros((n_frames, n_gaussians, 3))
-    times[fi] = np.array(columns[1], dtype=float)
-    positions[fi, gi] = np.array(columns[3:6], dtype=float).T
+    times[fi] = row_times
+    if not np.array_equal(times[fi], row_times, equal_nan=True):
+        raise SceneParseError(f"{path}: the rows of a frame disagree on its time")
+    positions[fi, gi] = xyz
     return times, positions

@@ -7,10 +7,9 @@ rasterizer is evaluation-only).  The total objective is
 
 Gradients are exact reverse-mode derivatives of the discrete computation
 graph (discretize-then-differentiate, no adjoint ODE).  The training plan
-cuts each segment into legs, one per supervised frame: (start time, step
-count, step size) triples whose count comes from :func:`integrate.span_steps`,
-the step rule of rollouts and anchored queries too.  The coherence term is a
-one-step leg of COHERENCE_STEP from the canonical cloud.
+cuts each segment into legs between its supervised frames, built by
+:func:`integrate.legs_between` as for anchored queries.  The coherence term
+is a one-step leg of COHERENCE_STEP from the canonical cloud.
 :func:`unroll_segment` records every RK4 stage of its legs (the MLP's
 activations and the feature grid's bilinear corners) on a tape that
 :func:`backward_through_rollout` replays in reverse.  :func:`fit` refills one
@@ -34,7 +33,7 @@ import numpy as np
 from . import arrayio, feature_grid
 from .anchors import AnchorSet, state_deviation
 from .fields import NeuralVelocityField, VelocityField
-from .integrate import RK4_NODES, RK4_WEIGHTS, rk4_increments, span_steps
+from .integrate import RK4_NODES, RK4_WEIGHTS, legs_between, rk4_increments
 from .scene import GaussianCloud, SceneData, knn
 
 COHERENCE_EPS = 1e-8  # the unspecified denominator epsilon
@@ -155,8 +154,8 @@ class UnrollCache:
     """Forward tape of unrolled legs: a segment's, or the coherence leg.
 
     ``stages`` holds one ``NeuralVelocityField.new_cache`` per RK4 stage,
-    in step order; ``legs`` are the (start time, step count, step size)
-    triples last unrolled, one per checkpoint.  A tape passed back to
+    in step order; ``legs`` are the integrate legs (t0, h, steps) last
+    unrolled, one per checkpoint.  A tape passed back to
     :func:`unroll_segment` is refilled in place from its first stage and
     grows only when the legs take more stages than it holds, so one tape
     serves every segment, the coherence leg and every epoch of a fit.
@@ -168,19 +167,9 @@ class UnrollCache:
         self.n_gaussians = 0
 
 
-def legs_between(times, steps_per_unit):
-    """The (start time, step count, step size) leg from each of ``times`` to
-    the next, its count from :func:`integrate.span_steps`."""
-    legs = []
-    for a, b in zip(times, times[1:]):
-        n_steps = span_steps(b - a, steps_per_unit)
-        legs.append((a, n_steps, (b - a) / max(1, n_steps)))
-    return legs
-
-
 def unroll_segment(field: NeuralVelocityField, p0, legs, tape=None):
-    """Integrate positions from p0 along ``legs``, (start time, step count,
-    step size) triples with a checkpoint at the end of each.
+    """Integrate positions from p0 along ``legs``, integrate legs (t0, h,
+    steps) with a checkpoint at the end of each.
 
     Returns (checkpoints, cache) where checkpoints is a list of (positions,
     rotation-tangents, scale-increments) at each checkpoint; tangents and
@@ -197,12 +186,12 @@ def unroll_segment(field: NeuralVelocityField, p0, legs, tape=None):
     scale = np.zeros((n, 3))
     first = 0
     checkpoints = []
-    for t0, n_steps, h in legs:
-        for s in range(n_steps):
+    for t0, h, steps in legs:
+        for s in steps:
             stop = first + len(RK4_NODES)
             while len(cache.stages) < stop:
                 cache.stages.append(field.new_cache(n))
-            dp, dtheta, dscale = rk4_increments(field, p, None, t0 + s * h, h, tape=cache.stages[first:stop])
+            dp, dtheta, dscale = rk4_increments(field, p, None, t0 + s * h, h, s, tape=cache.stages[first:stop])
             first = stop
             p = p + dp
             theta = theta + dtheta
@@ -227,12 +216,12 @@ def backward_through_rollout(field: NeuralVelocityField, cache: UnrollCache, che
     g_p = np.zeros((n, 3))
     g_theta = np.zeros((n, 3))
     g_scale = np.zeros((n, 3))
-    first = len(RK4_NODES) * sum(n_steps for _, n_steps, _ in cache.legs)
-    for (_, n_steps, h), ck in zip(reversed(cache.legs), reversed(checkpoint_grads)):
+    first = len(RK4_NODES) * sum(len(steps) for _, _, steps in cache.legs)
+    for (_, h, steps), ck in zip(reversed(cache.legs), reversed(checkpoint_grads)):
         for acc, g in zip((g_p, g_theta, g_scale), ck or ()):
             if g is not None:
                 acc += g
-        for _ in range(n_steps):
+        for _ in steps:
             first -= len(RK4_NODES)
             stages = cache.stages[first : first + len(RK4_NODES)]
             g_p = _backward_rk4_step(field, stages, h, g_p, g_theta, g_scale, grads)
@@ -303,7 +292,7 @@ def _coherence(p, xh, neighbors, variant, rows=None):
 @dataclass
 class _Segment:
     p_start: np.ndarray  # (N, 3) ground-truth anchor positions
-    legs: list  # (start time, step count, step size) per checkpoint
+    legs: list  # integrate legs (t0, h, steps), one per checkpoint
     data_targets: list  # (N, 3) per checkpoint
     anchor_end: list  # bool per checkpoint
 
@@ -402,7 +391,7 @@ def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: Tra
 
     # coherence: a one-step leg from the canonical cloud
     p0 = plan.cloud.positions
-    [(p_next, _, _)], _ = unroll_segment(field, p0, [(plan.cloud.time, 1, COHERENCE_STEP)], tape)
+    [(p_next, _, _)], _ = unroll_segment(field, p0, [(plan.cloud.time, COHERENCE_STEP, range(1))], tape)
     coherence, g_xh = _coherence(p0, p_next, plan.neighbors, config.coherence_variant, coh_rows)
     if want_grads and config.lambda_coh > 0:
         backward_through_rollout(field, tape, [(config.lambda_coh * g_xh, None, None)], grads)

@@ -1,4 +1,4 @@
-"""Anchor snapshots, nearest-anchor queries, and the anchor term of training."""
+"""Anchor snapshots, nearest-anchor selection, and the anchor term of training."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from gsdyn import anchors as anc
 from gsdyn import integrate as itg
 from gsdyn import train
 from gsdyn.feature_grid import create_grid
-from gsdyn.fields import AnalyticField, NeuralVelocityField
+from gsdyn.fields import AnalyticField, NeuralVelocityField, ZeroField
 from gsdyn.scene import GaussianCloud, SceneData
 
 
@@ -57,32 +57,46 @@ class TestSnapshot:
 
 
 class TestNearestAnchor:
+    """anchored_states starts a query from the nearest anchor at or before
+    it, or from the first anchor for earlier times.  The anchors' x equals
+    their time and the field is zero, so a state's x names its anchor."""
+
     def setup_method(self):
         self.aset = anc.AnchorSet()
         for t in (0.0, 0.5, 1.0):
             self.aset.insert(make_cloud([[t, 0, 0]]), t)
 
+    def start_of(self, times, aset=None):
+        states = itg.anchored_states(aset or self.aset, times, itg.IntegratorConfig(step_count=10), ZeroField())
+        return [s.positions[0, 0] for s in states]
+
     def test_between_anchors(self):
-        assert anc.nearest_past_anchor(self.aset, 0.7).time == 0.5
+        assert self.start_of([0.7]) == [0.5]
 
     def test_boundary_inclusive(self):
-        assert anc.nearest_past_anchor(self.aset, 0.5).time == 0.5
+        assert self.start_of([0.5]) == [0.5]
 
     def test_before_midpoint(self):
-        assert anc.nearest_past_anchor(self.aset, 0.2).time == 0.0
+        assert self.start_of([0.2]) == [0.0]
 
     def test_none_admissible(self):
-        with pytest.raises(ValueError):
-            anc.nearest_past_anchor(self.aset, -0.1)
+        # before every anchor: backward from the first one; a non-finite time has no anchor
+        assert self.start_of([-0.1]) == [0.0]
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                self.start_of([0.2, t])
 
     def test_future_anchor(self):
-        assert anc.nearest_future_anchor(self.aset, 0.2).time == 0.5
+        later = anc.AnchorSet()
+        for t in (0.5, 1.0):
+            later.insert(make_cloud([[t, 0, 0]]), t)
+        assert self.start_of([0.2], later) == [0.5]
 
     def test_piecewise_constant_breakpoints(self):
         # the selected anchor changes exactly at anchor times
+        times = np.linspace(0.0, 1.0, 101)
         prev = None
-        for t in np.linspace(0.0, 1.0, 101):
-            cur = anc.nearest_past_anchor(self.aset, float(t)).time
+        for t, cur in zip(times, self.start_of(times)):
             if prev is not None and cur != prev:
                 assert cur in (0.5, 1.0) and float(t) == cur
             prev = cur

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, manifests."""
 
+import argparse
 import json
 
 import numpy as np
@@ -151,6 +152,16 @@ class TestTrain:
     def test_missing_scene_usage_error(self, tmp_path):
         assert run(["train", "--scene", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+
+    def test_nonfinite_trajectory_position_usage_error(self, drift_scene, tmp_path, capsys):
+        doc = json.loads((drift_scene / "scene.json").read_text())
+        doc["trajectories"]["positions"][2][1][0] = float("nan")
+        (drift_scene / "scene.json").write_text(json.dumps(doc))
+        out = tmp_path / "t"
+        assert run(["train", "--scene", str(drift_scene / "scene.json"), "--epochs", "1",
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        assert "trajectories.positions: non-finite value in frame 2, gaussian 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--stride", "0"], ["--stride", "-2"], ["--epochs", "0"], ["--epochs", "-3"],
@@ -344,6 +355,33 @@ class TestSimulate:
         assert "'seed' must be a non-negative integer, got [1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_negative_zero_t0_records_zero(self, drift_scene, tmp_path, anchored):
+        # every record time is t0 + s h, the first one too
+        ckpt = anchored_checkpoint(drift_scene, tmp_path / "ck.gsd")
+        out = tmp_path / "o"
+        assert run(["simulate", "--checkpoint", str(ckpt), "--scene", str(drift_scene / "scene.json"),
+                    "--t0", "-0", "--t1", "1", "--steps", "4", "--out", str(out)] + ["--anchored"] * anchored) == 0
+        assert (out / "trajectory.csv").read_text().splitlines()[1].startswith("0,0.0,0,")
+
+    @pytest.mark.parametrize("flags", [["--t1", "1e12", "--steps", "1"],
+                                       ["--t1", "1", "--steps", "1000000000000000"]])
+    def test_step_count_above_bound_usage_error(self, drift_scene, tmp_path, capsys, flags):
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({"kind": "drift"}))
+        out = tmp_path / "o"
+        assert run(["simulate", "--field", str(spec), "--scene", str(drift_scene / "scene.json"),
+                    "--t0", "0", *flags, "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"at most {cli.MAX_STEPS} are allowed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_bound_is_inclusive(self):
+        # checked without running: MAX_STEPS steps pass, one more is refused
+        args = argparse.Namespace(t0=0.0, t1=1.0, steps=cli.MAX_STEPS)
+        assert cli._span_steps(args) == cli.MAX_STEPS
+        with pytest.raises(cli.UsageError, match="at most"):
+            cli._span_steps(argparse.Namespace(t0=0.0, t1=1.0, steps=cli.MAX_STEPS + 1))
+
     def test_equal_endpoints_usage_error(self, drift_scene, tmp_path):
         spec = tmp_path / "f.json"
         spec.write_text(json.dumps({"kind": "drift"}))
@@ -493,6 +531,15 @@ class TestRenderCommand:
         assert run(["render", "--scene", str(drift_scene / "scene.json"), "--trajectory", str(bad),
                     "--out", str(out)]) == cli.EXIT_USAGE
         assert "unexpected trajectory CSV header" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_index_beyond_int64_usage_error(self, drift_scene, tmp_path, capsys):
+        traj = tmp_path / "huge.csv"
+        traj.write_text("frame_index,time,gaussian_index,x,y,z\n99999999999999999999,0.0,0,1,2,3\n")
+        out = tmp_path / "r"
+        assert run(["render", "--scene", str(drift_scene / "scene.json"), "--trajectory", str(traj),
+                    "--out", str(out)]) == cli.EXIT_USAGE
+        assert str(traj) in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_camera_index(self, drift_scene, tmp_path):

@@ -127,20 +127,36 @@ class TestRk4Step:
 
 
 class TestRecordTimes:
+    """A rollout records its start and the end of every leg of rollout_legs:
+    every record_stride-th step plus the last."""
+
     def test_every_stride_th_step_plus_last(self):
-        steps, times = itg.record_times(0.0, 1.0, itg.IntegratorConfig(step_count=10, record_stride=4))
-        assert steps == [0, 4, 8, 10]
-        assert times == [0.0 + s * 0.1 for s in steps]
+        cfg = itg.IntegratorConfig(step_count=10, record_stride=4)
+        assert itg.rollout_legs(0.0, 1.0, cfg) == [(0.0, 0.1, range(0, 4)), (0.0, 0.1, range(4, 8)),
+                                                   (0.0, 0.1, range(8, 10))]
+        traj = itg.rollout(make_cloud([[0, 0, 0]]), 0.0, 1.0, cfg, ZeroField())
+        assert traj.times.tolist() == [0.0 + s * 0.1 for s in [0, 4, 8, 10]]
 
     def test_stride_above_step_count_keeps_both_ends(self):
-        steps, times = itg.record_times(1.0, 0.0, itg.IntegratorConfig(step_count=3, record_stride=5))
-        assert steps == [0, 3]
-        assert times == [1.0, 0.0]
+        cfg = itg.IntegratorConfig(step_count=3, record_stride=5)
+        traj = itg.rollout(make_cloud([[0, 0, 0]]), 1.0, 0.0, cfg, ZeroField())
+        assert traj.times.tolist() == [1.0, 0.0]
 
     def test_rollout_records_at_record_times(self):
         cfg = itg.IntegratorConfig(step_count=7, record_stride=3)
         traj = itg.rollout(make_cloud([[0.1, 0.2, 0.3]]), 0.2, 0.9, cfg, AnalyticField("drift"))
-        np.testing.assert_array_equal(traj.times, itg.record_times(0.2, 0.9, cfg)[1])
+        h = (0.9 - 0.2) / 7
+        np.testing.assert_array_equal(traj.times, [0.2 + s * h for s in [0, 3, 6, 7]])
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, 0.0)])
+    def test_strided_records_are_stride_one_records(self, t0, t1):
+        cloud = make_cloud(np.random.default_rng(3).uniform(0.2, 0.8, (5, 3)))
+        field = AnalyticField("swirl", seed=2, eta=0.05)  # noise keyed on the step index
+        every = itg.rollout(cloud, t0, t1, itg.IntegratorConfig(step_count=11), field)
+        strided = itg.rollout(cloud, t0, t1, itg.IntegratorConfig(step_count=11, record_stride=4), field)
+        picks = [0, 4, 8, 11]
+        for name in ("times", "positions", "rotations", "log_scales"):
+            assert getattr(strided, name).tobytes() == getattr(every, name)[picks].tobytes(), name
 
 
 class TestRollout:

@@ -201,16 +201,16 @@ class TestRasterize:
         render.rasterize(cloud_of(entries), camera())
         assert len(calls) == 1
 
-    def test_stats_count_gaussians_behind_near_plane(self):
+    def test_keep_drops_gaussians_behind_near_plane(self):
         entries = [
             ((0.0, -5.0, 0.0), (1.0, 0.0, 0.0), 0.8, -2.0),  # behind the eye
             ((0.0, -3.0, 0.0), (1.0, 0.0, 0.0), 0.8, -2.0),  # at the eye, depth 0
             ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.8, -2.0),
             ((0.2, 0.5, 0.0), (0.0, 1.0, 0.0), 0.8, -2.0),
         ]
-        stats = render.RenderStats()
-        img = render.rasterize(cloud_of(entries), camera(), stats)
-        assert stats.discarded == 2
+        *_, keep = render.project(cloud_of(entries), camera())
+        assert keep.tolist() == [False, False, True, True]
+        img = render.rasterize(cloud_of(entries), camera())
         np.testing.assert_array_equal(img.pixels, render.rasterize(cloud_of(entries[2:]), camera()).pixels)
 
     def test_empty_cloud_rejected(self):

@@ -120,6 +120,30 @@ class TestLoadScene:
         with pytest.raises(sc.SceneValidationError, match="trajectories.positions"):
             sc.load_scene(write_scene_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("times, message", [
+        ([0.0, 1.0, 0.5], r"^trajectories\.times\[2\]: 0\.5 does not exceed the time before it$"),
+        ([0.0, 0.0, 1.0], r"^trajectories\.times\[1\]: 0\.0 does not exceed the time before it$"),
+        ([0.0, 0.5, 7.0], r"^trajectories\.times\[2\]: value 7\.0 is not a time in \[0, 1\]$"),
+        ([-0.5, 0.5, 1.0], r"^trajectories\.times\[0\]: value -0\.5 is not a time in \[0, 1\]$"),
+        ([0.0, float("nan"), 1.0], r"^trajectories\.times\[1\]: value nan is not a time in \[0, 1\]$"),
+    ])
+    def test_trajectory_times_increase_within_unit_interval(self, tmp_path, times, message):
+        doc = {"gaussians": [MINIMAL_GAUSSIAN], "trajectories": {"times": times, "positions": [[[0, 0, 0]]] * 3}}
+        with pytest.raises(sc.SceneValidationError, match=message):
+            sc.load_scene(write_scene_doc(tmp_path, doc))
+
+    def test_trajectory_times_not_a_list_rejected(self, tmp_path):
+        doc = {"gaussians": [MINIMAL_GAUSSIAN], "trajectories": {"times": 5, "positions": [[[0, 0, 0]]]}}
+        with pytest.raises(sc.SceneValidationError, match=r"^trajectories\.times: expected a list of times, got shape \(\)$"):
+            sc.load_scene(write_scene_doc(tmp_path, doc))
+
+    def test_nonfinite_trajectory_position_rejected(self, tmp_path):
+        positions = [[[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, float("inf"), 0]], [[float("nan"), 0, 0]] * 2]
+        doc = {"gaussians": [MINIMAL_GAUSSIAN] * 2, "trajectories": {"times": [0.0, 0.5, 1.0], "positions": positions}}
+        with pytest.raises(sc.SceneValidationError,
+                           match=r"^trajectories\.positions: non-finite value in frame 1, gaussian 1$"):
+            sc.load_scene(write_scene_doc(tmp_path, doc))
+
 
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path):
@@ -245,6 +269,18 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         path.write_text("\n".join(["frame_index,time,gaussian_index,x,y,z", *rows]) + "\n")
         with pytest.raises(sc.SceneParseError, match=str(path)):
+            sc.import_trajectory_csv(path)
+
+    def test_index_beyond_int64_names_path(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("frame_index,time,gaussian_index,x,y,z\n99999999999999999999,0.0,0,1,2,3\n")
+        with pytest.raises(sc.SceneParseError, match=str(path)):
+            sc.import_trajectory_csv(path)
+
+    def test_rows_disagreeing_on_frame_time_rejected(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("frame_index,time,gaussian_index,x,y,z\n0,0.0,0,1,2,3\n0,0.5,1,4,5,6\n")
+        with pytest.raises(sc.SceneParseError, match=f"{path}: the rows of a frame disagree on its time"):
             sc.import_trajectory_csv(path)
 
     def test_empty_file_parse_error(self, tmp_path):

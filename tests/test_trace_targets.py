@@ -85,3 +85,17 @@ def test_integration_is_traced(tmp_path, command):
         expected.add("fields.blend")
     assert expected <= recorded
     assert tracer.counts["integrate.gaussian_steps"] > 0
+
+
+def test_anchored_query_is_traced(tmp_path):
+    # a 2-frame scene trains anchors at t = 0 and 1; the query records -0.3,
+    # 0.2, 0.7 and 1.2, which take 3 steps back from 0, 2 + 5 on from 0 and 2
+    # on from 1: the Gaussian-steps perfbench's useful_step_ratio divides by
+    gen, fit = tmp_path / "gen", tmp_path / "fit"
+    assert cli.main(["generate", "--kind", "drift", "--n-gaussians", "4", "--n-frames", "2", "--out", str(gen)]) == 0
+    assert cli.main(["train", "--scene", str(gen / "scene.json"), "--epochs", "1", "--out", str(fit)]) == 0
+    tracer = trace(["simulate", "--checkpoint", str(fit / "checkpoint.gsd"), "--anchored", "--t0", "-0.3",
+                    "--t1", "1.2", "--steps", "10", "--record-stride", "5", "--out", str(tmp_path / "out")])
+    recorded = {name for name, _, _, _ in tracer.spans}
+    assert {"cli.simulate", "integrate.rollout"} <= recorded
+    assert tracer.counts["integrate.gaussian_steps"] == 4 * (3 + 2 + 5 + 2)

@@ -280,7 +280,7 @@ class TestUnrolledGradients:
         return field, p0, list(ck_times), targets
 
     def loss_and_grads(self, field, p0, ck_times, targets, steps_per_unit=4):
-        legs = train.legs_between([0.0, *ck_times], steps_per_unit)
+        legs = itg.legs_between([0.0, *ck_times], steps_per_unit)
         checkpoints, cache = train.unroll_segment(field, p0, legs)
         loss = 0.0
         ck_grads = []
@@ -327,7 +327,7 @@ class TestUnrolledGradients:
 
     def test_checkpoint_gradient_count_checked(self):
         field, p0, ck_times, targets = self.data_grad_setup(seed=10)
-        _, cache = train.unroll_segment(field, p0, train.legs_between([0.0, *ck_times], 4))
+        _, cache = train.unroll_segment(field, p0, itg.legs_between([0.0, *ck_times], 4))
         with pytest.raises(train.TrainingError, match="checkpoints"):
             train.backward_through_rollout(field, cache, [None])
 
@@ -404,7 +404,7 @@ def unequal_segment_plan():
 
 
 def segment_steps(seg):
-    return sum(n_steps for _, n_steps, _ in seg.legs)
+    return sum(len(steps) for _, _, steps in seg.legs)
 
 
 class TestTape:
@@ -490,7 +490,7 @@ class TestStepRule:
         scene = SceneData(cloud=make_cloud(frames[0]), trajectory_times=times, trajectory_positions=frames)
         plan = train._build_plan(scene, train.TrainingConfig(frame_stride=stride, steps_per_unit=steps_per_unit,
                                                              knn_k=1))
-        leg_steps = [n_steps for seg in plan.segments for _, n_steps, _ in seg.legs]
+        leg_steps = [len(steps) for seg in plan.segments for _, _, steps in seg.legs]
         rollout, counts = itg.rollout, []
 
         def counted(cloud, t0, t1, config, field, velocities=None):
