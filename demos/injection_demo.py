@@ -9,7 +9,7 @@ Run with:  python3 demos/injection_demo.py
 
 import numpy as np
 
-from gsdyn.fields import AnalyticField, ZeroField, blend_masked, compose_add, sphere_mask
+from gsdyn.fields import AnalyticField, MaskedBlendField, SummedField, ZeroField, sphere_mask
 from gsdyn.integrate import IntegratorConfig, rollout
 from gsdyn.scene import GaussianCloud
 
@@ -35,7 +35,7 @@ def main():
 
     # hard mask: points inside the sphere follow the spin, the rest stay put
     mask = sphere_mask(center, 0.25)
-    field = blend_masked(ZeroField(), spin, mask)
+    field = MaskedBlendField(ZeroField(), spin, mask)
     cfg = IntegratorConfig(method="rk4", step_count=200, record_stride=200)
     traj = rollout(cloud, 0.0, 1.0, cfg, field)
 
@@ -46,7 +46,7 @@ def main():
     print(f"max displacement outside:  {moved[~inside].max():.2e}  (identically zero)")
 
     # soft edge: the blend fades out over the band just inside the radius
-    soft = blend_masked(ZeroField(), spin, sphere_mask(center, 0.25, edge_width=0.15))
+    soft = MaskedBlendField(ZeroField(), spin, sphere_mask(center, 0.25, edge_width=0.15))
     traj_soft = rollout(cloud, 0.0, 1.0, cfg, soft)
     moved_soft = np.linalg.norm(traj_soft.positions[-1] - cloud.positions, axis=-1)
     d = np.linalg.norm(cloud.positions - center, axis=1)
@@ -56,7 +56,7 @@ def main():
 
     # additive composition: a global breeze on top of the masked spin
     breeze = AnalyticField("drift", delta=(0.1, 0.0, 0.0))
-    combined = compose_add(field, breeze, 1.0)
+    combined = SummedField(field, breeze, 1.0)
     traj_c = rollout(cloud, 0.0, 1.0, cfg, combined)
     drift_of_outside = np.mean(traj_c.positions[-1][~inside] - cloud.positions[~inside], axis=0)
     print(f"outside points under spin+breeze drifted by {np.round(drift_of_outside, 3)}")

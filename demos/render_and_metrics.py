@@ -43,8 +43,8 @@ def main():
 
     # round trip through the PPM file is exact at 8-bit precision
     back = render.read_ppm(out / "swirl_0000.ppm")
-    q = np.round(frames[0].pixels * 255) / 255.0
-    print("ppm round trip max error:", float(np.max(np.abs(back.pixels - q))))
+    q = np.round(frames[0] * 255) / 255.0
+    print("ppm round trip max error:", float(np.max(np.abs(back - q))))
 
 
 if __name__ == "__main__":

@@ -10,16 +10,16 @@ from .anchors import Anchor, AnchorSet
 from .feature_grid import HexPlaneGrid, create_grid, lookup, lookup_grad, tv_loss
 from .fields import (
     AnalyticField,
+    MaskedBlendField,
     NeuralVelocityField,
+    SummedField,
     VelocityField,
     ZeroField,
-    blend_masked,
     box_mask,
-    compose_add,
     sphere_mask,
 )
 from .integrate import IntegratorConfig, Trajectory, anchor_aware_rollout, anchored_states, rollout
-from .render import Image, dssim, project, psnr, rasterize, ssim, write_ppm
+from .render import dssim_of, project, psnr, rasterize, ssim, write_ppm
 from .scene import CameraSpec, GaussianCloud, SceneData, knn, load_scene, save_scene
 from .train import FitResult, LossReport, TrainingConfig, coherence_loss, fit, total_loss
 

@@ -264,8 +264,8 @@ def cmd_inject(args):
         injected = _load_field_spec(args.field, checkpoint_field)
         if args.mask:
             mask = _read_spec(args.mask, fields.build_mask)
-            return fields.blend_masked(base, fields.compose_add(fields.ZeroField(), injected, args.lam), mask)
-        return fields.compose_add(base, injected, args.lam)
+            return fields.MaskedBlendField(base, fields.SummedField(fields.ZeroField(), injected, args.lam), mask)
+        return fields.SummedField(base, injected, args.lam)
 
     composed, cloud, _, camera = _resolve_inputs(
         args, make_field, "need --scene or a checkpoint with anchors for the initial cloud"
@@ -482,7 +482,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     try:
         result = args.func(args)
-    except (UsageError, SceneError, fields.FieldError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
+    except (UsageError, SceneError, fields.FieldError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (IntegrationError, train.TrainingError, FloatingPointError, np.linalg.LinAlgError) as e:

@@ -43,6 +43,16 @@ def _zeros(n):
     return np.zeros((n, 3))
 
 
+def _finite(value) -> bool:
+    """Whether value is a number, or nested lists of numbers, all finite;
+    strings and booleans are not numbers."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged lists
+        return False
+    return a.dtype.kind in "iuf" and bool(np.all(np.isfinite(a)))
+
+
 class VelocityField:
     """Abstract evaluator producing state time-derivatives.
 
@@ -75,21 +85,6 @@ class ZeroField(VelocityField):
 # Analytic fields
 
 
-ANALYTIC_KINDS = (
-    "gravity_bounce",
-    "drift",
-    "spin",
-    "swirl",
-    "diffusion_gas",
-    "vortex",
-    "wave",
-    "wind_curl",
-    "orbital",
-    "reaction_diffusion",
-)
-
-_SECOND_ORDER_KINDS = {"gravity_bounce", "orbital", "diffusion_gas", "reaction_diffusion"}
-
 _DEFAULT_PARAMS = {
     "gravity_bounce": {"g": -9.8, "z0": 0.0, "gamma": 0.8},
     "drift": {"delta": 1.0},
@@ -102,6 +97,8 @@ _DEFAULT_PARAMS = {
     "orbital": {"center": (0.0, 0.0, 0.0), "G": 1.0, "mu": 0.0},
     "reaction_diffusion": {"noise_scale": 1.0},
 }
+ANALYTIC_KINDS = tuple(_DEFAULT_PARAMS)
+_SECOND_ORDER_KINDS = {"gravity_bounce", "orbital", "diffusion_gas", "reaction_diffusion"}
 
 
 class AnalyticField(VelocityField):
@@ -128,11 +125,7 @@ class AnalyticField(VelocityField):
         if unknown:
             raise FieldError(f"{kind}: unknown parameters {sorted(unknown)}")
         for key, value in params.items():
-            try:
-                finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
-            except (TypeError, ValueError):
-                finite = False
-            if not finite:
+            if not _finite(value):
                 raise FieldError(f"{kind}: parameter {key!r} must be numeric and finite, got {value!r}")
         self.params.update(params)
         self.second_order = kind in _SECOND_ORDER_KINDS
@@ -150,11 +143,13 @@ class AnalyticField(VelocityField):
         v = _zeros(n) if velocities is None else np.asarray(velocities, dtype=float)
         x, y, z = p[:, 0], p[:, 1], p[:, 2]
         prm = self.params
-        d_pos = _zeros(n)
+        # a second-order state moves with its auxiliary velocity; diffusion_gas
+        # and reaction_diffusion add nothing here, as their velocity kicks
+        # happen in the post-step event
+        d_pos = v.copy() if self.second_order else _zeros(n)
         d_vel = _zeros(n)
 
         if self.kind == "gravity_bounce":
-            d_pos = v.copy()
             d_vel[:, 2] = prm["g"]
         elif self.kind == "drift":
             delta = prm["delta"]
@@ -175,10 +170,6 @@ class AnalyticField(VelocityField):
                 ],
                 axis=1,
             )
-        elif self.kind == "diffusion_gas":
-            # velocity relaxation happens in the post-step event; here the
-            # state just drifts with its auxiliary velocity
-            d_pos = v.copy()
         elif self.kind == "vortex":
             w, k, u0 = prm["omega"], prm["k"], prm["u0"]
             r = np.sqrt(x**2 + y**2)
@@ -218,11 +209,7 @@ class AnalyticField(VelocityField):
             rn = np.linalg.norm(r, axis=1)
             if np.any(rn < 1e-12):
                 raise FieldError("orbital field evaluated at its center (singularity); offset the query")
-            d_pos = v.copy()
             d_vel = -prm["G"] * r / rn[:, None] ** 3 - prm["mu"] * v
-        elif self.kind == "reaction_diffusion":
-            # stochastic velocity kicks happen in the post-step event
-            d_pos = v.copy()
 
         return BatchDerivative(d_pos, _zeros(n), _zeros(n), d_vel)
 
@@ -426,7 +413,7 @@ class NeuralVelocityField(VelocityField):
 
 
 class SummedField(VelocityField):
-    """base + lam * ext, componentwise on derivatives.
+    """The additive injection base + lam * ext, componentwise on derivatives.
 
     Post-step events run through base, then through ext unless lam is 0,
     so that lam = 0 reproduces the base field exactly.
@@ -453,9 +440,10 @@ class SummedField(VelocityField):
 class MaskedBlendField(VelocityField):
     """mask(x) * injected + (1 - mask(x)) * base.
 
-    The mask selects the injected field; a hard {0, 1} mask partitions the
-    cloud exactly (bitwise) between the two children.  Post-step events run
-    through the child that dominates each Gaussian's mask value.
+    The mask selects the injected field; invert the mask to select the base.
+    A hard {0, 1} mask partitions the cloud exactly (bitwise) between the two
+    children.  Post-step events run through the child that dominates each
+    Gaussian's mask value.
     """
 
     def __init__(self, base: VelocityField, injected: VelocityField, mask: Callable):
@@ -466,7 +454,7 @@ class MaskedBlendField(VelocityField):
 
     def _mask_values(self, positions):
         w = np.asarray(self.mask(positions), dtype=float).reshape(-1)
-        if np.any(w < 0.0) or np.any(w > 1.0):
+        if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN too
             raise FieldError("mask returned a value outside [0, 1]")
         return w
 
@@ -493,20 +481,6 @@ class MaskedBlendField(VelocityField):
         pb, vb = self.injected.apply_events(positions, velocities, t, step_index)
         sel = (w > 0.5)[:, None]
         return np.where(sel, pb, pa), np.where(sel, vb, va)
-
-
-def compose_add(base: VelocityField, ext: VelocityField, lam: float) -> VelocityField:
-    """The additive injection v_base + lam * v_ext."""
-    return SummedField(base, ext, lam)
-
-
-def blend_masked(base: VelocityField, injected: VelocityField, mask: Callable) -> VelocityField:
-    """Spatially mixed field: the mask selects the injected dynamics.
-
-    The opposite convention (mask selecting the base field) is obtained by
-    inverting the mask.
-    """
-    return MaskedBlendField(base, injected, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +538,10 @@ def _check_keys(spec, what: str, *keys):
 def build_mask(spec: dict) -> Callable:
     _check_keys(spec, "mask", "shape")
     shape = spec["shape"]
+    for key, dims in (("center", (3,)), ("lo", (3,)), ("hi", (3,)), ("radius", ()), ("edge_width", ())):
+        if key in spec and not (_finite(spec[key]) and np.shape(spec[key]) == dims):
+            raise FieldError(f"mask: {key!r} must be {'a finite 3-vector' if dims else 'a finite number'}, "
+                             f"got {spec[key]!r}")
     if shape == "sphere":
         _check_keys(spec, "sphere mask", "center", "radius")
         return sphere_mask(spec["center"], spec["radius"], spec.get("edge_width", 0.0))
@@ -591,10 +569,13 @@ def build_field(spec: dict, neural_loader: Callable = None) -> VelocityField:
         a = build_field(children[0], neural_loader)
         b = build_field(children[1], neural_loader)
         if spec["op"] == "add":
-            return compose_add(a, b, spec.get("lam", 1.0))
+            lam = spec.get("lam", 1.0)
+            if not _finite(lam) or np.ndim(lam) != 0:
+                raise FieldError(f"add: 'lam' must be a finite number, got {lam!r}")
+            return SummedField(a, b, lam)
         if spec["op"] == "blend":
             _check_keys(spec, "blend", "mask")
-            return blend_masked(a, b, build_mask(spec["mask"]))
+            return MaskedBlendField(a, b, build_mask(spec["mask"]))
         raise FieldError(f"unknown composition op {spec['op']!r}")
     kind = spec.get("kind")
     if kind == "zero":

@@ -1,6 +1,7 @@
 """Evaluation-only CPU splat rasterizer and image metrics.
 
-Each frame projects the whole cloud in one vectorized pass through a pinhole
+A frame is an (H, W, 3) float array, row-major RGB with channels in [0, 1].
+Rendering one projects the whole cloud in one vectorized pass through a pinhole
 camera, with the affine (Jacobian) approximation for covariance transport as
 in EWA splatting.  The kept Gaussians are sorted front to back by depth, then
 index, and alpha-composited one after another within a 3-sigma pixel
@@ -12,8 +13,6 @@ columns, filter the moment images x, y, x^2, y^2, xy of all channels at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -23,21 +22,6 @@ from .scene import CameraSpec, GaussianCloud
 PSNR_CAP_DB = 99.0
 ALPHA_MAX = 0.999
 FOOTPRINT_SIGMAS = 3.0
-
-
-@dataclass(frozen=True)
-class Image:
-    """Row-major RGB image with channels in [0, 1]."""
-
-    pixels: np.ndarray  # (H, W, 3)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
 
 
 def _view_basis(camera: CameraSpec):
@@ -86,7 +70,7 @@ def project(cloud: GaussianCloud, camera: CameraSpec):
     return mean2d, cov2d, depth, keep
 
 
-def rasterize(cloud: GaussianCloud, camera: CameraSpec) -> Image:
+def rasterize(cloud: GaussianCloud, camera: CameraSpec) -> np.ndarray:
     """Front-to-back alpha compositing of the whole cloud over black.
 
     Depth sort is by view-space center depth with index tie-breaking, so
@@ -127,22 +111,22 @@ def rasterize(cloud: GaussianCloud, camera: CameraSpec) -> Image:
         patch = image[y0:y1, x0:x1]
         patch += (t_patch * alpha)[:, :, None] * color
         t_patch *= 1.0 - alpha
-    return Image(pixels=np.clip(image, 0.0, 1.0))
+    return np.clip(image, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Metrics
 
 
-def _check_dims(a: Image, b: Image):
-    if a.pixels.shape != b.pixels.shape:
-        raise ValueError(f"image dimension mismatch: {a.pixels.shape} vs {b.pixels.shape}")
+def _check_dims(a: np.ndarray, b: np.ndarray):
+    if a.shape != b.shape:
+        raise ValueError(f"image dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def psnr(a: Image, b: Image) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """10 * log10(1 / MSE) over all channels, capped at 99 dB."""
     _check_dims(a, b)
-    mse = float(np.mean((a.pixels - b.pixels) ** 2))
+    mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
@@ -161,14 +145,14 @@ def _ssim_window() -> np.ndarray:
     return g / g.sum()
 
 
-def ssim(a: Image, b: Image) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Windowed SSIM (11x11 Gaussian window, sigma 1.5), mean over windows
     and channels; valid windows only."""
     _check_dims(a, b)
-    if min(a.pixels.shape[:2]) < SSIM_WINDOW:
+    if min(a.shape[:2]) < SSIM_WINDOW:
         raise ValueError(f"image smaller than the {SSIM_WINDOW}-pixel SSIM window")
     g = _ssim_window()
-    x, y = np.moveaxis(a.pixels, 2, 0), np.moveaxis(b.pixels, 2, 0)  # (3, H, W)
+    x, y = np.moveaxis(a, 2, 0), np.moveaxis(b, 2, 0)  # (3, H, W)
     moments = np.stack([x, y, x * x, y * y, x * y])
     for _ in range(2):  # filter along rows, then (axes swapped) along columns
         moments = np.swapaxes(sliding_window_view(moments, SSIM_WINDOW, axis=-1) @ g, -1, -2)
@@ -187,22 +171,18 @@ def dssim_of(ssim_value: float) -> float:
     return (1.0 - ssim_value) / 2.0
 
 
-def dssim(a: Image, b: Image) -> float:
-    return dssim_of(ssim(a, b))
-
-
 # ---------------------------------------------------------------------------
 # PPM (P6) I/O — bit-exact: max value 255, round half up from [0, 1]
 
 
-def write_ppm(image: Image, path) -> None:
-    data = np.floor(image.pixels * 255.0 + 0.5).astype(np.uint8)
+def write_ppm(image: np.ndarray, path) -> None:
+    data = np.floor(image * 255.0 + 0.5).astype(np.uint8)
     with open(path, "wb") as f:
-        f.write(f"P6\n{image.width} {image.height}\n255\n".encode("ascii"))
+        f.write(f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
         f.write(data.tobytes())
 
 
-def read_ppm(path) -> Image:
+def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         magic = f.readline().strip()
         if magic != b"P6":
@@ -213,4 +193,4 @@ def read_ppm(path) -> Image:
         if maxval != 255:
             raise ValueError(f"{path}: unsupported max value {maxval}")
         data = np.frombuffer(f.read(w * h * 3), dtype=np.uint8).reshape(h, w, 3)
-    return Image(pixels=data.astype(float) / 255.0)
+    return data.astype(float) / 255.0

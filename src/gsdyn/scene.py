@@ -164,8 +164,12 @@ def load_scene(path) -> SceneData:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise SceneParseError(f"cannot parse scene file {path}: {e}") from e
-    if not isinstance(doc, dict) or "gaussians" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("gaussians"), list):
         raise SceneParseError("scene file must be an object with a 'gaussians' list")
+    if not isinstance(doc.get("cameras", []), list):
+        raise SceneParseError("cameras: expected a list of cameras")
+    if not doc["gaussians"]:
+        raise SceneValidationError("gaussians: the scene holds no Gaussian")
 
     columns = {name: [] for name, _ in _ROW_VECTORS}
     opacities = []
@@ -179,15 +183,19 @@ def load_scene(path) -> SceneData:
             if a.shape != (width,):
                 raise SceneValidationError(f"gaussians[{i}].{name}: expected {width}-vector, got shape {a.shape}")
             columns[name].append(a)
-    arrays = {name: np.array(columns[name], dtype=float).reshape(-1, width) for name, width in _ROW_VECTORS}
+    arrays = {name: np.array(columns[name], dtype=float) for name, _ in _ROW_VECTORS}
 
+    try:
+        time = float(doc.get("time", 0.0))
+    except (TypeError, ValueError) as e:
+        raise SceneParseError(f"time: {e}") from e
     cloud = GaussianCloud(
         positions=arrays["position"],
         rotations=arrays["rotation"],
         log_scales=arrays["log_scale"],
         colors=arrays["color"],
         opacities=np.array(opacities, dtype=float),
-        time=float(doc.get("time", 0.0)),
+        time=time,
     ).validate()
 
     cameras = []
@@ -202,7 +210,7 @@ def load_scene(path) -> SceneData:
                 height=int(c["height"]),
                 near=float(c.get("near", 1e-3)),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:  # OverflowError: an infinite size
             raise SceneParseError(f"cameras[{i}]: {e}") from e
         cameras.append(cam.validate(name=f"cameras[{i}]"))
 
@@ -324,6 +332,8 @@ def import_trajectory_csv(path):
         row_times, xyz = np.array(columns[1], dtype=float), np.array(columns[3:6], dtype=float).T
     except (ValueError, OverflowError) as e:  # OverflowError: an index beyond int64
         raise SceneParseError(f"{path}: {e}") from e
+    if not (np.isfinite(row_times).all() and np.isfinite(xyz).all()):
+        raise SceneParseError(f"{path}: a time or position is not finite")
     n_frames, n_gaussians = int(fi.max()) + 1, int(gi.max()) + 1
     # the row count is checked first, so a stray huge index cannot size the bincount
     if (min(fi.min(), gi.min()) < 0 or len(rows) != n_frames * n_gaussians

@@ -232,14 +232,13 @@ def backward_through_rollout(field: NeuralVelocityField, cache: UnrollCache, che
 # Coherence regularizer
 
 
-def _pair_weights(positions, neighbors, rows):
-    """Distance weights w_ij = exp(-||x_i - x_j|| / sigma), sigma = mean/2."""
-    neighbors = np.asarray(neighbors)
+def _pair_weights(positions, neighbors):
+    """(N, k) distance weights w_ij = exp(-||x_i - x_j|| / sigma), sigma = mean/2."""
     d_all = np.linalg.norm(positions[:, None, :] - positions[neighbors], axis=-1)
     mean_d = float(d_all.mean())
     if mean_d == 0.0:
         raise TrainingError("coincident points: sigma degenerates to 0")
-    return np.exp(-d_all[rows] / (0.5 * mean_d))
+    return np.exp(-d_all / (0.5 * mean_d))
 
 
 def coherence_loss(
@@ -260,18 +259,19 @@ def coherence_loss(
     """
     if h <= 0:
         raise ValueError("coherence step h must be positive")
-    p = cloud.positions
+    p, neighbors = cloud.positions, np.asarray(neighbors)
     xh = p + rk4_increments(field, p, np.zeros_like(p), cloud.time, h)[0]
-    return _coherence(p, xh, neighbors, variant)[0]
+    return _coherence(p, xh, neighbors, _pair_weights(p, neighbors), variant)[0]
 
 
-def _coherence(p, xh, neighbors, variant, rows=None):
+def _coherence(p, xh, neighbors, weights, variant, rows=None):
     """Coherence value over the given rows (all by default) and its gradient
-    w.r.t. the post-step positions xh; returns (value, g_xh)."""
+    w.r.t. the post-step positions xh; weights are every row's
+    :func:`_pair_weights`.  Returns (value, g_xh)."""
     if rows is None:
         rows = np.arange(p.shape[0])
-    w = _pair_weights(p, neighbors, rows)
-    nb = np.asarray(neighbors)[rows]
+    w = weights[rows]
+    nb = neighbors[rows]
     diff = xh[rows][:, None, :] - xh[nb]
     if variant == "relative":
         diff = diff - (p[rows][:, None, :] - p[nb])
@@ -303,7 +303,8 @@ class _Plan:
     segments: list
     anchors: AnchorSet  # ground-truth clouds at the anchor frames
     supervised_times: np.ndarray
-    neighbors: np.ndarray
+    neighbors: np.ndarray  # (N, k) coherence graph of the canonical cloud
+    weights: np.ndarray  # (N, k) its _pair_weights, fixed for the fit
 
 
 @dataclass
@@ -349,24 +350,20 @@ def _build_plan(scene: SceneData, config: TrainingConfig) -> _Plan:
     anchors = AnchorSet()
     for i in anchor_idx:
         anchors.insert(scene.cloud.with_positions(sup_p[i]), sup_times[i])
-    return _Plan(
-        cloud=scene.cloud,
-        segments=segments,
-        anchors=anchors,
-        supervised_times=sup_t,
-        neighbors=knn(scene.cloud, min(config.knn_k, len(scene.cloud) - 1)),
-    )
+    neighbors = knn(scene.cloud, min(config.knn_k, len(scene.cloud) - 1))
+    return _Plan(cloud=scene.cloud, segments=segments, anchors=anchors, supervised_times=sup_t,
+                 neighbors=neighbors, weights=_pair_weights(scene.cloud.positions, neighbors))
 
 
 def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: TrainingConfig, coh_rows=None,
-                            want_grads: bool = True, tape: UnrollCache = None):
-    """One full forward (and optionally backward) pass over the plan.
+                            tape: UnrollCache = None):
+    """One full forward and backward pass over the plan.
 
     Every segment, then the coherence leg, is recorded on ``tape`` (a new
     :class:`UnrollCache` when None) and reversed before the next one runs.
     """
     tape = UnrollCache() if tape is None else tape
-    grads = field.zero_grads() if want_grads else None
+    grads = field.zero_grads()
     data_sum = 0.0
     anchor_sum = 0.0
     denom = (len(plan.supervised_times) - 1) * len(plan.cloud)  # every supervised frame but the first
@@ -385,19 +382,18 @@ def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: Tra
                 gt = config.lambda_anchor * 2.0 * theta
                 gs = config.lambda_anchor * 2.0 * scale
             ck_grads.append((gp, gt, gs))
-        if want_grads:
-            backward_through_rollout(field, tape, ck_grads, grads)
+        backward_through_rollout(field, tape, ck_grads, grads)
     data = data_sum / denom
 
     # coherence: a one-step leg from the canonical cloud
     p0 = plan.cloud.positions
     [(p_next, _, _)], _ = unroll_segment(field, p0, [(plan.cloud.time, COHERENCE_STEP, range(1))], tape)
-    coherence, g_xh = _coherence(p0, p_next, plan.neighbors, config.coherence_variant, coh_rows)
-    if want_grads and config.lambda_coh > 0:
+    coherence, g_xh = _coherence(p0, p_next, plan.neighbors, plan.weights, config.coherence_variant, coh_rows)
+    if config.lambda_coh > 0:
         backward_through_rollout(field, tape, [(config.lambda_coh * g_xh, None, None)], grads)
 
     tv = feature_grid.tv_loss(field.grid)
-    if want_grads and config.lambda_tv > 0:
+    if config.lambda_tv > 0:
         grads[-field.grid.cells.size :] += config.lambda_tv * feature_grid.tv_grad(field.grid).ravel()
 
     total, report = total_loss(data, coherence, anchor_sum, tv, config)

@@ -128,8 +128,7 @@ class TestAnchorLoss:
         plan = train._build_plan(scene, cfg)
         assert plan.anchors.times.tolist() == [0.0, 0.5, 1.0]
         grid = create_grid(np.zeros(3), np.ones(3), spatial_resolution=3, time_resolution=3, channels=1)
-        report, _ = train._epoch_losses_and_grads(NeuralVelocityField(grid, hidden=(4,)), plan, cfg,
-                                                  want_grads=False)
+        report, _ = train._epoch_losses_and_grads(NeuralVelocityField(grid, hidden=(4,)), plan, cfg)
         assert report.anchor == pytest.approx(5.0)
 
     def test_log_scale_term(self):

@@ -673,6 +673,43 @@ class TestEval:
         assert float(row[5]) == pytest.approx(0.0)
 
 
+class TestInputsOutsideTheContract:
+    """Inputs that once escaped the exit-code contract: each is a usage error
+    on one ``error:`` line, and leaves no --out."""
+
+    @pytest.mark.parametrize("command", [
+        ["render"],
+        ["inject", "--field", "spin.json", "--render-frames"],
+        ["simulate", "--field", "spin.json", "--t0", "0", "--t1", "1"],
+    ], ids=["render", "inject", "simulate"])
+    def test_empty_scene(self, drift_scene, tmp_path, capsys, command):
+        doc = json.loads((drift_scene / "scene.json").read_text())
+        doc["gaussians"], doc["trajectories"] = [], None
+        (tmp_path / "empty.json").write_text(json.dumps(doc))
+        (tmp_path / "spin.json").write_text('{"kind": "spin"}')
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+        out = tmp_path / "out"
+        assert run(argv + ["--scene", str(tmp_path / "empty.json"), "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: gaussians: the scene holds no Gaussian\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["checkpoint", "field", "pred", "out"])
+    def test_path_the_os_refuses(self, drift_scene, tmp_path, capsys, flag):
+        # a directory where a file is read, or an --out under a regular file
+        scene = str(drift_scene / "scene.json")
+        argv = {
+            "checkpoint": ["simulate", "--checkpoint", str(tmp_path), "--t0", "0", "--t1", "1"],
+            "field": ["inject", "--field", str(tmp_path), "--scene", scene],
+            "pred": ["eval", "--pred", str(tmp_path), "--gt", scene],
+        }.get(flag, ["render", "--scene", scene])
+        out = tmp_path / "out" if flag != "out" else drift_scene / "scene.json" / "out"
+        assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (str(out) if flag == "out" else str(tmp_path)) in err
+        assert not out.exists()
+
+
 class TestSeedFlag:
     @pytest.mark.parametrize("command", ["simulate", "inject", "render", "eval"])
     def test_seed_only_where_read(self, drift_scene, tmp_path, command):

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gsdyn import integrate
-from gsdyn.fields import ANALYTIC_KINDS, AnalyticField, blend_masked, compose_add, sphere_mask
+from gsdyn.fields import ANALYTIC_KINDS, AnalyticField, MaskedBlendField, SummedField, sphere_mask
 from gsdyn.integrate import IntegratorConfig
 from gsdyn.scene import GaussianCloud
 
@@ -30,8 +30,8 @@ leaves = st.builds(AnalyticField, st.sampled_from(ANALYTIC_KINDS), seed=st.integ
 trees = st.recursive(
     leaves,
     lambda children: st.one_of(
-        st.builds(compose_add, children, children, st.floats(-2.0, 2.0)),
-        st.builds(blend_masked, children, children, soft_masks()),
+        st.builds(SummedField, children, children, st.floats(-2.0, 2.0)),
+        st.builds(MaskedBlendField, children, children, soft_masks()),
     ),
     max_leaves=4,
 )
@@ -59,7 +59,7 @@ def assert_same_field(got, want, batch, rows=slice(None)):
 @settings(max_examples=60, deadline=None)
 @given(trees, trees, batches())
 def test_add_at_lambda_zero_is_the_base(base, ext, batch):
-    assert_same_field(compose_add(base, ext, 0.0), base, batch)
+    assert_same_field(SummedField(base, ext, 0.0), base, batch)
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,10 +69,10 @@ def test_hard_blend_is_the_selected_child(base, injected, batch, cut):
         return (p[:, 0] > cut).astype(float)
 
     inside = hard(batch[0]) == 1.0
-    assert_same_field(blend_masked(base, injected, hard), injected, batch, inside)
-    assert_same_field(blend_masked(base, injected, hard), base, batch, ~inside)
-    assert_same_field(blend_masked(base, injected, lambda p: np.zeros(len(p))), base, batch)
-    assert_same_field(blend_masked(base, injected, lambda p: np.ones(len(p))), injected, batch)
+    assert_same_field(MaskedBlendField(base, injected, hard), injected, batch, inside)
+    assert_same_field(MaskedBlendField(base, injected, hard), base, batch, ~inside)
+    assert_same_field(MaskedBlendField(base, injected, lambda p: np.zeros(len(p))), base, batch)
+    assert_same_field(MaskedBlendField(base, injected, lambda p: np.ones(len(p))), injected, batch)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,15 +9,16 @@ import pytest
 
 from gsdyn import feature_grid as fg
 from gsdyn.fields import (
+    ANALYTIC_KINDS,
     AnalyticField,
     FieldError,
+    MaskedBlendField,
     NeuralVelocityField,
+    SummedField,
     ZeroField,
-    blend_masked,
     box_mask,
     build_field,
     build_mask,
-    compose_add,
     sphere_mask,
     time_encoding,
 )
@@ -78,6 +79,22 @@ class TestAnalyticSpotValues:
     def test_gamma_range_enforced(self):
         with pytest.raises(FieldError):
             AnalyticField("gravity_bounce", gamma=1.5)
+
+
+@pytest.mark.parametrize("kind", ANALYTIC_KINDS)
+def test_second_order_position_moves_with_velocity(kind):
+    # a second-order kind's d_position is its auxiliary velocity, bit for bit;
+    # a first-order kind has no acceleration
+    field = AnalyticField(kind, seed=3)
+    rng = np.random.default_rng(9)
+    p = rng.uniform(0.2, 0.8, (6, 3))
+    v = rng.standard_normal((6, 3))
+    d = field.evaluate_batch(p, v, 0.3, step_index=2)
+    assert field.second_order == (kind in ("gravity_bounce", "diffusion_gas", "orbital", "reaction_diffusion"))
+    if field.second_order:
+        np.testing.assert_array_equal(d.d_position, v)
+    else:
+        np.testing.assert_array_equal(d.d_velocity, np.zeros((6, 3)))
 
 
 class TestBounceEvents:
@@ -271,7 +288,7 @@ class TestComposition:
     def test_add_lambda_zero_equals_base(self):
         base = AnalyticField("drift", delta=(1.0, 0.0, 0.0))
         ext = AnalyticField("spin", omega=3.0)
-        f = compose_add(base, ext, 0.0)
+        f = SummedField(base, ext, 0.0)
         p = np.random.default_rng(0).uniform(0, 1, (4, 3))
         np.testing.assert_array_equal(
             f.evaluate_batch(p, None, 0.1).d_position,
@@ -280,7 +297,7 @@ class TestComposition:
 
     def test_add_zero_base_equals_ext(self):
         ext = AnalyticField("spin", omega=2.0)
-        f = compose_add(ZeroField(), ext, 1.0)
+        f = SummedField(ZeroField(), ext, 1.0)
         p = np.random.default_rng(1).uniform(0, 1, (4, 3))
         np.testing.assert_array_equal(
             f.evaluate_batch(p, None, 0.0).d_position,
@@ -288,7 +305,7 @@ class TestComposition:
         )
 
     def test_add_two_drifts(self):
-        f = compose_add(
+        f = SummedField(
             AnalyticField("drift", delta=(1.0, 0.0, 0.0)),
             AnalyticField("drift", delta=(0.0, 2.0, 0.0)),
             0.5,
@@ -302,8 +319,8 @@ class TestComposition:
         p = np.array([[0.2, 0.3, 0.4], [0.6, 0.5, 0.4]])
         drift, grav = AnalyticField("drift"), AnalyticField("gravity_bounce", g=-2.0)
         np.testing.assert_array_equal(drift.evaluate_batch(p, None, 0.0).d_velocity, np.zeros((2, 3)))
-        for f in (compose_add(drift, grav, 0.5),
-                  blend_masked(drift, grav, lambda q: np.full(len(q), 0.5))):
+        for f in (SummedField(drift, grav, 0.5),
+                  MaskedBlendField(drift, grav, lambda q: np.full(len(q), 0.5))):
             d = f.evaluate_batch(p, None, 0.0)
             assert f.second_order and len(d) == 4 and all(c.shape == (2, 3) for c in d)
             np.testing.assert_array_equal(d.d_velocity, np.broadcast_to([0.0, 0.0, -1.0], (2, 3)))
@@ -311,8 +328,8 @@ class TestComposition:
     def test_add_associative_up_to_fp(self):
         rng = np.random.default_rng(2)
         fields_3 = [AnalyticField("drift", delta=tuple(rng.uniform(-1, 1, 3))) for _ in range(3)]
-        a = compose_add(compose_add(fields_3[0], fields_3[1], 1.0), fields_3[2], 1.0)
-        b = compose_add(fields_3[0], compose_add(fields_3[1], fields_3[2], 1.0), 1.0)
+        a = SummedField(SummedField(fields_3[0], fields_3[1], 1.0), fields_3[2], 1.0)
+        b = SummedField(fields_3[0], SummedField(fields_3[1], fields_3[2], 1.0), 1.0)
         p = rng.uniform(0, 1, (5, 3))
         da = a.evaluate_batch(p, None, 0.0).d_position
         db = b.evaluate_batch(p, None, 0.0).d_position
@@ -322,8 +339,8 @@ class TestComposition:
         base = AnalyticField("drift", delta=(1.0, 0.0, 0.0))
         inj = AnalyticField("spin", omega=2.0)
         p = np.random.default_rng(3).uniform(0, 1, (6, 3))
-        all_inj = blend_masked(base, inj, lambda x: np.ones(len(x)))
-        all_base = blend_masked(base, inj, lambda x: np.zeros(len(x)))
+        all_inj = MaskedBlendField(base, inj, lambda x: np.ones(len(x)))
+        all_base = MaskedBlendField(base, inj, lambda x: np.zeros(len(x)))
         np.testing.assert_array_equal(
             all_inj.evaluate_batch(p, None, 0.0).d_position,
             inj.evaluate_batch(p, None, 0.0).d_position,
@@ -336,7 +353,7 @@ class TestComposition:
     def test_blend_half_mixes(self):
         base = AnalyticField("drift", delta=(1.0, 0.0, 0.0))
         inj = AnalyticField("drift", delta=(0.0, 1.0, 0.0))
-        f = blend_masked(base, inj, lambda x: np.full(len(x), 0.5))
+        f = MaskedBlendField(base, inj, lambda x: np.full(len(x), 0.5))
         d = f.evaluate_batch(np.array([[0.5, 0.5, 0.5]]), None, 0.0)
         np.testing.assert_allclose(d.d_position[0], [0.5, 0.5, 0.0])
 
@@ -344,7 +361,7 @@ class TestComposition:
         base = AnalyticField("drift", delta=(1.0, 0.0, 0.0))
         inj = AnalyticField("vortex")
         mask = sphere_mask([0.5, 0.5, 0.5], 0.2)
-        f = blend_masked(base, inj, mask)
+        f = MaskedBlendField(base, inj, mask)
         rng = np.random.default_rng(4)
         p = rng.uniform(0, 1, (50, 3))
         d = f.evaluate_batch(p, None, 0.1).d_position
@@ -353,7 +370,7 @@ class TestComposition:
         np.testing.assert_array_equal(d[~inside], base.evaluate_batch(p, None, 0.1).d_position[~inside])
 
     def test_mask_out_of_range_rejected(self):
-        f = blend_masked(ZeroField(), ZeroField(), lambda x: np.full(len(x), 1.5))
+        f = MaskedBlendField(ZeroField(), ZeroField(), lambda x: np.full(len(x), 1.5))
         with pytest.raises(FieldError, match="outside"):
             f.evaluate_batch(np.zeros((2, 3)), None, 0.0)
 
@@ -409,6 +426,7 @@ class TestBuildField:
             ],
         }
         f = build_field(spec)
+        assert isinstance(f, SummedField)
         np.testing.assert_allclose(f.evaluate_batch(np.zeros((1, 3)), None, 0.0).d_position[0], [1.0, 1.0, 0.0])
 
     def test_blend_tree(self):
@@ -418,6 +436,7 @@ class TestBuildField:
             "children": [{"kind": "zero"}, {"kind": "drift", "params": {"delta": [1.0, 0, 0]}}],
         }
         f = build_field(spec)
+        assert isinstance(f, MaskedBlendField)
         d = f.evaluate_batch(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]), None, 0.0)
         np.testing.assert_allclose(d.d_position, [[1.0, 0, 0], [0.0, 0, 0]])
 
@@ -430,7 +449,7 @@ class TestBuildField:
         spin = AnalyticField("spin", center=(0.5, 0.5, 0.5), omega=4.0)
         np.testing.assert_array_equal(f.evaluate_batch(center, None, 0.0).d_position,
                                       spin.evaluate_batch(center, None, 0.0).d_position)
-        base = compose_add(AnalyticField("drift", delta=(0.3, 0, 0)), AnalyticField("wind_curl", w=0.0), 0.5)
+        base = SummedField(AnalyticField("drift", delta=(0.3, 0, 0)), AnalyticField("wind_curl", w=0.0), 0.5)
         np.testing.assert_array_equal(f.evaluate_batch(outside, None, 0.0).d_position,
                                       base.evaluate_batch(outside, None, 0.0).d_position)
 
@@ -451,6 +470,15 @@ class TestBuildField:
         (build_field, {"op": "blend", "children": [{"kind": "zero"}, {"kind": "zero"}]},
          "blend needs the key 'mask'"),
         (build_field, {"kind": "drift", "params": [1.0]}, "drift params must be a JSON object"),
+        (build_field, {"op": "add", "lam": [1], "children": [{"kind": "zero"}, {"kind": "spin"}]},
+         "add: 'lam' must be a finite number"),
+        (build_field, {"op": "add", "lam": float("nan"), "children": [{"kind": "zero"}, {"kind": "spin"}]},
+         "add: 'lam' must be a finite number"),
+        (build_mask, {"shape": "sphere", "center": {"a": 1}, "radius": 0.3}, "mask: 'center' must be a finite 3-vector"),
+        (build_mask, {"shape": "sphere", "center": [0, 0, 0], "radius": "x"}, "mask: 'radius' must be a finite number"),
+        (build_mask, {"shape": "box", "lo": [0, 0, 0], "hi": [1, 1]}, "mask: 'hi' must be a finite 3-vector"),
+        (build_mask, {"shape": "sphere", "center": [0, 0, 0], "radius": 1, "edge_width": float("nan")},
+         "mask: 'edge_width' must be a finite number"),
     ])
     def test_malformed_spec_names_the_key(self, build, spec, match):
         with pytest.raises(FieldError, match=match):
@@ -458,7 +486,7 @@ class TestBuildField:
 
     @pytest.mark.parametrize("kind,params", [
         ("drift", {"delta": "abc"}), ("drift", {"delta": [0.1, None, 0.0]}), ("spin", {"omega": float("inf")}),
-        ("spin", {"center": [0.5, float("nan"), 0.5]}),
+        ("spin", {"center": [0.5, float("nan"), 0.5]}), ("drift", {"delta": "0.3"}), ("spin", {"omega": True}),
     ])
     def test_non_numeric_parameter_names_kind_and_key(self, kind, params):
         key = next(iter(params))

@@ -33,7 +33,7 @@ def cloud_of(entries, time=0.0):
 
 
 def gray(level, h=16, w=16):
-    return render.Image(pixels=np.full((h, w, 3), level))
+    return np.full((h, w, 3), level)
 
 
 def reference_project(position, rotation, log_scale, camera):
@@ -140,7 +140,7 @@ class TestRasterize:
         cam = camera()
         cloud = cloud_of([((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1.0, -2.0)])
         img = render.rasterize(cloud, cam)
-        lum = img.pixels.sum(axis=2)
+        lum = img.sum(axis=2)
         cy, cx = np.unravel_index(np.argmax(lum), lum.shape)
         assert (cy, cx) == (16, 16)
         # intensity decreases monotonically away from the center along the axes
@@ -153,7 +153,7 @@ class TestRasterize:
         cam = camera()
         cloud = cloud_of([((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, -2.0)])
         img = render.rasterize(cloud, cam)
-        np.testing.assert_array_equal(img.pixels, np.zeros((33, 33, 3)))
+        np.testing.assert_array_equal(img, np.zeros((33, 33, 3)))
 
     def test_compositing_series_at_center(self):
         # red in front of blue on the optical axis; hand-evaluate
@@ -164,7 +164,7 @@ class TestRasterize:
             ((0.0, 0.5, 0.0), (0.0, 0.0, 1.0), 0.9, -2.0),
         ])
         img = render.rasterize(cloud, cam)
-        center = img.pixels[16, 16]
+        center = img[16, 16]
         # alpha at the exact center: the pixel grid puts the mean on the
         # center pixel's sample point, so the exponent is ~0
         a_r, a_b = 0.5, 0.9
@@ -176,7 +176,7 @@ class TestRasterize:
         rng = np.random.default_rng(0)
         entries = [(rng.uniform(-0.5, 0.5, 3), rng.uniform(0, 1, 3), 1.0, -1.5) for _ in range(10)]
         img = render.rasterize(cloud_of(entries), camera())
-        assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
+        assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_permutation_invariance_bitwise(self):
         rng = np.random.default_rng(1)
@@ -185,13 +185,13 @@ class TestRasterize:
         a = render.rasterize(cloud_of(entries), cam)
         perm = rng.permutation(8)
         b = render.rasterize(cloud_of([entries[i] for i in perm]), cam)
-        np.testing.assert_array_equal(a.pixels, b.pixels)
+        np.testing.assert_array_equal(a, b)
 
     def test_deterministic(self):
         cloud = cloud_of([((0.0, 0.0, 0.0), (1.0, 0.5, 0.2), 0.8, -2.0)])
         cam = camera()
-        np.testing.assert_array_equal(render.rasterize(cloud, cam).pixels,
-                                      render.rasterize(cloud, cam).pixels)
+        np.testing.assert_array_equal(render.rasterize(cloud, cam),
+                                      render.rasterize(cloud, cam))
 
     def test_projects_once_per_frame(self, monkeypatch):
         calls = []
@@ -211,7 +211,7 @@ class TestRasterize:
         *_, keep = render.project(cloud_of(entries), camera())
         assert keep.tolist() == [False, False, True, True]
         img = render.rasterize(cloud_of(entries), camera())
-        np.testing.assert_array_equal(img.pixels, render.rasterize(cloud_of(entries[2:]), camera()).pixels)
+        np.testing.assert_array_equal(img, render.rasterize(cloud_of(entries[2:]), camera()))
 
     def test_empty_cloud_rejected(self):
         empty = GaussianCloud(
@@ -235,8 +235,8 @@ class TestPsnr:
 
     def test_symmetric(self):
         rng = np.random.default_rng(2)
-        a = render.Image(pixels=rng.uniform(0, 1, (16, 16, 3)))
-        b = render.Image(pixels=rng.uniform(0, 1, (16, 16, 3)))
+        a = rng.uniform(0, 1, (16, 16, 3))
+        b = rng.uniform(0, 1, (16, 16, 3))
         assert render.psnr(a, b) == render.psnr(b, a)
 
     def test_dimension_mismatch(self):
@@ -247,16 +247,16 @@ class TestPsnr:
 class TestSsim:
     def test_identical_is_one(self):
         rng = np.random.default_rng(3)
-        img = render.Image(pixels=rng.uniform(0, 1, (16, 16, 3)))
+        img = rng.uniform(0, 1, (16, 16, 3))
         assert render.ssim(img, img) == pytest.approx(1.0)
-        assert render.dssim(img, img) == pytest.approx(0.0)
+        assert render.dssim_of(render.ssim(img, img)) == pytest.approx(0.0)
 
     def test_negative_for_anticorrelated(self):
         rng = np.random.default_rng(4)
         # high-contrast pattern with no mid-gray: negation anticorrelates
         pattern = (rng.uniform(0, 1, (24, 24, 3)) > 0.5).astype(float)
-        a = render.Image(pixels=pattern)
-        b = render.Image(pixels=1.0 - pattern)
+        a = pattern
+        b = 1.0 - pattern
         assert render.ssim(a, b) < 0.0
 
     def test_constant_images_luminance_only(self):
@@ -296,25 +296,25 @@ class TestSsim:
         rng = np.random.default_rng(shape[0])
         a = rng.uniform(0, 1, shape)
         b = np.clip(a + rng.normal(0.0, 0.2, shape), 0.0, 1.0)
-        assert abs(render.ssim(render.Image(a), render.Image(b)) - self.reference_ssim(a, b)) < 1e-12
-        assert render.ssim(render.Image(a), render.Image(a)) == 1.0
+        assert abs(render.ssim(a, b) - self.reference_ssim(a, b)) < 1e-12
+        assert render.ssim(a, a) == 1.0
 
     def test_dssim_definition(self):
         rng = np.random.default_rng(5)
-        a = render.Image(pixels=rng.uniform(0, 1, (16, 16, 3)))
-        b = render.Image(pixels=rng.uniform(0, 1, (16, 16, 3)))
-        assert render.dssim(a, b) == pytest.approx((1 - render.ssim(a, b)) / 2)
+        a = rng.uniform(0, 1, (16, 16, 3))
+        b = rng.uniform(0, 1, (16, 16, 3))
+        assert render.dssim_of(render.ssim(a, b)) == pytest.approx((1 - render.ssim(a, b)) / 2)
 
 
 class TestPpm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
-        img = render.Image(pixels=np.round(rng.uniform(0, 1, (9, 7, 3)) * 255) / 255.0)
+        img = np.round(rng.uniform(0, 1, (9, 7, 3)) * 255) / 255.0
         path = tmp_path / "img.ppm"
         render.write_ppm(img, path)
         back = render.read_ppm(path)
-        np.testing.assert_allclose(back.pixels, img.pixels, atol=1e-12)
-        assert back.width == 7 and back.height == 9
+        assert back.shape == (9, 7, 3) and back.dtype == np.float64
+        np.testing.assert_allclose(back, img, atol=1e-12)
 
     def test_round_half_up(self, tmp_path):
         # 0.5/255 boundary: value just below rounds down, exactly at rounds up
@@ -322,7 +322,7 @@ class TestPpm:
         px[0, 0, :] = 0.4999 / 255.0
         px[0, 1, :] = 0.5 / 255.0
         path = tmp_path / "r.ppm"
-        render.write_ppm(render.Image(pixels=px), path)
+        render.write_ppm(px, path)
         data = path.read_bytes()
         body = data.split(b"\n", 3)[3]
         assert body[0] == 0 and body[3] == 1

@@ -112,6 +112,22 @@ class TestLoadScene:
         with pytest.raises(sc.SceneParseError):
             sc.load_scene(path)
 
+    def test_no_gaussians_names_the_key(self, tmp_path):
+        with pytest.raises(sc.SceneValidationError, match=r"^gaussians: the scene holds no Gaussian$"):
+            sc.load_scene(write_scene_doc(tmp_path, {"gaussians": []}))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("gaussians", True, r"^scene file must be an object with a 'gaussians' list$"),
+        ("cameras", None, r"^cameras: expected a list of cameras$"),
+        ("time", None, r"^time: float\(\) argument must be"),
+        ("cameras", [{"eye": [0, -3, 0], "look_at": [0, 0, 0], "up": [0, 0, 1], "vertical_fov": 0.9,
+                      "width": float("inf"), "height": 8}], r"^cameras\[0\]: cannot convert float infinity"),
+    ], ids=["gaussians", "cameras", "time", "camera_width"])
+    def test_value_of_the_wrong_kind_is_parse_error(self, tmp_path, key, value, message):
+        doc = {"gaussians": [MINIMAL_GAUSSIAN], key: value}
+        with pytest.raises(sc.SceneParseError, match=message):
+            sc.load_scene(write_scene_doc(tmp_path, doc))
+
     def test_trajectory_shape_mismatch_rejected(self, tmp_path):
         doc = {
             "gaussians": [MINIMAL_GAUSSIAN],
@@ -281,6 +297,13 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         path.write_text("frame_index,time,gaussian_index,x,y,z\n0,0.0,0,1,2,3\n0,0.5,1,4,5,6\n")
         with pytest.raises(sc.SceneParseError, match=f"{path}: the rows of a frame disagree on its time"):
+            sc.import_trajectory_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_nonfinite_value_rejected(self, tmp_path, cell):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"frame_index,time,gaussian_index,x,y,z\n0,0.0,0,1,{cell},3\n")
+        with pytest.raises(sc.SceneParseError, match=f"{path}: a time or position is not finite"):
             sc.import_trajectory_csv(path)
 
     def test_empty_file_parse_error(self, tmp_path):

@@ -97,6 +97,13 @@ class TestCoherenceLoss:
         with pytest.raises(train.TrainingError, match="sigma"):
             train.coherence_loss(cloud, nb, ZeroField(), h=0.02)
 
+    def test_coincident_points_rejected_when_the_plan_is_built(self):
+        frames = np.full((3, 2, 3), 0.5)
+        scene = SceneData(cloud=make_cloud(frames[0]), trajectory_times=np.linspace(0.0, 1.0, 3),
+                          trajectory_positions=frames)
+        with pytest.raises(train.TrainingError, match="sigma"):
+            train._build_plan(scene, train.TrainingConfig(knn_k=1))
+
     def test_nonpositive_h_rejected(self):
         cloud = make_cloud([[0, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError):
@@ -173,7 +180,7 @@ def still_epoch(frames):
     cfg = train.TrainingConfig(hidden=(4,), grid_spatial_resolution=3, grid_time_resolution=3,
                                grid_channels=1, knn_k=1, steps_per_unit=4)
     plan = train._build_plan(scene, cfg)
-    report, _ = train._epoch_losses_and_grads(tiny_field(output_scale=0.0), plan, cfg, want_grads=False)
+    report, _ = train._epoch_losses_and_grads(tiny_field(output_scale=0.0), plan, cfg)
     return report, plan
 
 
@@ -371,7 +378,7 @@ class TestUnrolledGradients:
         _, without = train._epoch_losses_and_grads(field, plan, config(0.0), rows)
 
         def coherence():
-            r, _ = train._epoch_losses_and_grads(field, plan, config(1.0), rows, want_grads=False)
+            r, _ = train._epoch_losses_and_grads(field, plan, config(1.0), rows)
             return r.coherence
 
         rng = np.random.default_rng(24)
@@ -534,6 +541,17 @@ class TestFit:
         train.fit(scene, train.TrainingConfig(epochs=3, hidden=(4,), grid_spatial_resolution=4,
                                               grid_time_resolution=4, grid_channels=1, knn_k=2))
         assert len(calls) == 3
+
+    def test_pair_weights_once_per_fit(self, monkeypatch):
+        # the coherence graph's weights come from the canonical cloud, which
+        # no epoch changes
+        calls = []
+        pair_weights = train._pair_weights
+        monkeypatch.setattr(train, "_pair_weights", lambda *args: calls.append(1) or pair_weights(*args))
+        scene = cli.generate_scene("drift", 5, 5, seed=14, params={"delta": [0.2, 0, 0]})
+        train.fit(scene, train.TrainingConfig(epochs=3, hidden=(4,), grid_spatial_resolution=4,
+                                              grid_time_resolution=4, grid_channels=1, knn_k=2))
+        assert len(calls) == 1
 
     def test_short_drift_fit_learns_direction(self):
         scene = cli.generate_scene("drift", 6, 6, seed=15, params={"delta": [0.3, 0, 0]})
