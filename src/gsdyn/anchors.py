@@ -9,7 +9,6 @@ from the stored snapshot (:func:`state_deviation`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -18,9 +17,11 @@ from .scene import GaussianCloud
 
 @dataclass(frozen=True)
 class Anchor:
-    time: float
     cloud: GaussianCloud
-    velocities: Optional[np.ndarray] = None  # (N, 3) aux velocity for second-order fields
+
+    @property
+    def time(self) -> float:
+        return self.cloud.time
 
 
 @dataclass
@@ -45,8 +46,8 @@ class AnchorSet:
     def times(self):
         return np.array([a.time for a in self.anchors])
 
-    def insert(self, cloud: GaussianCloud, t: float, velocities=None) -> Anchor:
-        """Store a deep copy of the cloud as an anchor at time t.
+    def insert(self, cloud: GaussianCloud, t: float) -> Anchor:
+        """Store a deep copy of the cloud, its time set to t, as an anchor.
 
         Raises ValueError on a duplicate time or a Gaussian-count mismatch.
         """
@@ -54,12 +55,8 @@ class AnchorSet:
             raise ValueError(f"anchor at time {t} already exists")
         if self.anchors and len(cloud) != len(self.anchors[0].cloud):
             raise ValueError("anchor cloud size differs from existing anchors")
-        entry = Anchor(
-            time=float(t),
-            cloud=cloud.evolved(positions=cloud.positions.copy(), rotations=cloud.rotations.copy(),
-                                log_scales=cloud.log_scales.copy(), time=float(t)),
-            velocities=None if velocities is None else np.asarray(velocities, dtype=float).copy(),
-        )
+        entry = Anchor(cloud.with_positions(cloud.positions.copy(), cloud.rotations.copy(), cloud.log_scales.copy(),
+                                            time=float(t)))
         self.anchors.append(entry)
         self.anchors.sort(key=lambda a: a.time)
         return entry

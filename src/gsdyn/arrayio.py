@@ -8,10 +8,11 @@ formats (which embed timestamps) are out.  Layout:
                     {"name", "shape", "dtype"}, ...]}  then b"\\n"
     payload     raw little-endian array bytes, concatenated in header order
 
-All floats are stored as float64.
+Every array is stored as float64.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -23,12 +24,9 @@ def save_bundle(path, meta: dict, arrays: dict) -> None:
     blobs = []
     for name, arr in arrays.items():
         a = np.ascontiguousarray(arr)
-        if a.dtype.kind == "f":
-            a = a.astype("<f8")
-        elif a.dtype.kind in "iu":
-            a = a.astype("<i8")
-        else:
+        if a.dtype.kind != "f":
             raise TypeError(f"unsupported dtype {a.dtype} for array {name}")
+        a = a.astype("<f8")
         entries.append({"name": name, "shape": list(a.shape), "dtype": str(a.dtype)})
         blobs.append(a.tobytes())
     header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True)
@@ -41,24 +39,30 @@ def save_bundle(path, meta: dict, arrays: dict) -> None:
 
 
 def load_bundle(path):
-    """Returns (meta dict, arrays dict)."""
+    """Returns (meta, arrays dict).
+
+    A header that is not the layout above, lists an array other than
+    float64, or does not match the payload's length raises ValueError.
+    """
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a gsdyn bundle")
-        header = json.loads(f.readline().decode("utf-8"))
+        try:
+            header = json.loads(f.readline().decode("utf-8"))
+            entries = [(str(e["name"]), e["dtype"], tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
+            meta = header["meta"]
+        except (ValueError, TypeError, KeyError) as e:
+            raise ValueError(f"{path}: malformed bundle header ({e!r})") from e
         arrays = {}
-        for entry in header["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise ValueError(
-                    f"{path}: array {entry['name']!r} is truncated "
-                    f"({len(buf)} of {count * dtype.itemsize} payload bytes)"
-                )
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        for name, dtype, shape in entries:
+            if dtype != "float64" or min(shape, default=0) < 0:
+                raise ValueError(f"{path}: array {name!r} is listed as {dtype!r} of shape {shape}")
+            count = math.prod(shape) * 8
+            buf = f.read(count)
+            if len(buf) != count:
+                raise ValueError(f"{path}: array {name!r} is truncated ({len(buf)} of {count} payload bytes)")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last array")
-    return header["meta"], arrays
+    return meta, arrays

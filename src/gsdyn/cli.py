@@ -59,11 +59,10 @@ def _config_snapshot(args) -> dict:
 def _read_spec(path, build):
     """build(spec) of the JSON spec in the file at path; a bad spec is a
     usage error that names the file."""
-    with open(path) as f:
-        spec = json.load(f)
     try:
-        return build(spec)
-    except fields.FieldError as e:
+        with open(path) as f:
+            return build(json.load(f))
+    except (json.JSONDecodeError, fields.FieldError) as e:
         raise UsageError(f"{path}: {e}") from e
 
 
@@ -89,14 +88,14 @@ def finite(text: str) -> float:
 # generate
 
 
-def _default_camera(width=96, height=96):
+def _default_camera():
     return CameraSpec(
         eye=np.array([0.5, -2.5, 0.5]),
         look_at=np.array([0.5, 0.5, 0.5]),
         up=np.array([0.0, 0.0, 1.0]),
         vertical_fov=0.9,
-        width=width,
-        height=height,
+        width=96,
+        height=96,
     )
 
 
@@ -179,28 +178,26 @@ def cmd_train(args):
 # simulate
 
 
-def _resolve_inputs(args, make_field, no_cloud: str):
+def _resolve_inputs(args, no_cloud: str):
     """Load --checkpoint and --scene once, for simulate and inject.
 
-    make_field(checkpoint field or None) builds the field to integrate.  The
-    initial cloud is the scene's, else the checkpoint's first anchor; the
-    camera is the scene's first, else the default.  Returns (field, cloud,
-    anchor set or None, camera).
+    The initial cloud is the scene's, else the checkpoint's first anchor;
+    the camera is the scene's first, else the default.  Returns (checkpoint
+    field or None, anchor set, cloud, camera).
     """
-    checkpoint_field = anchor_set = scene = None
+    checkpoint_field, anchor_set, scene = None, AnchorSet(), None
     if args.checkpoint:
         checkpoint_field, anchor_set, _ = train.load_checkpoint(args.checkpoint)
     if args.scene:
         scene = load_scene(args.scene)
-    field = make_field(checkpoint_field)
     if scene is not None:
         cloud = scene.cloud
-    elif anchor_set is not None and len(anchor_set) > 0:
+    elif len(anchor_set) > 0:
         cloud = anchor_set[0].cloud
     else:
         raise UsageError(no_cloud)
     camera = scene.cameras[0] if scene is not None and scene.cameras else _default_camera()
-    return field, cloud, anchor_set, camera
+    return checkpoint_field, anchor_set, cloud, camera
 
 
 def _write_frames(out: Path, clouds, camera) -> list:
@@ -225,33 +222,33 @@ def _span_steps(args) -> int:
     return integrate.span_steps(args.t1 - args.t0, args.steps)
 
 
-def cmd_simulate(args):
-    def make_field(checkpoint_field):
-        if args.field:
-            return _load_field_spec(args.field, checkpoint_field)
-        if checkpoint_field is None:
-            raise UsageError("need --checkpoint or --field")
-        return checkpoint_field
-
-    field, cloud, anchor_set, _ = _resolve_inputs(
-        args, make_field, "need --scene for the initial cloud (checkpoint has no anchors)"
-    )
-    config = IntegratorConfig(method=args.method, step_count=_span_steps(args), record_stride=args.record_stride)
-    if args.anchored:
-        if anchor_set is None or len(anchor_set) == 0:
-            raise UsageError("--anchored requires a checkpoint with anchors")
-        legs = integrate.rollout_legs(args.t0, args.t1, config)
-        # the times a rollout records; t0 + 0 h turns a --t0 of -0 into 0.0
-        times = [args.t0 + 0 * legs[0][1], *(t0 + steps.stop * h for t0, h, steps in legs)]
-        per_unit = IntegratorConfig(method=args.method, step_count=args.steps)
-        positions = np.stack([c.positions for c in integrate.anchored_states(anchor_set, times, per_unit, field)])
-    else:
-        traj = integrate.rollout(cloud, args.t0, args.t1, config, field)
-        times, positions = traj.times, traj.positions
+def _write_outputs(args, times, positions, clouds=(), camera=None) -> list:
+    """Write trajectory.csv and a frame of each cloud to --out; returns the file names."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_trajectory_csv(times, positions, out / "trajectory.csv")
-    return ["trajectory.csv"]
+    return ["trajectory.csv", *_write_frames(out, clouds, camera)]
+
+
+def cmd_simulate(args):
+    checkpoint_field, anchor_set, cloud, _ = _resolve_inputs(
+        args, "need --scene for the initial cloud (checkpoint has no anchors)"
+    )
+    if not args.field and checkpoint_field is None:
+        raise UsageError("need --checkpoint or --field")
+    field = _load_field_spec(args.field, checkpoint_field) if args.field else checkpoint_field
+    config = IntegratorConfig(method=args.method, step_count=_span_steps(args), record_stride=args.record_stride)
+    if not args.anchored:
+        traj = integrate.rollout(cloud, args.t0, args.t1, config, field)
+        return _write_outputs(args, traj.times, traj.positions)
+    if len(anchor_set) == 0:
+        raise UsageError("--anchored requires a checkpoint with anchors")
+    legs = integrate.rollout_legs(args.t0, args.t1, config)
+    # the times a rollout records; t0 + 0 h turns a --t0 of -0 into 0.0
+    times = [args.t0 + 0 * legs[0][1], *(t0 + steps.stop * h for t0, h, steps in legs)]
+    per_unit = IntegratorConfig(method=args.method, step_count=args.steps)
+    positions = np.stack([c.positions for c in integrate.anchored_states(anchor_set, times, per_unit, field)])
+    return _write_outputs(args, times, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +256,20 @@ def cmd_simulate(args):
 
 
 def cmd_inject(args):
-    def make_field(checkpoint_field):
-        base = checkpoint_field if checkpoint_field is not None else fields.ZeroField()
-        injected = _load_field_spec(args.field, checkpoint_field)
-        if args.mask:
-            mask = _read_spec(args.mask, fields.build_mask)
-            return fields.MaskedBlendField(base, fields.SummedField(fields.ZeroField(), injected, args.lam), mask)
-        return fields.SummedField(base, injected, args.lam)
-
-    composed, cloud, _, camera = _resolve_inputs(
-        args, make_field, "need --scene or a checkpoint with anchors for the initial cloud"
+    checkpoint_field, _, cloud, camera = _resolve_inputs(
+        args, "need --scene or a checkpoint with anchors for the initial cloud"
     )
+    base = checkpoint_field if checkpoint_field is not None else fields.ZeroField()
+    injected = _load_field_spec(args.field, checkpoint_field)
+    if args.mask:
+        mask = _read_spec(args.mask, fields.build_mask)
+        composed = fields.MaskedBlendField(base, fields.SummedField(fields.ZeroField(), injected, args.lam), mask)
+    else:
+        composed = fields.SummedField(base, injected, args.lam)
     config = IntegratorConfig(method=args.method, step_count=_span_steps(args), record_stride=args.record_stride)
     traj = integrate.rollout(cloud, args.t0, args.t1, config, composed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    export_trajectory_csv(traj.times, traj.positions, out / "trajectory.csv")
-    artifacts = ["trajectory.csv"]
-    if args.render_frames:
-        artifacts += _write_frames(out, (traj.cloud_at(fi) for fi in range(len(traj))), camera)
-    return artifacts
+    clouds = (traj.cloud_at(fi) for fi in range(len(traj))) if args.render_frames else ()
+    return _write_outputs(args, traj.times, traj.positions, clouds, camera)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +324,13 @@ def cmd_eval(args):
         ckpt = Path(tm["out"]) / "checkpoint.gsd"
         if ckpt.exists():
             _, _, meta = train.load_checkpoint(ckpt)
-            observed_times = meta.get("extra", {}).get("supervised_times")
+            extra = meta.get("extra", {})
+            if not isinstance(extra, dict):
+                raise UsageError(f"{ckpt}: checkpoint header 'extra' must be a JSON object, got {extra!r}")
+            observed_times = extra.get("supervised_times")
+            if observed_times is not None and not train.finite_times(observed_times):
+                raise UsageError(f"{ckpt}: checkpoint header 'extra.supervised_times' must be a list of finite "
+                                 f"numbers, got {observed_times!r}")
 
     rows = []
     header = ["frame_index", "time", "observed"]

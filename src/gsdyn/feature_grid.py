@@ -35,7 +35,8 @@ _AXIS_SELECT = np.eye(4)[_AXES.ravel()]  # (12, 4): one-hot query axis of each p
 
 
 class HexPlaneGrid:
-    """Six feature planes plus the box used to normalize query coordinates.
+    """Six feature planes over the box [bounds_lo, bounds_hi] of space and
+    the normalized time axis [0, 1].
 
     The planes' cells are stacked plane after plane, in PLANE_ORDER, as the
     rows of one (cells, C) array ``cells``; ``planes[k]`` is a (rows, cols,
@@ -45,7 +46,7 @@ class HexPlaneGrid:
     rollouts that leave the trained window.
     """
 
-    def __init__(self, planes, bounds_lo, bounds_hi, t0: float = 0.0, t1: float = 1.0):
+    def __init__(self, planes, bounds_lo, bounds_hi):
         if len(planes) != 6:
             raise ValueError("grid needs exactly six planes")
         if len({p.shape[2] for p in planes}) != 1:
@@ -59,7 +60,6 @@ class HexPlaneGrid:
         self.cells = np.concatenate([np.reshape(p, (-1, p.shape[2])) for p in planes], dtype=float)
         self.bounds_lo = np.asarray(bounds_lo, dtype=float)
         self.bounds_hi = np.asarray(bounds_hi, dtype=float)
-        self.t0, self.t1 = t0, t1
 
     @property
     def channels(self) -> int:
@@ -91,25 +91,16 @@ def create_grid(
     spatial_resolution: int = 32,
     time_resolution: int = 16,
     channels: int = 8,
-    t0: float = 0.0,
-    t1: float = 1.0,
     seed: int = 0,
-    init_scale: float = 0.1,
 ) -> HexPlaneGrid:
-    """Fresh grid with uniform [-init_scale, init_scale] entries from a seeded RNG."""
+    """Fresh grid with uniform [-0.1, 0.1] entries from a seeded RNG."""
     rng = np.random.default_rng(seed)
     planes = []
     for a, b in PLANE_AXES:
         r0 = spatial_resolution if a < 3 else time_resolution
         r1 = spatial_resolution if b < 3 else time_resolution
-        planes.append(rng.uniform(-init_scale, init_scale, size=(r0, r1, channels)))
-    return HexPlaneGrid(
-        planes=planes,
-        bounds_lo=np.asarray(bounds_lo, dtype=float),
-        bounds_hi=np.asarray(bounds_hi, dtype=float),
-        t0=t0,
-        t1=t1,
-    )
+        planes.append(rng.uniform(-0.1, 0.1, size=(r0, r1, channels)))
+    return HexPlaneGrid(planes=planes, bounds_lo=bounds_lo, bounds_hi=bounds_hi)
 
 
 class Corners(NamedTuple):
@@ -142,8 +133,8 @@ def _corners(grid: HexPlaneGrid, positions, t: float, out: Corners = None) -> Co
     if out is None:
         out = empty_corners(len(positions))
     r0, r1 = grid.resolution.T
-    lo = np.append(grid.bounds_lo, grid.t0)
-    span = np.append(grid.bounds_hi, grid.t1) - lo
+    lo = np.append(grid.bounds_lo, 0.0)
+    span = np.append(grid.bounds_hi, 1.0) - lo
     u = (np.column_stack([positions, np.full(len(positions), t)]) - lo) / span
     slope = ((u > 0.0) & (u < 1.0)) / span
     u = np.clip(u, 0.0, 1.0)

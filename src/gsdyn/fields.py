@@ -125,15 +125,18 @@ class AnalyticField(VelocityField):
         if unknown:
             raise FieldError(f"{kind}: unknown parameters {sorted(unknown)}")
         for key, value in params.items():
-            if not _finite(value):
-                raise FieldError(f"{kind}: parameter {key!r} must be numeric and finite, got {value!r}")
+            # a parameter is shaped like its default; drift's delta may also be a 3-vector
+            shapes = [np.shape(self.params[key])] + ([(3,)] if (kind, key) == ("drift", "delta") else [])
+            if not (_finite(value) and np.shape(value) in shapes):
+                forms = " or ".join("a finite 3-vector" if shape else "a finite number" for shape in shapes)
+                raise FieldError(f"{kind}: parameter {key!r} must be {forms}, got {value!r}")
         self.params.update(params)
         self.second_order = kind in _SECOND_ORDER_KINDS
         if kind == "gravity_bounce" and not (0.0 < self.params["gamma"] < 1.0):
             raise FieldError("gravity_bounce: gamma must be in (0, 1)")
 
-    def _noise(self, n: int, step_index: int, scale: float = 1.0) -> np.ndarray:
-        """(N, 3) standard-normal draw keyed by (seed, step_index)."""
+    def _noise(self, n: int, step_index: int, scale: float) -> np.ndarray:
+        """(N, 3) normal draw of standard deviation ``scale``, keyed by (seed, step_index)."""
         bits = np.random.Philox(key=(np.uint64(self.seed) << np.uint64(20)) + np.uint64(step_index & 0xFFFFF))
         return scale * np.random.Generator(bits).standard_normal((n, 3))
 
@@ -236,9 +239,12 @@ class AnalyticField(VelocityField):
 # Neural field
 
 
-def time_encoding(t: float, frequencies: int = 4) -> np.ndarray:
-    """Sinusoidal encoding [sin(2^j pi t), cos(2^j pi t)] for j < frequencies."""
-    freqs = (2.0 ** np.arange(frequencies)) * np.pi
+TIME_FREQUENCIES = 4  # the time encoding's sinusoid pairs
+
+
+def time_encoding(t: float) -> np.ndarray:
+    """Sinusoidal encoding [sin(2^j pi t), cos(2^j pi t)] for j < TIME_FREQUENCIES."""
+    freqs = (2.0 ** np.arange(TIME_FREQUENCIES)) * np.pi
     return np.concatenate([np.sin(freqs * t), np.cos(freqs * t)])
 
 
@@ -276,13 +282,10 @@ class NeuralVelocityField(VelocityField):
         self,
         grid: feature_grid.HexPlaneGrid,
         hidden=(64, 64),
-        time_frequencies: int = 4,
         seed: int = 0,
         output_scale: float = 0.0,
     ):
-        self.time_frequencies = time_frequencies
-        self.input_size = grid.feature_size + 3 + 2 * time_frequencies
-        sizes = [self.input_size, *hidden, 9]
+        sizes = [grid.feature_size + 3 + 2 * TIME_FREQUENCIES, *hidden, 9]
         self._shapes = [s for nin, nout in zip(sizes[:-1], sizes[1:]) for s in ((nin, nout), (nout,))]
         self._shapes += [(r0, r1, grid.channels) for r0, r1 in grid.resolution]
         self._ends = np.cumsum([math.prod(s) for s in self._shapes])
@@ -351,7 +354,7 @@ class NeuralVelocityField(VelocityField):
         c = self.grid.feature_size
         x[:, :c] = feats
         x[:, c : c + 3] = positions
-        x[:, c + 3 :] = time_encoding(t, self.time_frequencies)
+        x[:, c + 3 :] = time_encoding(t)
         last = len(self.weights) - 1
         for i, (w, b, z) in enumerate(zip(self.weights, self.biases, cache.activations[1:])):
             np.matmul(cache.activations[i], w, out=z)

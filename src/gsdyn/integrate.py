@@ -109,8 +109,8 @@ class Trajectory:
         return len(self.times)
 
     def cloud_at(self, index: int) -> GaussianCloud:
-        return self.template.evolved(positions=self.positions[index], rotations=self.rotations[index],
-                                     log_scales=self.log_scales[index], time=float(self.times[index]))
+        return self.template.with_positions(self.positions[index], self.rotations[index], self.log_scales[index],
+                                            time=float(self.times[index]))
 
 
 def _check_finite(arrs, step_index, stage):
@@ -235,8 +235,8 @@ def anchored_states(
     crosses an intervening anchor, so the effective integration horizon
     stays short.  The times that share an anchor and a direction are walked
     in one pass away from the anchor, along the :func:`legs_between` them
-    at step_count steps per unit time; each nonempty leg is one
-    :func:`rollout`.  Returns one cloud per time, in the order given.
+    at step_count steps per unit time, from rest at the anchor; each nonempty
+    leg is one :func:`rollout`.  Returns one cloud per time, in the order given.
     """
     if len(anchor_set) == 0:
         raise ValueError("anchor set is empty")
@@ -250,7 +250,7 @@ def anchored_states(
     for a, back in sorted(set(zip(start.tolist(), backward.tolist()))):
         anchor = anchor_set[a]
         group = sorted(np.flatnonzero((start == a) & (backward == back)), key=lambda i: abs(times[i] - anchor.time))
-        cloud, velocities = anchor.cloud, anchor.velocities
+        cloud, velocities = anchor.cloud, None
         for i, (t0, _, steps) in zip(group, legs_between([anchor.time, *times[group]], config.step_count)):
             if steps:
                 cfg = IntegratorConfig(method=config.method, step_count=len(steps), record_stride=len(steps))

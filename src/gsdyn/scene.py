@@ -91,10 +91,8 @@ class GaussianCloud:
             raise SceneValidationError(f"time: value {self.time} outside [0, 1]")
         return self
 
-    def with_positions(self, positions: np.ndarray, time: float = None) -> "GaussianCloud":
-        return self.evolved(positions, time=time)
-
-    def evolved(self, positions, rotations=None, log_scales=None, time=None) -> "GaussianCloud":
+    def with_positions(self, positions, rotations=None, log_scales=None, time=None) -> "GaussianCloud":
+        """This cloud with the given state arrays; what is None stays as it is."""
         return replace(
             self,
             positions=np.asarray(positions, dtype=float),

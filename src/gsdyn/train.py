@@ -11,16 +11,17 @@ cuts each segment into legs between its supervised frames, built by
 :func:`integrate.legs_between` as for anchored queries.  The coherence term
 is a one-step leg of COHERENCE_STEP from the canonical cloud.
 :func:`unroll_segment` records every RK4 stage of its legs (the MLP's
-activations and the feature grid's bilinear corners) on a tape that
-:func:`backward_through_rollout` replays in reverse.  :func:`fit` refills one
-tape, as long as its longest segment, for every segment, the coherence leg
-and every epoch, so only one segment's record is alive at a time.  The
-differentiable state per Gaussian is (position, rotation-tangent, log-scale
-increment); the tangent channels accumulate linearly, so the anchor loss in
-tangent space stays an exact quadratic.  The field's parameters are one
-vector, ``field.theta``; the gradients of an epoch and Adam's two moments
-are vectors with its layout, so an Adam step is a few whole-vector
-operations.
+activations and the feature grid's bilinear corners) on a tape, a list of
+one ``NeuralVelocityField.new_cache`` per stage, that
+:func:`backward_through_rollout` replays in reverse along the same legs.
+:func:`fit` refills one tape, as long as its longest segment, for every
+segment, the coherence leg and every epoch, so only one segment's record is
+alive at a time.  The differentiable state per Gaussian is (position,
+rotation-tangent, log-scale increment); the tangent channels accumulate
+linearly, so the anchor loss in tangent space stays an exact quadratic.
+The field's parameters are one vector, ``field.theta``; the gradients of an
+epoch and Adam's two moments are vectors with its layout, so an Adam step
+is a few whole-vector operations.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import arrayio, feature_grid
 from .anchors import AnchorSet, state_deviation
-from .fields import NeuralVelocityField, VelocityField
+from .fields import TIME_FREQUENCIES, NeuralVelocityField, VelocityField
 from .integrate import RK4_NODES, RK4_WEIGHTS, legs_between, rk4_increments
 from .scene import GaussianCloud, SceneData, knn
 
@@ -93,13 +94,13 @@ class LossReport:
     epoch: int = 0
 
 
-def total_loss(data: float, coherence: float, anchor: float, tv: float, config: TrainingConfig):
-    """Weighted sum of the four terms; returns (total, LossReport)."""
+def total_loss(data: float, coherence: float, anchor: float, tv: float, config: TrainingConfig) -> LossReport:
+    """The four terms and their weighted sum, ``total``."""
     for name, v in (("data", data), ("coherence", coherence), ("anchor", anchor), ("tv", tv)):
         if not math.isfinite(v):
             raise TrainingError(f"non-finite loss term: {name}")
     total = data + config.lambda_coh * coherence + config.lambda_anchor * anchor + config.lambda_tv * tv
-    return total, LossReport(total=total, data=data, coherence=coherence, anchor=anchor, tv=tv)
+    return LossReport(total=total, data=data, coherence=coherence, anchor=anchor, tv=tv)
 
 
 def adam_step(field: NeuralVelocityField, grads, moments, config: TrainingConfig, step_index: int):
@@ -150,38 +151,24 @@ def _backward_rk4_step(field: NeuralVelocityField, caches, h, g_p, g_theta, g_sc
     return g_p_total
 
 
-class UnrollCache:
-    """Forward tape of unrolled legs: a segment's, or the coherence leg.
-
-    ``stages`` holds one ``NeuralVelocityField.new_cache`` per RK4 stage,
-    in step order; ``legs`` are the integrate legs (t0, h, steps) last
-    unrolled, one per checkpoint.  A tape passed back to
-    :func:`unroll_segment` is refilled in place from its first stage and
-    grows only when the legs take more stages than it holds, so one tape
-    serves every segment, the coherence leg and every epoch of a fit.
-    """
-
-    def __init__(self):
-        self.stages = []
-        self.legs = []
-        self.n_gaussians = 0
-
-
 def unroll_segment(field: NeuralVelocityField, p0, legs, tape=None):
     """Integrate positions from p0 along ``legs``, integrate legs (t0, h,
     steps) with a checkpoint at the end of each.
 
-    Returns (checkpoints, cache) where checkpoints is a list of (positions,
+    Returns (checkpoints, tape) where checkpoints is a list of (positions,
     rotation-tangents, scale-increments) at each checkpoint; tangents and
-    increments are relative to p0.  cache is ``tape`` (an
-    :class:`UnrollCache`) refilled, or a new one when None.
+    increments are relative to p0.  The tape is a list of
+    ``field.new_cache`` buffers, one per RK4 stage in step order: ``tape``
+    refilled in place from its first stage, or a new list when None.  A
+    tape grows only when the legs take more stages than it holds, and is
+    emptied first when its buffers hold another row count, so one tape
+    serves every segment, the coherence leg and every epoch of a fit.
     """
     p = np.asarray(p0, dtype=float)
     n = p.shape[0]
-    cache = UnrollCache() if tape is None else tape
-    if cache.n_gaussians != n:
-        cache.stages, cache.n_gaussians = [], n
-    cache.legs = legs
+    tape = [] if tape is None else tape
+    if tape and len(tape[0].activations[0]) != n:
+        tape.clear()
     theta = np.zeros((n, 3))
     scale = np.zeros((n, 3))
     first = 0
@@ -189,41 +176,42 @@ def unroll_segment(field: NeuralVelocityField, p0, legs, tape=None):
     for t0, h, steps in legs:
         for s in steps:
             stop = first + len(RK4_NODES)
-            while len(cache.stages) < stop:
-                cache.stages.append(field.new_cache(n))
-            dp, dtheta, dscale = rk4_increments(field, p, None, t0 + s * h, h, s, tape=cache.stages[first:stop])
+            while len(tape) < stop:
+                tape.append(field.new_cache(n))
+            dp, dtheta, dscale = rk4_increments(field, p, None, t0 + s * h, h, s, tape=tape[first:stop])
             first = stop
             p = p + dp
             theta = theta + dtheta
             scale = scale + dscale
         checkpoints.append((p.copy(), theta.copy(), scale.copy()))
-    return checkpoints, cache
+    return checkpoints, tape
 
 
-def backward_through_rollout(field: NeuralVelocityField, cache: UnrollCache, checkpoint_grads, grads=None):
+def backward_through_rollout(field: NeuralVelocityField, tape, legs, checkpoint_grads, grads=None):
     """Exact reverse-mode gradients through an unrolled segment.
 
-    checkpoint_grads aligns with the cache's checkpoints; each entry is
-    (g_position, g_tangent, g_scale) or None.  Returns parameter gradients
-    aligned with ``field.parameters()`` (accumulated into ``grads`` when
-    given), a vector laid out like ``field.theta``.
+    tape and legs are those of the :func:`unroll_segment` call to reverse;
+    checkpoint_grads aligns with its checkpoints, one per leg, and each
+    entry is (g_position, g_tangent, g_scale) or None.  Returns parameter
+    gradients aligned with ``field.parameters()`` (accumulated into
+    ``grads`` when given), a vector laid out like ``field.theta``.
     """
-    if len(checkpoint_grads) != len(cache.legs):
-        raise TrainingError(f"cache holds {len(cache.legs)} checkpoints, got {len(checkpoint_grads)} gradients")
+    if len(checkpoint_grads) != len(legs):
+        raise TrainingError(f"legs hold {len(legs)} checkpoints, got {len(checkpoint_grads)} gradients")
     if grads is None:
         grads = field.zero_grads()
-    n = cache.n_gaussians
+    n = len(tape[0].activations[0])
     g_p = np.zeros((n, 3))
     g_theta = np.zeros((n, 3))
     g_scale = np.zeros((n, 3))
-    first = len(RK4_NODES) * sum(len(steps) for _, _, steps in cache.legs)
-    for (_, h, steps), ck in zip(reversed(cache.legs), reversed(checkpoint_grads)):
+    first = len(RK4_NODES) * sum(len(steps) for _, _, steps in legs)
+    for (_, h, steps), ck in zip(reversed(legs), reversed(checkpoint_grads)):
         for acc, g in zip((g_p, g_theta, g_scale), ck or ()):
             if g is not None:
                 acc += g
         for _ in steps:
             first -= len(RK4_NODES)
-            stages = cache.stages[first : first + len(RK4_NODES)]
+            stages = tape[first : first + len(RK4_NODES)]
             g_p = _backward_rk4_step(field, stages, h, g_p, g_theta, g_scale, grads)
     return grads
 
@@ -356,20 +344,19 @@ def _build_plan(scene: SceneData, config: TrainingConfig) -> _Plan:
 
 
 def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: TrainingConfig, coh_rows=None,
-                            tape: UnrollCache = None):
+                            tape=None):
     """One full forward and backward pass over the plan.
 
-    Every segment, then the coherence leg, is recorded on ``tape`` (a new
-    :class:`UnrollCache` when None) and reversed before the next one runs.
+    Every segment, then the coherence leg, is recorded on ``tape`` (see
+    :func:`unroll_segment`) and reversed before the next one runs.
     """
-    tape = UnrollCache() if tape is None else tape
     grads = field.zero_grads()
     data_sum = 0.0
     anchor_sum = 0.0
     denom = (len(plan.supervised_times) - 1) * len(plan.cloud)  # every supervised frame but the first
 
     for seg in plan.segments:
-        checkpoints, _ = unroll_segment(field, seg.p_start, seg.legs, tape)
+        checkpoints, tape = unroll_segment(field, seg.p_start, seg.legs, tape)
         ck_grads = []
         for (p, theta, scale), target, is_anchor in zip(checkpoints, seg.data_targets, seg.anchor_end):
             dp = p - target
@@ -382,22 +369,22 @@ def _epoch_losses_and_grads(field: NeuralVelocityField, plan: _Plan, config: Tra
                 gt = config.lambda_anchor * 2.0 * theta
                 gs = config.lambda_anchor * 2.0 * scale
             ck_grads.append((gp, gt, gs))
-        backward_through_rollout(field, tape, ck_grads, grads)
+        backward_through_rollout(field, tape, seg.legs, ck_grads, grads)
     data = data_sum / denom
 
     # coherence: a one-step leg from the canonical cloud
     p0 = plan.cloud.positions
-    [(p_next, _, _)], _ = unroll_segment(field, p0, [(plan.cloud.time, COHERENCE_STEP, range(1))], tape)
+    leg = [(plan.cloud.time, COHERENCE_STEP, range(1))]
+    [(p_next, _, _)], tape = unroll_segment(field, p0, leg, tape)
     coherence, g_xh = _coherence(p0, p_next, plan.neighbors, plan.weights, config.coherence_variant, coh_rows)
     if config.lambda_coh > 0:
-        backward_through_rollout(field, tape, [(config.lambda_coh * g_xh, None, None)], grads)
+        backward_through_rollout(field, tape, leg, [(config.lambda_coh * g_xh, None, None)], grads)
 
     tv = feature_grid.tv_loss(field.grid)
     if config.lambda_tv > 0:
         grads[-field.grid.cells.size :] += config.lambda_tv * feature_grid.tv_grad(field.grid).ravel()
 
-    total, report = total_loss(data, coherence, anchor_sum, tv, config)
-    return report, grads
+    return total_loss(data, coherence, anchor_sum, tv, config), grads
 
 
 def fit(scene: SceneData, config: TrainingConfig = TrainingConfig()) -> FitResult:
@@ -428,7 +415,7 @@ def fit(scene: SceneData, config: TrainingConfig = TrainingConfig()) -> FitResul
     rng = np.random.default_rng(config.seed + 2)
     moments = None
     history = []
-    tape = UnrollCache()
+    tape = []
     for epoch in range(config.epochs):
         coh_rows = None
         if n > COHERENCE_BATCH:
@@ -444,22 +431,22 @@ def fit(scene: SceneData, config: TrainingConfig = TrainingConfig()) -> FitResul
 # Checkpoint bundle (mlp weights + grid planes + anchors)
 
 
-def save_checkpoint(path, field: NeuralVelocityField, anchor_set: AnchorSet = None, extra_meta: dict = None):
+def save_checkpoint(path, field: NeuralVelocityField, anchor_set: AnchorSet, extra_meta: dict = None):
     meta = {
         "kind": "gsdyn_checkpoint",
         "hidden": [w.shape[1] for w in field.weights[:-1]],
-        "time_frequencies": field.time_frequencies,
-        "grid": {"t0": field.grid.t0, "t1": field.grid.t1, "channels": field.grid.channels},
+        "time_frequencies": TIME_FREQUENCIES,
+        "grid": {"t0": 0.0, "t1": 1.0, "channels": field.grid.channels},
         "n_layers": len(field.weights),
-        "n_anchors": 0 if anchor_set is None else len(anchor_set),
-        "anchor_times": [] if anchor_set is None else [a.time for a in anchor_set],
+        "n_anchors": len(anchor_set),
+        "anchor_times": [a.time for a in anchor_set],
     }
     if extra_meta:
         meta["extra"] = extra_meta
     arrays = dict(zip(field.parameter_names(), field.parameters()))
     arrays["bounds_lo"] = field.grid.bounds_lo
     arrays["bounds_hi"] = field.grid.bounds_hi
-    if anchor_set is not None and len(anchor_set) > 0:
+    if len(anchor_set) > 0:
         arrays["anchor_positions"] = np.stack([a.cloud.positions for a in anchor_set])
         arrays["anchor_rotations"] = np.stack([a.cloud.rotations for a in anchor_set])
         arrays["anchor_log_scales"] = np.stack([a.cloud.log_scales for a in anchor_set])
@@ -468,14 +455,26 @@ def save_checkpoint(path, field: NeuralVelocityField, anchor_set: AnchorSet = No
     arrayio.save_bundle(path, meta, arrays)
 
 
-def load_checkpoint(path):
-    """Returns (field, anchor_set or None, meta).
+def finite_times(value) -> bool:
+    """Whether a checkpoint header value is a list of finite numbers, as its time lists are."""
+    return isinstance(value, list) and all(type(t) in (int, float) and math.isfinite(t) for t in value)
 
-    Each named parameter array is copied into its view of ``field.theta``;
-    an array that is missing, or whose shape differs from its view, raises
-    ValueError naming it.
+
+def load_checkpoint(path):
+    """Returns (field, anchor set, meta); the set is empty when the header lists no anchors.
+
+    Of the header's meta, an object, it reads ``kind``; ``hidden``, a list
+    of positive integers; ``anchor_times``, finite numbers, one per row of
+    the ``anchor_positions`` array; and ``n_anchors``, their count.  Any
+    other value raises ValueError naming the key.  ``time_frequencies`` and
+    ``grid`` are written but not read: the time encoding's width is fixed
+    and the grid's time axis is [0, 1].  Each named parameter array is
+    copied into its view of ``field.theta``; an array that is missing, or
+    whose shape differs from its view, raises ValueError naming it.
     """
     meta, bundle = arrayio.load_bundle(path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint header 'meta' must be a JSON object, got {meta!r}")
     if meta.get("kind") != "gsdyn_checkpoint":
         raise ValueError(f"{path}: not a training checkpoint")
 
@@ -483,32 +482,39 @@ def load_checkpoint(path):
         def __missing__(self, name):
             raise ValueError(f"{path}: checkpoint has no array {name!r}")
 
+    def bad(key, form):
+        return ValueError(f"{path}: checkpoint header {key!r} must be {form}, got {meta.get(key)!r}")
+
     arrays = Arrays(bundle)
+    hidden = meta.get("hidden")
+    if not (isinstance(hidden, list) and all(type(w) is int and w > 0 for w in hidden)):
+        raise bad("hidden", "a list of positive integers")
+    times = meta.get("anchor_times")
+    if not finite_times(times):
+        raise bad("anchor_times", "a list of finite numbers")
+    rows = len(bundle.get("anchor_positions", ()))
+    if len(times) != rows:
+        raise bad("anchor_times", f"one time per row of 'anchor_positions' ({rows})")
+    if meta.get("n_anchors") != rows:
+        raise bad("n_anchors", f"the number of anchor times ({rows})")
     grid = feature_grid.HexPlaneGrid(
         planes=[arrays[f"plane_{n}"] for n in feature_grid.PLANE_ORDER],
         bounds_lo=arrays["bounds_lo"],
         bounds_hi=arrays["bounds_hi"],
-        t0=float(meta["grid"]["t0"]),
-        t1=float(meta["grid"]["t1"]),
     )
-    field = NeuralVelocityField(
-        grid, hidden=tuple(meta["hidden"]), time_frequencies=int(meta["time_frequencies"])
-    )
+    field = NeuralVelocityField(grid, hidden=tuple(hidden))
     for name, view in zip(field.parameter_names(), field.parameters()):
         if arrays[name].shape != view.shape:
             raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {view.shape}")
         view[...] = arrays[name]
-    anchor_set = None
-    if meta.get("n_anchors", 0) > 0:
-        anchor_set = AnchorSet()
-        for i, t_a in enumerate(meta["anchor_times"]):
-            cloud = GaussianCloud(
-                positions=arrays["anchor_positions"][i],
-                rotations=arrays["anchor_rotations"][i],
-                log_scales=arrays["anchor_log_scales"][i],
-                colors=arrays["anchor_colors"],
-                opacities=arrays["anchor_opacities"],
-                time=min(max(t_a, 0.0), 1.0),
-            )
-            anchor_set.insert(cloud, t_a)
+    anchor_set = AnchorSet()
+    for i, t_a in enumerate(times):
+        cloud = GaussianCloud(
+            positions=arrays["anchor_positions"][i],
+            rotations=arrays["anchor_rotations"][i],
+            log_scales=arrays["anchor_log_scales"][i],
+            colors=arrays["anchor_colors"],
+            opacities=arrays["anchor_opacities"],
+        )
+        anchor_set.insert(cloud, t_a)
     return field, anchor_set, meta

@@ -103,12 +103,14 @@ class TestGenerate:
 
     @pytest.mark.parametrize("kind,params", [
         ("drift", '{"delta": "abc"}'), ("drift", '{"delta": [0.1, null, 0]}'), ("spin", '{"omega": Infinity}'),
+        ("spin", '{"center": [1, 2]}'),
     ])
     def test_non_numeric_param_usage_error(self, tmp_path, capsys, kind, params):
         out = tmp_path / "x"
         assert run(["generate", "--kind", kind, "--params", params, "--out", str(out)]) == cli.EXIT_USAGE
         key = next(iter(json.loads(params)))
-        assert f"{kind}: parameter '{key}' must be numeric and finite" in capsys.readouterr().err
+        forms = {"delta": "a finite number or a finite 3-vector", "center": "a finite 3-vector"}
+        assert f"{kind}: parameter '{key}' must be {forms.get(key, 'a finite number')}, got " in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_flag_removed(self, tmp_path):
@@ -346,6 +348,21 @@ class TestSimulate:
         assert f"error: {ckpt}: checkpoint has no array 'mlp_w1'" in err
         assert not out.exists()
 
+    def test_checkpoint_time_encoding_and_grid_keys_are_not_read(self, drift_scene, tmp_path):
+        # the time encoding's width is fixed and the grid's time axis is [0, 1]
+        ckpt = anchored_checkpoint(drift_scene, tmp_path / "ck.gsd")
+        meta, arrays = arrayio.load_bundle(ckpt)
+        meta.update(time_frequencies=3, grid={"t0": 0.5, "t1": 0.5, "channels": 1})
+        edited = tmp_path / "edited.gsd"
+        arrayio.save_bundle(edited, meta, arrays)
+        outputs = []
+        for path in (ckpt, edited):
+            out = tmp_path / path.stem
+            assert run(["simulate", "--checkpoint", str(path), "--t0", "0", "--t1", "1", "--steps", "10",
+                        "--out", str(out)]) == cli.EXIT_OK
+            outputs.append((out / "trajectory.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_field_seed_not_an_integer_usage_error(self, drift_scene, tmp_path, capsys):
         spec = tmp_path / "f.json"
         spec.write_text(json.dumps({"kind": "drift", "seed": [1]}))
@@ -408,13 +425,15 @@ class TestInject:
         ("mask.json", {"shape": "sphere", "radius": 0.25}, "sphere mask needs the key 'center'"),
         ("field.json", [{"kind": "drift"}], "field must be a JSON object, got list"),
         ("field.json", {"kind": "neural"}, "neural field needs the key 'checkpoint'"),
-    ], ids=["sphere-without-center", "field-list", "neural-without-checkpoint"])
+        ("field.json", "not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("mask.json", "not json", "Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["sphere-without-center", "field-list", "neural-without-checkpoint", "field-not-json", "mask-not-json"])
     def test_malformed_spec_names_file_and_key(self, drift_scene, tmp_path, capsys, name, spec, message):
         files = {"field.json": {"kind": "drift"}, "mask.json": {"shape": "sphere", "center": [0.5] * 3,
                                                                 "radius": 0.25}}
         files[name] = spec
-        for file_name, content in files.items():
-            (tmp_path / file_name).write_text(json.dumps(content))
+        for file_name, content in files.items():  # a str is the file's text, anything else its JSON
+            (tmp_path / file_name).write_text(content if isinstance(content, str) else json.dumps(content))
         out = tmp_path / "o"
         assert run(["inject", "--field", str(tmp_path / "field.json"), "--mask", str(tmp_path / "mask.json"),
                     "--scene", str(drift_scene / "scene.json"), "--out", str(out)]) == cli.EXIT_USAGE

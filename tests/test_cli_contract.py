@@ -1,10 +1,12 @@
 """Contract fuzz test of the command line.
 
 ``cli.main`` runs with argv drawn from the parser's own flags and with
-mutated scene, spec, mask, manifest, CSV and checkpoint files.  Whatever it
-is given, it exits 0, 1 or 2; past argument parsing, stderr holds only
-``error:`` and ``numerical failure:`` lines; exit 2 leaves no --out; and a
-manifest exists exactly when the command exited 0.
+mutated scene, spec, mask, manifest, CSV and checkpoint files; a
+checkpoint's JSON header is edited like the other JSON inputs, between its
+magic line and its payload.  Whatever it is given, it exits 0, 1 or 2; past
+argument parsing, stderr holds only ``error:`` and ``numerical failure:``
+lines; exit 2 leaves no --out; and a manifest exists exactly when the
+command exited 0.
 
 Inputs stay small: 4 Gaussians, 3 frames, at most 20 steps per unit over
 spans of at most 3, 2 epochs, and drawn image sizes of at most 64 pixels.
@@ -25,20 +27,23 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gsdyn import cli
+from gsdyn import arrayio, cli
 from gsdyn.fields import ANALYTIC_KINDS
 
 SUBCOMMANDS = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 DELETE = "<delete>"  # an edit value that removes the key or row instead of replacing it
 CUT = "<cut>"  # an edit path that truncates the file at the given fraction of its length
+PAYLOAD = "checkpoint.gsd payload"  # the checkpoint's array bytes, written after its edited header
 
 
 class Case(NamedTuple):
-    """argv tokens, where "@name" is a path in the example's directory, and
-    edits (file name, path, value) applied to the base inputs first."""
+    """argv tokens, where "@name" is a path in the example's directory;
+    edits (file name, path, value) applied to the base inputs first; and,
+    for a pinned example, the exit code and a text its stderr must hold."""
 
     argv: list
     edits: tuple = ()
+    expect: tuple = None
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +70,16 @@ def base(tmp_path_factory):
         "mask.json": {"shape": "sphere", "center": [0.5, 0.5, 0.5], "radius": 0.3, "edge_width": 0.1},
         "manifest.json": json.loads((root / "fit" / "manifest.json").read_text()),
         "traj.csv": [line.split(",") for line in (gen / "trajectory.csv").read_text().splitlines()],
-        "ckpt.gsd": (root / "fit" / "checkpoint.gsd").read_bytes(),
     }
+    magic, header, files[PAYLOAD] = (root / "fit" / "checkpoint.gsd").read_bytes().split(b"\n", 2)
+    assert magic + b"\n" == arrayio.MAGIC
+    files["checkpoint.gsd"] = json.loads(header)
     return files, root / "frames"
 
 
 def write_inputs(directory: Path, files: dict, frames: Path, edits):
-    docs = json.loads(json.dumps({k: v for k, v in files.items() if k != "ckpt.gsd"}))  # a deep copy
+    docs = json.loads(json.dumps({k: v for k, v in files.items() if k != PAYLOAD}))  # a deep copy
+    docs["manifest.json"]["out"] = str(directory)  # the training run whose checkpoint.gsd is edited here
     cuts = {}
     for name, path, value in edits:
         if path == CUT:
@@ -89,7 +97,7 @@ def write_inputs(directory: Path, files: dict, frames: Path, edits):
                     parent[path[-1]] = value
     blobs = {name: json.dumps(doc).encode() for name, doc in docs.items() if name != "traj.csv"}
     blobs["traj.csv"] = "".join(",".join(row) + "\r\n" for row in docs["traj.csv"]).encode()
-    blobs["ckpt.gsd"] = files["ckpt.gsd"]
+    blobs["checkpoint.gsd"] = arrayio.MAGIC + blobs["checkpoint.gsd"] + b"\n" + files[PAYLOAD]
     for name, data in blobs.items():
         (directory / name).write_bytes(data[: int(len(data) * cuts[name])] if name in cuts else data)
     shutil.copytree(frames, directory / "frames")
@@ -101,9 +109,9 @@ def write_inputs(directory: Path, files: dict, frames: Path, edits):
 # strategies
 
 
-PATHS = ["@scene.json", "@spec.json", "@mask.json", "@traj.csv", "@ckpt.gsd", "@manifest.json", "@frames",
+PATHS = ["@scene.json", "@spec.json", "@mask.json", "@traj.csv", "@checkpoint.gsd", "@manifest.json", "@frames",
          "@dir", "@missing.json", "@file/x"]
-PRIMARY = {"scene": "@scene.json", "gt": "@scene.json", "checkpoint": "@ckpt.gsd", "field": "@spec.json",
+PRIMARY = {"scene": "@scene.json", "gt": "@scene.json", "checkpoint": "@checkpoint.gsd", "field": "@spec.json",
            "mask": "@mask.json", "trajectory": "@traj.csv", "pred": "@traj.csv",
            "train_manifest": "@manifest.json", "pred_frames": "@frames", "gt_frames": "@frames"}
 INTS = {"steps": (-1, 20), "record_stride": (-1, 5), "n_gaussians": (-1, 4), "n_frames": (-1, 3),
@@ -189,11 +197,9 @@ def cases(draw, files):
     edits = []
     for _ in range(draw(st.integers(0, 2))):
         name = draw(st.sampled_from(["scene.json", "spec.json", "mask.json", "manifest.json", "traj.csv",
-                                     "ckpt.gsd"]))
+                                     "checkpoint.gsd"]))
         if name == "traj.csv":
             edits.append(draw(csv_edit(files["traj.csv"])))
-        elif name == "ckpt.gsd":
-            edits.append((name, CUT, draw(st.floats(0.0, 1.0))))
         else:
             edits.append(draw(json_edit(name, files)))
     return Case(argv, tuple(edits))
@@ -222,9 +228,21 @@ def check_contract(case: Case, files: dict, frames: Path):
         lines = stderr.getvalue().splitlines() + [f"{w.category.__name__}: {w.message}" for w in caught]
         assert code in (0, 1, 2)
         assert all(line.startswith(("error: ", "numerical failure: ")) for line in lines), lines
+        if case.expect is not None:
+            assert code == case.expect[0] and case.expect[1] in stderr.getvalue(), (code, lines)
         if code == 2:
             assert not out.exists()
         assert (out / "manifest.json").exists() == (code == 0)
+
+
+ANCHORED = ["simulate", "--checkpoint", "@checkpoint.gsd", "--t0", "0", "--t1", "1", "--anchored", "--steps", "4",
+            "--out", "@out"]
+OBSERVED = ["eval", "--pred", "@traj.csv", "--gt", "@scene.json", "--train-manifest", "@manifest.json",
+            "--out", "@out"]
+
+
+def header_edit(path, value):
+    return (("checkpoint.gsd", ("meta", *path), value),)
 
 
 def test_contract_holds(base):
@@ -232,6 +250,18 @@ def test_contract_holds(base):
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(cases(files))
+    # the checkpoint header's values: each is checked before it is used
+    @example(Case(ANCHORED, header_edit(("hidden",), 5), (2, "'hidden' must be a list of positive integers")))
+    @example(Case(ANCHORED, header_edit(("n_anchors",), "a"), (2, "'n_anchors' must be the number")))
+    @example(Case(ANCHORED, header_edit(("anchor_times",), None), (2, "'anchor_times' must be a list")))
+    @example(Case(ANCHORED, header_edit(("anchor_times",), ["a", 0.5, 1]), (2, "'anchor_times' must be a list")))
+    @example(Case(ANCHORED, header_edit(("anchor_times",), [0.0, 0.25, 0.5, 1.0]), (2, "'anchor_times' must be one")))
+    @example(Case(ANCHORED, header_edit(("anchor_times",), [0.0]), (2, "'anchor_times' must be one")))
+    @example(Case(ANCHORED, (("checkpoint.gsd", ("meta",), []),), (2, "'meta' must be a JSON object")))
+    @example(Case(OBSERVED, header_edit(("extra",), 5), (2, "'extra' must be a JSON object")))
+    @example(Case(OBSERVED, header_edit(("extra", "supervised_times"), 5), (2, "'extra.supervised_times' must")))
+    @example(Case(OBSERVED, header_edit(("extra", "supervised_times"), ["a"]), (2, "'extra.supervised_times' must")))
+    @example(Case(OBSERVED, (), (0, "")))
     @example(Case(["render", "--scene", "@scene.json", "--out", "@out"],
                   (("scene.json", ("gaussians",), []), ("scene.json", ("trajectories",), DELETE))))
     @example(Case(["simulate", "--checkpoint", "@dir", "--t0", "0", "--t1", "1", "--out", "@out"]))

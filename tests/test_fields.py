@@ -279,7 +279,7 @@ class TestNeuralField:
         assert not np.shares_memory(grid.cells, first.theta)
 
     def test_time_encoding_shape(self):
-        enc = time_encoding(0.25, frequencies=4)
+        enc = time_encoding(0.25)
         assert enc.shape == (8,)
         np.testing.assert_allclose(enc[:4], np.sin(np.pi * 2.0 ** np.arange(4) * 0.25))
 
@@ -487,10 +487,15 @@ class TestBuildField:
     @pytest.mark.parametrize("kind,params", [
         ("drift", {"delta": "abc"}), ("drift", {"delta": [0.1, None, 0.0]}), ("spin", {"omega": float("inf")}),
         ("spin", {"center": [0.5, float("nan"), 0.5]}), ("drift", {"delta": "0.3"}), ("spin", {"omega": True}),
+        ("spin", {"center": [1, 2]}), ("orbital", {"center": [1, 2]}), ("diffusion_gas", {"d": [0.1]}),
+        ("drift", {"delta": [1, 2]}), ("drift", {"delta": [[1, 0, 0]]}), ("vortex", {"omega": [1.0, 1.0, 1.0]}),
     ])
     def test_non_numeric_parameter_names_kind_and_key(self, kind, params):
+        # a parameter is finite and shaped like its default; drift's delta may also be a 3-vector
         key = next(iter(params))
-        with pytest.raises(FieldError, match=f"{kind}: parameter '{key}' must be numeric and finite"):
+        form = {"delta": "a finite number or a finite 3-vector", "center": "a finite 3-vector",
+                "d": "a finite 3-vector"}.get(key, "a finite number")
+        with pytest.raises(FieldError, match=f"{kind}: parameter '{key}' must be {form}, got "):
             AnalyticField(kind, **params)
 
     @pytest.mark.parametrize("seed", [[1], "1", 1.5, True, None, -1])

@@ -336,10 +336,11 @@ class TestAnchorAwareRollout:
     def test_one_pass_carries_aux_velocity(self):
         f = AnalyticField("gravity_bounce", g=-9.8, z0=0.0, gamma=0.8)
         aset = anc.AnchorSet()
-        aset.insert(make_cloud([[0.5, 0.5, 0.9]]), 0.0, velocities=np.array([[0.0, 0.0, 1.0]]))
+        aset.insert(make_cloud([[0.5, 0.5, 0.9]]), 0.0)
         states = itg.anchored_states(aset, [0.1, 0.2], itg.IntegratorConfig(step_count=100), f)
-        # z(t) = 0.9 + t - 4.9 t^2, integrated exactly by RK4
-        assert states[1].positions[0, 2] == pytest.approx(0.9 + 0.2 - 4.9 * 0.04, abs=1e-12)
+        # from rest at the anchor, z(t) = 0.9 - 4.9 t^2, integrated exactly by
+        # RK4 only if the second leg starts with the first leg's velocity
+        assert states[1].positions[0, 2] == pytest.approx(0.9 - 4.9 * 0.04, abs=1e-12)
 
     def test_empty_anchor_set_rejected(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ EPS = 2.0**-24
 
 def reference_lookup(grid, positions, t):
     """Dense per-plane bilinear sampler, one plane at a time."""
-    lo = np.append(grid.bounds_lo, grid.t0)
-    span = np.append(grid.bounds_hi - grid.bounds_lo, grid.t1 - grid.t0)
+    lo = np.append(grid.bounds_lo, 0.0)
+    span = np.append(grid.bounds_hi - grid.bounds_lo, 1.0)
     q = np.concatenate([positions, np.full((len(positions), 1), t)], axis=1)
     u = np.clip((q - lo) / span, 0.0, 1.0)
     out = []
@@ -40,19 +40,19 @@ def reference_lookup(grid, positions, t):
 
 @st.composite
 def grids(draw):
-    lo = [draw(st.sampled_from(LOWS)) for _ in range(4)]
-    ext = [draw(st.sampled_from(EXTENTS)) for _ in range(4)]
-    return fg.create_grid(
-        np.array(lo[:3]),
-        np.array(lo[:3]) + ext[:3],
+    """A grid over drawn spatial bounds and the time axis [0, 1]."""
+    lo = np.array([draw(st.sampled_from(LOWS)) for _ in range(3)])
+    ext = np.array([draw(st.sampled_from(EXTENTS)) for _ in range(3)])
+    grid = fg.create_grid(
+        lo,
+        lo + ext,
         spatial_resolution=draw(st.sampled_from(RESOLUTIONS)),
         time_resolution=draw(st.sampled_from(RESOLUTIONS)),
         channels=draw(st.integers(1, 3)),
-        t0=lo[3],
-        t1=lo[3] + ext[3],
         seed=draw(st.integers(0, 2**16)),
-        init_scale=1.0,
     )
+    grid.cells *= 10.0  # entries in [-1, 1]
+    return grid
 
 
 def draw_coordinate(draw, lo, hi, resolution):
@@ -78,7 +78,7 @@ def queries(draw):
     spatial = grid.planes[0].shape[0]
     positions = np.zeros((n, 3))
     kinds = []
-    t, t_kind = draw_coordinate(draw, grid.t0, grid.t1, grid.planes[3].shape[1])
+    t, t_kind = draw_coordinate(draw, 0.0, 1.0, grid.planes[3].shape[1])
     for i in range(n):
         row = []
         for axis in range(3):
@@ -149,7 +149,7 @@ def test_backward_adds_fresh_result_into_given_buffer(grid, n, hidden, seed):
     field = NeuralVelocityField(grid, hidden=(hidden,), seed=seed, output_scale=1.0)
     lo, hi = grid.bounds_lo, grid.bounds_hi
     positions = rng.uniform(lo - 0.1, hi + 0.1, (n, 3))
-    _, cache = field.forward(positions, 0.5 * (grid.t0 + grid.t1), want_cache=True)
+    _, cache = field.forward(positions, 0.5, want_cache=True)
     upstream = rng.standard_normal((n, 9))
     fresh = field.zero_grads()
     _, g_fresh = field.backward(cache, upstream, grads=fresh)
@@ -183,11 +183,10 @@ def test_forward_into_reused_cache_matches_fresh(grid, n, hidden, seed):
     rng = np.random.default_rng(seed)
     field = NeuralVelocityField(grid, hidden=tuple(hidden), seed=seed, output_scale=1.0)
     lo, hi = grid.bounds_lo, grid.bounds_hi
-    t0, t1 = grid.t0, grid.t1
     cache = field.new_cache(n)
-    field.forward(rng.uniform(lo - 0.1, hi + 0.1, (n, 3)), rng.uniform(t0, t1), cache=cache)
+    field.forward(rng.uniform(lo - 0.1, hi + 0.1, (n, 3)), rng.uniform(0.0, 1.0), cache=cache)
     positions = rng.uniform(lo - 0.1, hi + 0.1, (n, 3))
-    t = rng.uniform(t0, t1)
+    t = rng.uniform(0.0, 1.0)
     out, same = field.forward(positions, t, want_cache=True, cache=cache)
     assert same is cache
     fresh_out, fresh = field.forward(positions, t, want_cache=True)

@@ -192,7 +192,7 @@ class TestRoundTrip:
 class TestEvolution:
     def test_index_identity_under_evolution(self):
         cloud = make_cloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
-        evolved = cloud.evolved(positions=cloud.positions + 0.1)
+        evolved = cloud.with_positions(cloud.positions + 0.1)
         assert len(evolved) == len(cloud)
         np.testing.assert_allclose(evolved.positions - cloud.positions, np.full((3, 3), 0.1))
 

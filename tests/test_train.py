@@ -138,21 +138,20 @@ class TestCoherenceLoss:
 class TestTotalLoss:
     def test_zero_weights(self):
         cfg = train.TrainingConfig(lambda_coh=0, lambda_anchor=0, lambda_tv=0)
-        total, report = train.total_loss(1.7, 5.0, 6.0, 7.0, cfg)
-        assert total == 1.7
+        report = train.total_loss(1.7, 5.0, 6.0, 7.0, cfg)
+        assert report.total == 1.7
         assert report.data == 1.7
 
     def test_arithmetic_example(self):
         cfg = train.TrainingConfig(lambda_coh=0.1, lambda_anchor=0.2, lambda_tv=0.3)
-        total, _ = train.total_loss(1.0, 2.0, 3.0, 4.0, cfg)
-        assert total == pytest.approx(3.0)
+        assert train.total_loss(1.0, 2.0, 3.0, 4.0, cfg).total == pytest.approx(3.0)
 
     def test_report_identity_random(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             cfg = train.TrainingConfig(*rng.uniform(0, 1, 3))
             d, c, a, t = rng.uniform(0, 5, 4)
-            total, r = train.total_loss(d, c, a, t, cfg)
+            r = train.total_loss(d, c, a, t, cfg)
             recomputed = r.data + cfg.lambda_coh * r.coherence + cfg.lambda_anchor * r.anchor + cfg.lambda_tv * r.tv
             assert abs(r.total - recomputed) < 1e-9
 
@@ -167,7 +166,7 @@ class TestTotalLoss:
             vals = []
             for w in (0.0, 0.5, 1.0):
                 cfg = train.TrainingConfig(**{key: w})
-                vals.append(train.total_loss(d, c, a, t, cfg)[0])
+                vals.append(train.total_loss(d, c, a, t, cfg).total)
             assert vals[1] == pytest.approx(0.5 * (vals[0] + vals[2]), rel=1e-12)
 
 
@@ -288,13 +287,13 @@ class TestUnrolledGradients:
 
     def loss_and_grads(self, field, p0, ck_times, targets, steps_per_unit=4):
         legs = itg.legs_between([0.0, *ck_times], steps_per_unit)
-        checkpoints, cache = train.unroll_segment(field, p0, legs)
+        checkpoints, tape = train.unroll_segment(field, p0, legs)
         loss = 0.0
         ck_grads = []
         for (p, theta, scale), tgt in zip(checkpoints, targets):
             loss += float(np.sum((p - tgt) ** 2))
             ck_grads.append((2.0 * (p - tgt), None, None))
-        grads = train.backward_through_rollout(field, cache, ck_grads)
+        grads = train.backward_through_rollout(field, tape, legs, ck_grads)
         return loss, grads
 
     def test_zero_network_output_bias_gradient(self):
@@ -334,9 +333,10 @@ class TestUnrolledGradients:
 
     def test_checkpoint_gradient_count_checked(self):
         field, p0, ck_times, targets = self.data_grad_setup(seed=10)
-        _, cache = train.unroll_segment(field, p0, itg.legs_between([0.0, *ck_times], 4))
+        legs = itg.legs_between([0.0, *ck_times], 4)
+        _, tape = train.unroll_segment(field, p0, legs)
         with pytest.raises(train.TrainingError, match="checkpoints"):
-            train.backward_through_rollout(field, cache, [None])
+            train.backward_through_rollout(field, tape, legs, [None])
 
     def test_coherence_weight_linearity(self):
         # doubling lambda_coh doubles the coherence-attributable gradient
@@ -421,7 +421,7 @@ class TestTape:
         _, cfg, plan = unequal_segment_plan()
         field = tiny_field(seed=32, n_channels=2, res=4, hidden=(6,))
         rng = np.random.default_rng(33)
-        tape = train.UnrollCache()
+        tape = []
         for seg in [*plan.segments, *reversed(plan.segments), plan.segments[1]]:
             ck_grads = [(rng.standard_normal(seg.p_start.shape), rng.standard_normal(seg.p_start.shape), None)
                         for _ in seg.legs]
@@ -432,13 +432,13 @@ class TestTape:
             for a, b in zip(fresh_cks, reused_cks):
                 for x, y in zip(a, b):
                     np.testing.assert_array_equal(x, y)
-            np.testing.assert_array_equal(train.backward_through_rollout(field, fresh, ck_grads),
-                                          train.backward_through_rollout(field, reused, ck_grads))
+            np.testing.assert_array_equal(train.backward_through_rollout(field, fresh, seg.legs, ck_grads),
+                                          train.backward_through_rollout(field, reused, seg.legs, ck_grads))
 
     def test_reused_tape_epochs_match_fresh_tapes(self):
         _, cfg, plan = unequal_segment_plan()
         fields = [tiny_field(seed=34, n_channels=2, res=4, hidden=(6,)) for _ in range(2)]
-        tape = train.UnrollCache()
+        tape = []
         moments = [None, None]
         for epoch in range(3):
             fresh_report, fresh = train._epoch_losses_and_grads(fields[0], plan, cfg)
@@ -626,7 +626,7 @@ class TestCheckpointIo:
 
     def test_array_of_another_shape_rejected(self, tmp_path):
         path = tmp_path / "ckpt.gsd"
-        train.save_checkpoint(path, tiny_field())
+        train.save_checkpoint(path, tiny_field(), AnchorSet())
         meta, arrays = arrayio.load_bundle(path)
         arrays["mlp_b0"] = arrays["mlp_b0"][:1]  # a (1,) bias would broadcast into its view
         arrayio.save_bundle(path, meta, arrays)
