@@ -13,6 +13,7 @@ Every array is stored as float64.
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -42,7 +43,9 @@ def load_bundle(path):
     """Returns (meta, arrays dict).
 
     A header that is not the layout above, lists an array other than
-    float64, or does not match the payload's length raises ValueError.
+    float64, or does not match the payload's length raises ValueError.  Each
+    array's size is checked against the bytes left in the file before it is
+    read, so a header that lists a huge array allocates nothing.
     """
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
@@ -59,10 +62,10 @@ def load_bundle(path):
             if dtype != "float64" or min(shape, default=0) < 0:
                 raise ValueError(f"{path}: array {name!r} is listed as {dtype!r} of shape {shape}")
             count = math.prod(shape) * 8
-            buf = f.read(count)
-            if len(buf) != count:
-                raise ValueError(f"{path}: array {name!r} is truncated ({len(buf)} of {count} payload bytes)")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            left = os.fstat(f.fileno()).st_size - f.tell()
+            if count > left:
+                raise ValueError(f"{path}: array {name!r} is truncated ({left} of {count} payload bytes)")
+            arrays[name] = np.frombuffer(f.read(count), dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last array")
     return meta, arrays

@@ -14,9 +14,10 @@ gradients S^T @ U for an upstream U, and the query gradients come from an
 operator with the same corners whose entries are the weights' derivatives
 along each plane axis.  The corners of a query batch (:class:`Corners`) are
 found once, by :func:`lookup`, which can write them into buffers that the
-caller keeps; :func:`lookup_grad` builds both operators from those corners
-and the current planes, and finds the corners again only when none are
-passed.
+caller keeps; :func:`sampling_operator` builds S from them, and
+:func:`lookup_grad` takes that S, or builds it, and builds the derivative
+operator from the same corners.  It finds the corners again only when none
+are passed.
 """
 
 from __future__ import annotations
@@ -132,23 +133,24 @@ def _corners(grid: HexPlaneGrid, positions, t: float, out: Corners = None) -> Co
         raise FloatingPointError("feature grid: non-finite query")
     if out is None:
         out = empty_corners(len(positions))
-    r0, r1 = grid.resolution.T
-    lo = np.append(grid.bounds_lo, 0.0)
-    span = np.append(grid.bounds_hi, 1.0) - lo
-    u = (np.column_stack([positions, np.full(len(positions), t)]) - lo) / span
+    # axis-major arrays, one row per query axis (4, N) or plane (6, N): a
+    # plane's coordinates are then gathered as whole rows
+    r0, r1 = grid.resolution[:, :1], grid.resolution[:, 1:]
+    lo = np.append(grid.bounds_lo, 0.0)[:, None]
+    span = np.append(grid.bounds_hi, 1.0)[:, None] - lo
+    u = (np.vstack([positions.T, np.full(len(positions), t)]) - lo) / span
     slope = ((u > 0.0) & (u < 1.0)) / span
     u = np.clip(u, 0.0, 1.0)
-    # np.take keeps C order where u[:, index] would not, so the stacks below are contiguous
-    su = np.take(u, _AXES[:, 0], axis=1) * (r0 - 1)
-    sv = np.take(u, _AXES[:, 1], axis=1) * (r1 - 1)
+    su = u[_AXES[:, 0]] * (r0 - 1)
+    sv = u[_AXES[:, 1]] * (r1 - 1)
     i0 = np.minimum(np.floor(su).astype(np.int32), r0 - 2)
     j0 = np.minimum(np.floor(sv).astype(np.int32), r1 - 2)
-    c00 = np.cumsum(r0 * r1, dtype=np.int32) - r0 * r1 + i0 * r1 + j0
-    np.stack([c00, c00 + r1, c00 + 1, c00 + r1 + 1], axis=-1, out=out.cols)
-    np.subtract(su, i0, out=out.fu)
-    np.subtract(sv, j0, out=out.fv)
-    np.multiply(np.take(slope, _AXES[:, 0], axis=1), r0 - 1, out=out.ju)
-    np.multiply(np.take(slope, _AXES[:, 1], axis=1), r1 - 1, out=out.jv)
+    c00 = np.cumsum(r0 * r1, axis=0, dtype=np.int32) - r0 * r1 + i0 * r1 + j0
+    np.stack([c00, c00 + r1, c00 + 1, c00 + r1 + 1], axis=-1, out=out.cols.transpose(1, 0, 2))
+    np.subtract(su, i0, out=out.fu.T)
+    np.subtract(sv, j0, out=out.fv.T)
+    np.multiply(slope[_AXES[:, 0]], r0 - 1, out=out.ju.T)
+    np.multiply(slope[_AXES[:, 1]], r1 - 1, out=out.jv.T)
     return out
 
 
@@ -166,6 +168,12 @@ def _weights(fu, fv):
     return np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv], axis=-1)
 
 
+def sampling_operator(grid: HexPlaneGrid, corners: Corners):
+    """The (6N, cells) sampling operator S of a batch's corners: S @ grid.cells
+    holds the batch's features, one row per (query, plane)."""
+    return _operator(corners.cols, _weights(corners.fu, corners.fv), len(grid.cells))
+
+
 def lookup(grid: HexPlaneGrid, positions, t: float, corners: Corners = None) -> np.ndarray:
     """(N, 6*C) feature vectors at (positions, t): six bilinear plane samples, concatenated.
 
@@ -174,11 +182,11 @@ def lookup(grid: HexPlaneGrid, positions, t: float, corners: Corners = None) -> 
     :func:`empty_corners` for N queries) the batch's corners are written
     there, for :func:`lookup_grad` to reuse.
     """
-    cols, fu, fv, _, _ = _corners(grid, positions, t, corners)
-    return (_operator(cols, _weights(fu, fv), len(grid.cells)) @ grid.cells).reshape(-1, grid.feature_size)
+    corners = _corners(grid, positions, t, corners)
+    return (sampling_operator(grid, corners) @ grid.cells).reshape(-1, grid.feature_size)
 
 
-def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream, corners: Corners = None):
+def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream, corners: Corners = None, operator=None):
     """Exact gradients of :func:`lookup`.
 
     positions is (N, 3) and upstream (N, 6*C).  Returns (g_cells,
@@ -187,12 +195,17 @@ def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream, corners: Corn
     (``grid.planes_of`` splits it by plane); g_position / g_t are the
     gradients w.r.t. the query.  ``corners`` are the ones :func:`lookup`
     wrote for this query; they are found again from (positions, t) when
+    None.  ``operator`` is their :func:`sampling_operator`, built here when
     None.
     """
-    cols, fu, fv, ju, jv = _corners(grid, positions, t) if corners is None else corners
+    if corners is None:
+        corners = _corners(grid, positions, t)
+    if operator is None:
+        operator = sampling_operator(grid, corners)
+    cols, fu, fv, ju, jv = corners
     n_cells = len(grid.cells)
     up = np.asarray(upstream, dtype=float).reshape(-1, grid.channels)
-    g_cells = _operator(cols, _weights(fu, fv), n_cells).T @ up
+    g_cells = operator.T @ up
 
     # derivatives of the corner weights by the query coordinate along each
     # plane's two axes: one operator row per (query, plane, axis)

@@ -242,6 +242,12 @@ class AnalyticField(VelocityField):
 TIME_FREQUENCIES = 4  # the time encoding's sinusoid pairs
 
 
+def mlp_sizes(grid: feature_grid.HexPlaneGrid, hidden) -> list:
+    """Widths of the neural field's MLP layers over ``grid``, input first:
+    grid features, position and time encoding in, ``hidden``, 9 out."""
+    return [grid.feature_size + 3 + 2 * TIME_FREQUENCIES, *hidden, 9]
+
+
 def time_encoding(t: float) -> np.ndarray:
     """Sinusoidal encoding [sin(2^j pi t), cos(2^j pi t)] for j < TIME_FREQUENCIES."""
     freqs = (2.0 ** np.arange(TIME_FREQUENCIES)) * np.pi
@@ -251,16 +257,17 @@ def time_encoding(t: float) -> np.ndarray:
 class ForwardCache:
     """What :meth:`NeuralVelocityField.backward` reads of one forward pass.
 
-    activations[0] is the MLP input (grid features, position, time
-    encoding), and activations[i + 1] the output of layer i; corners are
-    the feature grid's bilinear corners of the query, and t its time.  The
-    buffers are allocated once and refilled by every forward pass given
-    this cache.
+    t and positions (N, 3) are the query, corners the feature grid's
+    bilinear corners of it, and hidden[i] the tanh output of hidden layer
+    i.  The MLP's input and output are not kept: the backward pass
+    rebuilds the input from the query and its corners.  The buffers are
+    allocated once and refilled by every forward pass given this cache.
     """
 
     def __init__(self, n: int, widths, corners: feature_grid.Corners = None):
         self.t = 0.0
-        self.activations = [np.empty((n, w)) for w in widths]
+        self.positions = np.empty((n, 3))
+        self.hidden = [np.empty((n, w)) for w in widths]
         self.corners = feature_grid.empty_corners(n) if corners is None else corners
 
 
@@ -285,7 +292,7 @@ class NeuralVelocityField(VelocityField):
         seed: int = 0,
         output_scale: float = 0.0,
     ):
-        sizes = [grid.feature_size + 3 + 2 * TIME_FREQUENCIES, *hidden, 9]
+        sizes = mlp_sizes(grid, hidden)
         self._shapes = [s for nin, nout in zip(sizes[:-1], sizes[1:]) for s in ((nin, nout), (nout,))]
         self._shapes += [(r0, r1, grid.channels) for r0, r1 in grid.resolution]
         self._ends = np.cumsum([math.prod(s) for s in self._shapes])
@@ -326,21 +333,29 @@ class NeuralVelocityField(VelocityField):
     def new_cache(self, n: int, corners: feature_grid.Corners = None) -> "ForwardCache":
         """Empty buffers for :meth:`forward` to record a batch of n rows
         into, around the given corner buffers if any."""
-        return ForwardCache(n, [w.shape[0] for w in self.weights] + [self.weights[-1].shape[1]], corners)
+        return ForwardCache(n, [w.shape[1] for w in self.weights[:-1]], corners)
+
+    def _mlp_input(self, feats, positions, t):
+        """The MLP input rows: grid features, position, time encoding."""
+        x = np.empty((len(positions), self.weights[0].shape[0]))
+        c = self.grid.feature_size
+        x[:, :c] = feats
+        x[:, c : c + 3] = positions
+        x[:, c + 3 :] = time_encoding(t)
+        return x
 
     def forward(self, positions, t, want_cache: bool = False, cache: "ForwardCache" = None):
-        """MLP output (N, 9); optionally returns the cache needed by :meth:`backward`.
+        """MLP output (N, 9), a fresh array; optionally returns the cache
+        needed by :meth:`backward`.
 
         The pass is recorded into ``cache`` in place when one is given (a
-        :meth:`new_cache` for N rows), and into fresh buffers otherwise; the
-        output is the cache's last activation, so it changes when the cache
-        is refilled.
+        :meth:`new_cache` for N rows), and into fresh buffers otherwise.
         """
         positions = np.asarray(positions, dtype=float)
         n = len(positions)
-        if cache is not None and cache.activations[0].shape[0] != n:
-            raise FieldError(f"forward: cache holds {cache.activations[0].shape[0]} rows, got {n}")
-        # A fresh cache's activations are allocated after the lookup has freed
+        if cache is not None and len(cache.positions) != n:
+            raise FieldError(f"forward: cache holds {len(cache.positions)} rows, got {n}")
+        # A fresh cache's buffers are allocated after the lookup has freed
         # its temporaries.  Allocated before, they left those temporaries at
         # the top of the heap, where glibc's malloc gave them back to the
         # system on every call: a 500-Gaussian neural rollout made four times
@@ -350,14 +365,11 @@ class NeuralVelocityField(VelocityField):
         if cache is None:
             cache = self.new_cache(n, corners)
         cache.t = t
-        x = cache.activations[0]
-        c = self.grid.feature_size
-        x[:, :c] = feats
-        x[:, c : c + 3] = positions
-        x[:, c + 3 :] = time_encoding(t)
+        cache.positions[:] = positions
+        z = self._mlp_input(feats, positions, t)
         last = len(self.weights) - 1
-        for i, (w, b, z) in enumerate(zip(self.weights, self.biases, cache.activations[1:])):
-            np.matmul(cache.activations[i], w, out=z)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = np.matmul(z, w, out=cache.hidden[i] if i != last else None)
             z += b
             if not np.all(np.isfinite(z)):
                 raise FloatingPointError(f"non-finite activation in mlp layer {i}")
@@ -377,34 +389,36 @@ class NeuralVelocityField(VelocityField):
         Returns (:meth:`views` of grads, aligned with :meth:`parameters`,
         g_positions).
         """
-        activations = cache.activations
+        positions = cache.positions
         upstream = np.asarray(upstream, dtype=float)
-        if upstream.shape != activations[-1].shape:
-            raise FieldError(
-                f"backward: upstream shape {upstream.shape} does not match cached batch {activations[-1].shape}"
-            )
+        out_shape = (len(positions), self.weights[-1].shape[1])
+        if upstream.shape != out_shape:
+            raise FieldError(f"backward: upstream shape {upstream.shape} does not match cached batch {out_shape}")
         if grads is None:
             grads = self.zero_grads()
         groups = self.views(grads)
+        # the input, rebuilt from the kept corners: the same operator and
+        # cells as the forward pass give the same features, bit for bit
+        operator = feature_grid.sampling_operator(self.grid, cache.corners)
+        feats = (operator @ self.grid.cells).reshape(len(positions), -1)
+        inputs = [self._mlp_input(feats, positions, cache.t), *cache.hidden]
         g = upstream
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
-            h_in = activations[i]
-            if i != last:
-                g = g * (1.0 - activations[i + 1] ** 2)  # tanh'
-            groups[2 * i] += h_in.T @ g
+            if i != last:  # tanh' = 1 - h^2, in one buffer
+                d = np.square(inputs[i + 1])
+                np.subtract(1.0, d, out=d)
+                g = np.multiply(g, d, out=d)
+            groups[2 * i] += inputs[i].T @ g
             groups[2 * i + 1] += g.sum(axis=0)
             g = g @ self.weights[i].T
         # split the input gradient: grid features, raw position, time encoding
         c = self.grid.feature_size
-        g_feat = g[:, :c]
-        g_pos_direct = g[:, c : c + 3]
-        positions = activations[0][:, c : c + 3]
         g_cells, g_pos_grid, _ = feature_grid.lookup_grad(
-            self.grid, positions, cache.t, g_feat, corners=cache.corners
+            self.grid, positions, cache.t, g[:, :c], corners=cache.corners, operator=operator
         )
         grads[-g_cells.size :] += g_cells.ravel()
-        return groups, g_pos_direct + g_pos_grid
+        return groups, g[:, c : c + 3] + g_pos_grid
 
     def evaluate_batch(self, positions, velocities, t, step_index=0):
         out = self.forward(np.asarray(positions, dtype=float), t)

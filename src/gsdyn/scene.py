@@ -275,11 +275,17 @@ def save_scene(scene: SceneData, path) -> None:
         f.write("\n")
 
 
+KNN_BLOCK = 256  # rows of the distance array that knn holds at once
+
+
 def knn(cloud: GaussianCloud, k: int) -> np.ndarray:
     """K nearest neighbors of every Gaussian by squared position distance.
 
     Returns an (N, k) int array.  Self is excluded; ties break toward the
-    lower index (stable sort on distance).
+    lower index.  The search is exact and goes through the rows in blocks
+    of KNN_BLOCK, each against the whole cloud: a row's k-th smallest
+    distance is found by partition, and the candidates at or under it are
+    ordered by (distance, index).
     """
     n = len(cloud)
     if k <= 0:
@@ -287,10 +293,18 @@ def knn(cloud: GaussianCloud, k: int) -> np.ndarray:
     if k >= n:
         raise ValueError(f"k={k} must be smaller than cloud size {n}")
     p = cloud.positions
-    d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    out = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, KNN_BLOCK):
+        block = slice(start, min(start + KNN_BLOCK, n))
+        d2 = np.sum((p[block, None, :] - p[None, :, :]) ** 2, axis=-1)
+        rows = np.arange(len(d2))
+        d2[rows, rows + start] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        r, c = np.nonzero(d2 <= kth)  # row-major: each row's candidates in one run
+        c = c[np.lexsort((c, d2[r, c], r))]
+        counts = np.bincount(r, minlength=len(d2))
+        out[block] = c[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return out
 
 
 def export_trajectory_csv(times, positions, path) -> None:

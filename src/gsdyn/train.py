@@ -10,10 +10,12 @@ graph (discretize-then-differentiate, no adjoint ODE).  The training plan
 cuts each segment into legs between its supervised frames, built by
 :func:`integrate.legs_between` as for anchored queries.  The coherence term
 is a one-step leg of COHERENCE_STEP from the canonical cloud.
-:func:`unroll_segment` records every RK4 stage of its legs (the MLP's
-activations and the feature grid's bilinear corners) on a tape, a list of
-one ``NeuralVelocityField.new_cache`` per stage, that
+:func:`unroll_segment` records every RK4 stage of its legs on a tape, a
+list of one ``NeuralVelocityField.new_cache`` per stage, that
 :func:`backward_through_rollout` replays in reverse along the same legs.
+A stage holds what the backward pass cannot cheaply rebuild: the query
+positions and time, the feature grid's bilinear corners and the MLP's
+hidden-layer outputs; the MLP's input is rebuilt from the first two.
 :func:`fit` refills one tape, as long as its longest segment, for every
 segment, the coherence leg and every epoch, so only one segment's record is
 alive at a time.  The differentiable state per Gaussian is (position,
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import arrayio, feature_grid
 from .anchors import AnchorSet, state_deviation
-from .fields import TIME_FREQUENCIES, NeuralVelocityField, VelocityField
+from .fields import TIME_FREQUENCIES, NeuralVelocityField, VelocityField, mlp_sizes
 from .integrate import RK4_NODES, RK4_WEIGHTS, legs_between, rk4_increments
 from .scene import GaussianCloud, SceneData, knn
 
@@ -158,7 +160,8 @@ def unroll_segment(field: NeuralVelocityField, p0, legs, tape=None):
     Returns (checkpoints, tape) where checkpoints is a list of (positions,
     rotation-tangents, scale-increments) at each checkpoint; tangents and
     increments are relative to p0.  The tape is a list of
-    ``field.new_cache`` buffers, one per RK4 stage in step order: ``tape``
+    ``field.new_cache`` buffers, one per RK4 stage in step order, each
+    holding the stage's query, grid corners and hidden-layer outputs: ``tape``
     refilled in place from its first stage, or a new list when None.  A
     tape grows only when the legs take more stages than it holds, and is
     emptied first when its buffers hold another row count, so one tape
@@ -167,7 +170,7 @@ def unroll_segment(field: NeuralVelocityField, p0, legs, tape=None):
     p = np.asarray(p0, dtype=float)
     n = p.shape[0]
     tape = [] if tape is None else tape
-    if tape and len(tape[0].activations[0]) != n:
+    if tape and len(tape[0].positions) != n:
         tape.clear()
     theta = np.zeros((n, 3))
     scale = np.zeros((n, 3))
@@ -200,7 +203,7 @@ def backward_through_rollout(field: NeuralVelocityField, tape, legs, checkpoint_
         raise TrainingError(f"legs hold {len(legs)} checkpoints, got {len(checkpoint_grads)} gradients")
     if grads is None:
         grads = field.zero_grads()
-    n = len(tape[0].activations[0])
+    n = len(tape[0].positions)
     g_p = np.zeros((n, 3))
     g_theta = np.zeros((n, 3))
     g_scale = np.zeros((n, 3))
@@ -470,7 +473,9 @@ def load_checkpoint(path):
     ``grid`` are written but not read: the time encoding's width is fixed
     and the grid's time axis is [0, 1].  Each named parameter array is
     copied into its view of ``field.theta``; an array that is missing, or
-    whose shape differs from its view, raises ValueError naming it.
+    whose shape differs from its view, raises ValueError naming it.  The
+    weight arrays are checked against ``hidden`` before the field is
+    allocated at its widths.
     """
     meta, bundle = arrayio.load_bundle(path)
     if not isinstance(meta, dict):
@@ -484,6 +489,10 @@ def load_checkpoint(path):
 
     def bad(key, form):
         return ValueError(f"{path}: checkpoint header {key!r} must be {form}, got {meta.get(key)!r}")
+
+    def check_shape(name, shape):
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {shape}")
 
     arrays = Arrays(bundle)
     hidden = meta.get("hidden")
@@ -502,10 +511,12 @@ def load_checkpoint(path):
         bounds_lo=arrays["bounds_lo"],
         bounds_hi=arrays["bounds_hi"],
     )
+    sizes = mlp_sizes(grid, hidden)
+    for i, shape in enumerate(zip(sizes[:-1], sizes[1:])):
+        check_shape(f"mlp_w{i}", shape)
     field = NeuralVelocityField(grid, hidden=tuple(hidden))
     for name, view in zip(field.parameter_names(), field.parameters()):
-        if arrays[name].shape != view.shape:
-            raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {view.shape}")
+        check_shape(name, view.shape)
         view[...] = arrays[name]
     anchor_set = AnchorSet()
     for i, t_a in enumerate(times):

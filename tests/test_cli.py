@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,46 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "array 'mlp_b0' has shape (1,), expected (8,)" in err
         assert not out.exists()
+
+    @staticmethod
+    def edited_fit(drift_scene, tmp_path, edit):
+        """A one-epoch 64-wide training checkpoint whose JSON header ``edit`` changed in place."""
+        fit = tmp_path / "fit"
+        assert run(["train", "--scene", str(drift_scene / "scene.json"), "--epochs", "1",
+                    "--out", str(fit)]) == cli.EXIT_OK
+        ckpt = fit / "checkpoint.gsd"
+        magic, header, payload = ckpt.read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        edit(header)
+        ckpt.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
+        return ckpt
+
+    @staticmethod
+    def traced_simulate(ckpt, out):
+        """Exit code and tracemalloc peak of a simulate run on ``ckpt``."""
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--checkpoint", str(ckpt), "--t0", "0", "--t1", "1", "--out", str(out)])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_checkpoint_widths_checked_before_the_field_is_allocated(self, drift_scene, tmp_path, capsys):
+        # a field 3000 units wide would take about 140 MB before its weights were compared
+        ckpt = self.edited_fit(drift_scene, tmp_path, lambda h: h["meta"].update(hidden=[3000, 3000]))
+        code, peak = self.traced_simulate(ckpt, tmp_path / "o")
+        assert code == cli.EXIT_USAGE
+        assert f"{ckpt}: array 'mlp_w0' has shape (59, 64), expected (59, 3000)" in capsys.readouterr().err
+        assert peak < 20e6
+
+    def test_checkpoint_array_larger_than_the_file_is_not_read(self, drift_scene, tmp_path, capsys):
+        # 200 MB listed for the first array: read as listed, it would be allocated before the short read
+        ckpt = self.edited_fit(drift_scene, tmp_path, lambda h: h["arrays"][0].update(shape=[25_000_000]))
+        code, peak = self.traced_simulate(ckpt, tmp_path / "o")
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "array 'mlp_w0' is truncated" in err and "of 200000000 payload bytes" in err
+        assert peak < 20e6
 
     def test_checkpoint_missing_array_names_array(self, drift_scene, tmp_path, capsys):
         ckpt = anchored_checkpoint(drift_scene, tmp_path / "ck.gsd")

@@ -252,6 +252,9 @@ def test_contract_holds(base):
     @given(cases(files))
     # the checkpoint header's values: each is checked before it is used
     @example(Case(ANCHORED, header_edit(("hidden",), 5), (2, "'hidden' must be a list of positive integers")))
+    @example(Case(ANCHORED, header_edit(("hidden",), [3000, 3000]), (2, "array 'mlp_w0' has shape (59, 64)")))
+    @example(Case(ANCHORED, (("checkpoint.gsd", ("arrays", 0, "shape"), [1000000000]),),
+                  (2, "array 'mlp_w0' is truncated")))
     @example(Case(ANCHORED, header_edit(("n_anchors",), "a"), (2, "'n_anchors' must be the number")))
     @example(Case(ANCHORED, header_edit(("anchor_times",), None), (2, "'anchor_times' must be a list")))
     @example(Case(ANCHORED, header_edit(("anchor_times",), ["a", 0.5, 1]), (2, "'anchor_times' must be a list")))

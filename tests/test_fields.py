@@ -142,7 +142,33 @@ class TestStochasticDeterminism:
         assert np.any(v1 != v2)
 
 
+def cache_buffers(cache):
+    """Every array a forward cache holds, directly or in a list or tuple."""
+    for value in vars(cache).values():
+        yield from (a for a in (value if isinstance(value, (list, tuple)) else [value]) if isinstance(a, np.ndarray))
+
+
 class TestNeuralField:
+    @pytest.mark.parametrize("hidden", [(64, 64), (6,), (5, 7, 3)])
+    def test_cache_holds_query_corners_and_hidden_outputs(self, hidden):
+        # 24 B of position, 8 B per hidden unit and 288 B of grid corners a
+        # row; no MLP input or output
+        field = NeuralVelocityField(small_grid(channels=3), hidden=hidden)
+        n = 11
+        held = sum(a.nbytes for a in cache_buffers(field.new_cache(n)))
+        assert held == n * (24 + 8 * sum(hidden) + 288)
+        if hidden == (64, 64):
+            assert held == n * 1336
+
+    def test_output_shares_no_memory_with_its_cache(self):
+        field = NeuralVelocityField(small_grid(seed=5), hidden=(4, 3), seed=5, output_scale=1.0)
+        p = np.random.default_rng(6).uniform(0, 1, (5, 3))
+        given = field.new_cache(5)
+        for cache in (given, None):
+            out, kept = field.forward(p, 0.4, want_cache=True, cache=cache)
+            assert out.shape == (5, 9)
+            assert not any(np.shares_memory(out, a) for a in cache_buffers(kept))
+
     def test_zero_weights_zero_output(self):
         field = NeuralVelocityField(small_grid(), hidden=(8,), seed=0, output_scale=0.0)
         out = field.forward(np.random.default_rng(1).uniform(0, 1, (4, 3)), 0.3)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,60 @@ class TestKnn:
         rng = np.random.default_rng(0)
         cloud = make_cloud(rng.uniform(0, 1, size=(50, 3)))
         np.testing.assert_array_equal(sc.knn(cloud, 4), sc.knn(cloud, 4))
+
+
+def full_sort_knn(cloud, k):
+    """Reference: the whole N x N distance array, stably sorted by row."""
+    p = cloud.positions
+    d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def lattice(side):
+    axis = np.arange(float(side))
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+class TestBlockedKnn:
+    """The row-blocked search returns exactly what a full stable sort returns."""
+
+    @pytest.mark.parametrize("n, k, seed", [(40, 3, 1), (1000, 8, 2), (700, 16, 3)])
+    def test_random_clouds(self, n, k, seed):
+        cloud = make_cloud(np.random.default_rng(seed).uniform(0, 1, size=(n, 3)))
+        np.testing.assert_array_equal(sc.knn(cloud, k), full_sort_knn(cloud, k))
+
+    @pytest.mark.parametrize("k", [1, 6, 7, 18, 26, 40])
+    def test_lattice_with_exact_ties(self, k):
+        # a unit lattice: every distance is an integer, so most ranks tie
+        cloud = make_cloud(lattice(7))
+        assert len(cloud) > sc.KNN_BLOCK
+        np.testing.assert_array_equal(sc.knn(cloud, k), full_sort_knn(cloud, k))
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_duplicated_points(self, k):
+        rng = np.random.default_rng(4)
+        p = rng.uniform(0, 1, size=(300, 3))
+        p = np.concatenate([p, p[rng.choice(300, 60)], lattice(3)[rng.choice(27, 10)], lattice(3)[:2]])
+        cloud = make_cloud(rng.permutation(p))
+        np.testing.assert_array_equal(sc.knn(cloud, k), full_sort_knn(cloud, k))
+
+    @pytest.mark.parametrize("n", [2, sc.KNN_BLOCK - 1, sc.KNN_BLOCK + 1, 2 * sc.KNN_BLOCK + 37])
+    def test_partial_block_and_every_other_point(self, n):
+        cloud = make_cloud(np.random.default_rng(n).uniform(0, 1, size=(n, 3)))
+        for k in (1, n - 1):
+            np.testing.assert_array_equal(sc.knn(cloud, k), full_sort_knn(cloud, k))
+
+    def test_peak_memory_is_a_block_of_rows(self):
+        # the full N x N x 3 difference array alone would be 216 MB
+        cloud = make_cloud(np.random.default_rng(5).uniform(0, 1, size=(3000, 3)))
+        tracemalloc.start()
+        try:
+            sc.knn(cloud, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestTrajectoryCsv:
