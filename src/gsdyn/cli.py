@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -349,8 +350,8 @@ def cmd_eval(args):
             observed = _is_observed(t, observed_times)
             rows.append([fi, t, observed, err])
     if image_metrics:
-        pred_frames = sorted(Path(args.pred_frames).glob("*.ppm"))
-        gt_frames = sorted(Path(args.gt_frames).glob("*.ppm"))
+        pred_frames = sorted(Path(args.pred_frames).glob("*.ppm"), key=_frame_order)
+        gt_frames = sorted(Path(args.gt_frames).glob("*.ppm"), key=_frame_order)
         if len(pred_frames) != len(gt_frames) or not pred_frames:
             raise UsageError("frame directories are empty or differ in length")
         if rows and len(rows) != len(pred_frames):
@@ -384,6 +385,12 @@ def cmd_eval(args):
     for r in rows:
         print("  ".join(f"{str(x):>22}" for x in r))
     return ["metrics.csv"]
+
+
+def _frame_order(path: Path):
+    """Sort key of a frame file: digit runs compare as numbers, so frame_10000.ppm follows frame_9999.ppm."""
+    parts = re.split(r"(\d+)", path.name)
+    return [int(p) if i % 2 else p for i, p in enumerate(parts)], path.name
 
 
 def _is_observed(t, observed_times):

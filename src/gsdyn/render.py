@@ -4,8 +4,13 @@ A frame is an (H, W, 3) float array, row-major RGB with channels in [0, 1].
 Rendering one projects the whole cloud in one vectorized pass through a pinhole
 camera, with the affine (Jacobian) approximation for covariance transport as
 in EWA splatting.  The kept Gaussians are sorted front to back by depth, then
-index, and alpha-composited one after another within a 3-sigma pixel
-footprint whose bounds and coefficients are computed for all of them first.
+index; each covers the box of its 3-sigma pixel footprint.  One vectorized
+pass evaluates alpha over a block of consecutive boxes, padded to the block's
+largest and to at most BLOCK_PIXELS pixels in all.  Only the blend reads the
+transmittance T, so only it stays a loop over the Gaussians in depth order:
+add T * alpha * colour, then T *= 1 - alpha.  Each pixel gets the same
+operations in the same order as when every footprint was evaluated alone, so
+frames keep their bits; colour summed per pixel in any other order would not.
 Forward pass only: no gradients flow through rendering.  SSIM's 11x11
 Gaussian window is separable: two 11-tap passes, along rows and then
 columns, filter the moment images x, y, x^2, y^2, xy of all channels at once.
@@ -22,6 +27,7 @@ from .scene import CameraSpec, GaussianCloud
 PSNR_CAP_DB = 99.0
 ALPHA_MAX = 0.999
 FOOTPRINT_SIGMAS = 3.0
+BLOCK_PIXELS = 16384  # cap on a block's padded footprint pixels, the size of its temporaries
 
 
 def _view_basis(camera: CameraSpec):
@@ -80,7 +86,7 @@ def rasterize(cloud: GaussianCloud, camera: CameraSpec) -> np.ndarray:
         raise ValueError("cannot rasterize an empty cloud")
     h, w = camera.height, camera.width
     image = np.zeros((h, w, 3))
-    transmittance = np.ones((h, w))
+    transmittance = np.ones((h, w, 1))
 
     mean2d, cov2d, depth, keep = project(cloud, camera)
     order = np.flatnonzero(keep)
@@ -95,22 +101,30 @@ def rasterize(cloud: GaussianCloud, camera: CameraSpec) -> np.ndarray:
         np.maximum(np.floor(mean_y - radii), 0.0), np.minimum(np.ceil(mean_y + radii) + 1.0, h),
     ], axis=1)
     hit = (bounds[:, 0] < bounds[:, 1]) & (bounds[:, 2] < bounds[:, 3])
-    # per Gaussian: mean, quadratic-form coefficients (2 * inv01 premultiplied), opacity
-    scalars = np.column_stack([
+    # per Gaussian, as (G, 1, 1, 1) columns: mean, quadratic-form coefficients (2 * inv01 premultiplied), opacity
+    mx, my, a, b, c, opacity = np.stack([
         mean_x, mean_y, inverses[:, 0, 0], 2.0 * inverses[:, 0, 1], inverses[:, 1, 1], cloud.opacities[order],
-    ])[hit].tolist()
-    setup = zip(bounds[hit].astype(int).tolist(), scalars, cloud.colors[order[hit]])
-    centres_x = np.arange(w) + 0.5
-    centres_y = np.arange(h) + 0.5
-    for (x0, x1, y0, y1), (mx, my, a, b, c, opacity), color in setup:
-        dx = centres_x[x0:x1] - mx
-        dy = (centres_y[y0:y1] - my)[:, None]
-        qform = a * dx**2 + b * dy * dx + c * dy**2
-        alpha = np.minimum(opacity * np.exp(-0.5 * qform), ALPHA_MAX)
-        t_patch = transmittance[y0:y1, x0:x1]
-        patch = image[y0:y1, x0:x1]
-        patch += (t_patch * alpha)[:, :, None] * color
-        t_patch *= 1.0 - alpha
+    ])[:, hit, None, None, None]
+    x0, x1, y0, y1 = bounds[hit].astype(int).T
+    boxes = list(zip(y0.tolist(), y1.tolist(), x0.tolist(), x1.tolist(), cloud.colors[order[hit]]))
+    starts, rows, cols = [], 0, 0  # blocks of consecutive footprints, padded to at most BLOCK_PIXELS pixels
+    for g, (ya, yb, xa, xb, _) in enumerate(boxes):
+        rows, cols = max(rows, yb - ya), max(cols, xb - xa)
+        if not starts or (g + 1 - starts[-1]) * rows * cols > BLOCK_PIXELS:
+            starts.append(g)
+            rows, cols = yb - ya, xb - xa
+    for s, e in zip(starts, starts[1:] + [len(boxes)]):
+        # pixel-centre offsets (i + 0.5 - mean) on each box, padded to the block's largest rows and columns
+        dx = x0[s:e, None, None, None] + np.arange((x1 - x0)[s:e].max())[:, None] + 0.5 - mx[s:e]
+        dy = y0[s:e, None, None, None] + np.arange((y1 - y0)[s:e].max())[:, None, None] + 0.5 - my[s:e]
+        qform = a[s:e] * dx**2 + b[s:e] * dy * dx + c[s:e] * dy**2
+        alpha = np.minimum(opacity[s:e] * np.exp(-0.5 * qform), ALPHA_MAX)
+        passed = 1.0 - alpha
+        for k, (ya, yb, xa, xb, color) in enumerate(boxes[s:e]):
+            t_patch = transmittance[ya:yb, xa:xb]
+            patch = image[ya:yb, xa:xb]
+            patch += t_patch * alpha[k, :yb - ya, :xb - xa] * color
+            t_patch *= passed[k, :yb - ya, :xb - xa]
     return np.clip(image, 0.0, 1.0)
 
 

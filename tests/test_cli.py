@@ -719,6 +719,22 @@ class TestEval:
         assert "frames but the frame directories hold" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_frames_past_9999_pair_in_frame_order(self, tmp_path):
+        # frame_10000.ppm sorts before frame_9999.ppm by name; scores must follow the frame number
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        pred.mkdir()
+        gt.mkdir()
+        for d in (pred, gt):
+            render.write_ppm(np.full((16, 16, 3), 0.2), d / "frame_9999.ppm")
+        render.write_ppm(np.full((16, 16, 3), 0.2), pred / "frame_10000.ppm")
+        render.write_ppm(np.full((16, 16, 3), 0.7), gt / "frame_10000.ppm")
+        out = tmp_path / "ev"
+        assert run(["eval", "--pred-frames", str(pred), "--gt-frames", str(gt),
+                    "--metrics", "psnr", "--out", str(out)]) == cli.EXIT_OK
+        rows = [r.split(",") for r in (out / "metrics.csv").read_text().splitlines()[1:-1]]
+        assert float(rows[0][3]) == 99.0
+        assert float(rows[1][3]) == pytest.approx(6.0, abs=0.1)
+
     def test_image_metrics_on_identical_frames(self, drift_scene, tmp_path):
         frames = tmp_path / "frames"
         assert run(["render", "--scene", str(drift_scene / "scene.json"),

@@ -1,11 +1,13 @@
 """CPU rasterizer and image quality metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsdyn import quaternions, render
-from gsdyn.scene import CameraSpec, GaussianCloud
+from gsdyn import cli, quaternions, render
+from gsdyn.scene import CameraSpec, GaussianCloud, import_trajectory_csv, load_scene
 
 
 def camera(width=33, height=33, eye=(0.0, -3.0, 0.0), look_at=(0.0, 0.0, 0.0)):
@@ -220,6 +222,128 @@ class TestRasterize:
         )
         with pytest.raises(ValueError):
             render.rasterize(empty, camera())
+
+
+def reference_rasterize(cloud, camera):
+    """The rasterizer before block evaluation: every footprint's alpha and the
+    blend computed one Gaussian at a time, in depth order."""
+    h, w = camera.height, camera.width
+    image = np.zeros((h, w, 3))
+    transmittance = np.ones((h, w))
+    mean2d, cov2d, depth, keep = render.project(cloud, camera)
+    order = np.flatnonzero(keep)
+    order = order[np.lexsort((order, depth[order]))]
+    order = order[~(cloud.opacities[order] <= 0.0)]
+    radii = render.FOOTPRINT_SIGMAS * np.sqrt(np.maximum(np.linalg.eigvalsh(cov2d[order])[:, -1], 0.0))
+    inverses = np.linalg.inv(cov2d[order])
+    mean_x, mean_y = mean2d[order].T
+    bounds = np.stack([
+        np.maximum(np.floor(mean_x - radii), 0.0), np.minimum(np.ceil(mean_x + radii) + 1.0, w),
+        np.maximum(np.floor(mean_y - radii), 0.0), np.minimum(np.ceil(mean_y + radii) + 1.0, h),
+    ], axis=1)
+    hit = (bounds[:, 0] < bounds[:, 1]) & (bounds[:, 2] < bounds[:, 3])
+    scalars = np.column_stack([
+        mean_x, mean_y, inverses[:, 0, 0], 2.0 * inverses[:, 0, 1], inverses[:, 1, 1], cloud.opacities[order],
+    ])[hit].tolist()
+    centres_x = np.arange(w) + 0.5
+    centres_y = np.arange(h) + 0.5
+    for (x0, x1, y0, y1), (mx, my, a, b, c, opacity), color in zip(
+            bounds[hit].astype(int).tolist(), scalars, cloud.colors[order[hit]]):
+        dx = centres_x[x0:x1] - mx
+        dy = (centres_y[y0:y1] - my)[:, None]
+        qform = a * dx**2 + b * dy * dx + c * dy**2
+        alpha = np.minimum(opacity * np.exp(-0.5 * qform), render.ALPHA_MAX)
+        t_patch = transmittance[y0:y1, x0:x1]
+        patch = image[y0:y1, x0:x1]
+        patch += (t_patch * alpha)[:, :, None] * color
+        t_patch *= 1.0 - alpha
+    return np.clip(image, 0.0, 1.0)
+
+
+@st.composite
+def raster_cases(draw):
+    """(cloud, camera, block cap): footprints from sub-pixel to frame-covering,
+    some clipped by the frame edge or behind the near plane, some of opacity 0,
+    some at exactly the depth of another Gaussian."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-1.5, 1.5, (n, 3))  # |x|, |z| > 1 sit at or past the frame edge
+    positions[rng.random(n) < 0.1, 1] = -3.5  # behind the eye
+    log_scales = rng.uniform(-6.0, 0.5, (n, 3))
+    if draw(st.booleans()):
+        log_scales[:] = log_scales[:, :1]  # isotropic
+    opacities = rng.uniform(0.0, 1.0, n)
+    opacities[rng.random(n) < 0.15] = 0.0
+    twins = rng.random(n) < 0.2  # the same position, so the same depth, as Gaussian 0
+    positions[twins] = positions[0]
+    cloud = GaussianCloud(
+        positions=positions,
+        rotations=quaternions.normalize(rng.normal(size=(n, 4))),
+        log_scales=log_scales,
+        colors=rng.uniform(0.0, 1.0, (n, 3)),
+        opacities=opacities,
+    )
+    cam = camera(width=draw(st.integers(8, 64)), height=draw(st.integers(8, 64)),
+                 eye=(rng.uniform(-0.2, 0.2), -3.0, rng.uniform(-0.2, 0.2)))
+    return cloud, cam, draw(st.sampled_from([1, 97, 2048, render.BLOCK_PIXELS]))
+
+
+class TestBlockedRasterize:
+    """Block evaluation of the footprints gives the per-Gaussian loop's frames bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(raster_cases())
+    def test_matches_per_gaussian_reference(self, case):
+        cloud, cam, cap = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(render, "BLOCK_PIXELS", cap)
+            np.testing.assert_array_equal(render.rasterize(cloud, cam), reference_rasterize(cloud, cam))
+
+    def test_clouds_larger_than_a_block(self):
+        # small and frame-covering footprints mixed; their boxes add up to many blocks
+        rng = np.random.default_rng(7)
+        n = 400
+        cloud = GaussianCloud(
+            positions=rng.uniform(-0.8, 0.8, (n, 3)),
+            rotations=quaternions.normalize(rng.normal(size=(n, 4))),
+            log_scales=np.where(rng.random((n, 1)) < 0.1, 0.0, -3.5) + rng.uniform(-0.5, 0.5, (n, 3)),
+            colors=rng.uniform(0.0, 1.0, (n, 3)),
+            opacities=rng.uniform(0.1, 1.0, n),
+        )
+        cam = camera(width=96, height=96)
+        _, cov2d, _, keep = render.project(cloud, cam)
+        radii = 3.0 * np.sqrt(np.linalg.eigvalsh(cov2d[keep])[:, -1])
+        assert np.sum(np.minimum(2 * radii + 2, 96) ** 2) > 10 * render.BLOCK_PIXELS
+        np.testing.assert_array_equal(render.rasterize(cloud, cam), reference_rasterize(cloud, cam))
+
+    def test_render_command_frames_match_reference(self, tmp_path):
+        gen, frames = tmp_path / "gen", tmp_path / "frames"
+        assert cli.main(["generate", "--kind", "vortex", "--n-gaussians", "500", "--n-frames", "3",
+                         "--out", str(gen)]) == cli.EXIT_OK
+        assert cli.main(["render", "--scene", str(gen / "scene.json"), "--trajectory", str(gen / "trajectory.csv"),
+                         "--out", str(frames)]) == cli.EXIT_OK
+        data = load_scene(gen / "scene.json")
+        _, positions = import_trajectory_csv(gen / "trajectory.csv")
+        for i, p in enumerate(positions):
+            render.write_ppm(reference_rasterize(data.cloud.with_positions(p), data.cameras[0]), tmp_path / "ref.ppm")
+            assert (frames / f"frame_{i:04d}.ppm").read_bytes() == (tmp_path / "ref.ppm").read_bytes()
+
+    def test_peak_memory_is_set_by_the_block_cap(self):
+        # 1,000 frame-covering footprints: a (G, H, W) array of the cloud alone would be 74 MB
+        n = 1000
+        rng = np.random.default_rng(8)
+        cloud = GaussianCloud(
+            positions=rng.uniform(-0.1, 0.1, (n, 3)), rotations=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+            log_scales=np.zeros((n, 3)), colors=rng.uniform(0.0, 1.0, (n, 3)), opacities=np.full(n, 0.01),
+        )
+        tracemalloc.start()
+        try:
+            render.rasterize(cloud, camera(width=96, height=96))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestPsnr:
