@@ -9,15 +9,14 @@ Sampling is one sparse linear map.  A grid stores its planes' cells
 stacked plane after plane as one (cells, C) array F, ``HexPlaneGrid.cells``,
 and a batch of N queries builds a CSR matrix S of shape (6N, cells) whose
 row n*6 + k holds query n's four bilinear corner weights on plane k.  The
-features are S @ F, read from the grid's storage without a copy, the plane
-gradients S^T @ U for an upstream U, and the query gradients come from an
-operator with the same corners whose entries are the weights' derivatives
-along each plane axis.  The corners of a query batch (:class:`Corners`) are
-found once, by :func:`lookup`, which can write them into buffers that the
-caller keeps; :func:`sampling_operator` builds S from them, and
-:func:`lookup_grad` takes that S, or builds it, and builds the derivative
-operator from the same corners.  It finds the corners again only when none
-are passed.
+features are S @ F, the plane gradients S^T @ U for an upstream U, and the
+query gradients come from an operator with the same corners whose entries
+are the weights' derivatives along each plane axis.  A grid derives its
+sampling geometry once, when it is made.  A lookup finds the floor and
+fraction once per distinct (query axis, resolution) row and once for the
+batch's one t, and can write the corners (:class:`Corners`) into buffers
+that the caller keeps; :func:`lookup_grad` reuses them and S, and finds
+the clamp slopes from the query, so a forward pass never computes them.
 """
 
 from __future__ import annotations
@@ -43,8 +42,9 @@ class HexPlaneGrid:
     rows of one (cells, C) array ``cells``; ``planes[k]`` is a (rows, cols,
     C) view of plane k's rows, so a write through either changes both.
     Every plane shares the same channel count.  Out-of-bounds queries are
-    clamped to the boundary, which gives a defined, smooth continuation for
-    rollouts that leave the trained window.
+    clamped to the boundary, a defined, smooth continuation for rollouts
+    that leave the trained window.  The sampling geometry is derived once,
+    here, from the bounds and the resolution, which are read-only.
     """
 
     def __init__(self, planes, bounds_lo, bounds_hi):
@@ -57,10 +57,26 @@ class HexPlaneGrid:
                 raise ValueError(f"plane {name}: resolution must be at least 2x2")
             if not np.all(np.isfinite(p)):
                 raise ValueError(f"plane {name}: non-finite entries")
-        self.resolution = np.array([p.shape[:2] for p in planes], dtype=np.int32)  # (6, 2)
         self.cells = np.concatenate([np.reshape(p, (-1, p.shape[2])) for p in planes], dtype=float)
-        self.bounds_lo = np.asarray(bounds_lo, dtype=float)
-        self.bounds_hi = np.asarray(bounds_hi, dtype=float)
+        self._resolution = np.array([p.shape[:2] for p in planes], dtype=np.int32)
+        self._bounds_lo, self._bounds_hi = np.array(bounds_lo, dtype=float), np.array(bounds_hi, dtype=float)
+        for a in (self._resolution, self._bounds_lo, self._bounds_hi):
+            a.setflags(write=False)
+        # Sampling geometry.  A plane's first axis is spatial; its second is
+        # spatial on xy, xz and yz and time on xt, yt and zt.  Each spatial
+        # plane axis reads one of the distinct (query axis, resolution) rows.
+        r0, r1 = self._resolution.T
+        rows, row_of = np.unique(np.stack([np.r_[_AXES[:, 0], _AXES[:3, 1]], np.r_[r0, r1[:3]]], axis=1), axis=0,
+                                 return_inverse=True)
+        self._row_u, self._row_v, (self._axis, res) = row_of[:6], row_of[6:], rows.T
+        self._lo, self._span = self._bounds_lo[self._axis], (self._bounds_hi - self._bounds_lo)[self._axis]
+        self._scale, self._top = (res - 1).astype(float), (res - 2).astype(np.int32)  # a row's r - 1, and last cell
+        self._t_scale, self._t_top = (r1[3:] - 1).astype(float), r1[3:] - 2  # the same for xt's, yt's, zt's time
+        self._offset = (np.cumsum(r0 * r1) - r0 * r1).astype(np.int32)  # each plane's first stacked cell
+
+    resolution = property(lambda self: self._resolution, doc="(6, 2): each plane's rows and columns")
+    bounds_lo = property(lambda self: self._bounds_lo)
+    bounds_hi = property(lambda self: self._bounds_hi)
 
     @property
     def channels(self) -> int:
@@ -72,15 +88,14 @@ class HexPlaneGrid:
 
     def planes_of(self, cells) -> list:
         """The six (rows, cols, C) plane views of a (cells, C) array laid out like ``cells``."""
-        ends = np.cumsum(self.resolution.prod(axis=1))
-        return [cells[e - r0 * r1 : e].reshape(r0, r1, -1) for e, (r0, r1) in zip(ends, self.resolution)]
+        return [cells[o : o + r0 * r1].reshape(r0, r1, -1) for o, (r0, r1) in zip(self._offset, self.resolution)]
 
     @property
     def planes(self) -> list:
         return self.planes_of(self.cells)
 
     def with_cells(self, cells) -> "HexPlaneGrid":
-        """This grid over ``cells``, a (cells, C) array that it keeps as its storage."""
+        """This grid, geometry included, over ``cells``, a (cells, C) array that it keeps as its storage."""
         grid = copy.copy(self)
         grid.cells = cells
         return grid
@@ -110,47 +125,45 @@ class Corners(NamedTuple):
     cols (N, 6, 4) indexes the stacked plane cells at the corners 00, 10,
     01, 11 of each query's cell on each plane, the first digit stepping
     along the plane's first axis.  fu and fv (N, 6) are the offsets inside
-    the cell along the plane's two axes, and ju and jv their derivatives by
-    the query coordinate, 0 where the query is clamped.
+    the cell along the plane's two axes.  Their derivatives by the query
+    are not kept: :func:`lookup_grad` finds them from the query.
     """
 
     cols: np.ndarray
     fu: np.ndarray
     fv: np.ndarray
-    ju: np.ndarray
-    jv: np.ndarray
 
 
 def empty_corners(n: int) -> Corners:
     """Uninitialized corner buffers for a batch of n queries."""
-    return Corners(np.empty((n, 6, 4), dtype=np.int32), *(np.empty((n, 6)) for _ in range(4)))
+    return Corners(np.empty((n, 6, 4), dtype=np.int32), np.empty((n, 6)), np.empty((n, 6)))
 
 
 def _corners(grid: HexPlaneGrid, positions, t: float, out: Corners = None) -> Corners:
     """The :class:`Corners` of a query batch, written into ``out`` when given."""
     positions = np.asarray(positions, dtype=float)
-    if not (np.all(np.isfinite(positions)) and np.isfinite(t)):
+    if not (np.isfinite(positions).all() and np.isfinite(t)):
         raise FloatingPointError("feature grid: non-finite query")
     if out is None:
         out = empty_corners(len(positions))
-    # axis-major arrays, one row per query axis (4, N) or plane (6, N): a
-    # plane's coordinates are then gathered as whole rows
-    r0, r1 = grid.resolution[:, :1], grid.resolution[:, 1:]
-    lo = np.append(grid.bounds_lo, 0.0)[:, None]
-    span = np.append(grid.bounds_hi, 1.0)[:, None] - lo
-    u = (np.vstack([positions.T, np.full(len(positions), t)]) - lo) / span
-    slope = ((u > 0.0) & (u < 1.0)) / span
-    u = np.clip(u, 0.0, 1.0)
-    su = u[_AXES[:, 0]] * (r0 - 1)
-    sv = u[_AXES[:, 1]] * (r1 - 1)
-    i0 = np.minimum(np.floor(su).astype(np.int32), r0 - 2)
-    j0 = np.minimum(np.floor(sv).astype(np.int32), r1 - 2)
-    c00 = np.cumsum(r0 * r1, axis=0, dtype=np.int32) - r0 * r1 + i0 * r1 + j0
-    np.stack([c00, c00 + r1, c00 + 1, c00 + r1 + 1], axis=-1, out=out.cols.transpose(1, 0, 2))
-    np.subtract(su, i0, out=out.fu.T)
-    np.subtract(sv, j0, out=out.fv.T)
-    np.multiply(slope[_AXES[:, 0]], r0 - 1, out=out.ju.T)
-    np.multiply(slope[_AXES[:, 1]], r1 - 1, out=out.jv.T)
+    # floor and fraction once per spatial row, and once per time axis for
+    # the one t of the batch; s is clamped to >= 0, so the cast is its floor
+    s = np.clip((positions[:, grid._axis] - grid._lo) / grid._span, 0.0, 1.0) * grid._scale
+    i = np.minimum(s.astype(np.int32), grid._top)
+    s -= i
+    st = min(max(t, 0.0), 1.0) * grid._t_scale  # np.clip(t, 0.0, 1.0), which keeps -0.0
+    it = np.minimum(st.astype(np.int32), grid._t_top)
+    out.fu[:] = s[:, grid._row_u]
+    out.fv[:, :3] = s[:, grid._row_v]
+    out.fv[:, 3:] = st - it
+    r1 = grid.resolution[:, 1]
+    c00 = i[:, grid._row_u] * r1
+    c00[:, :3] += i[:, grid._row_v]
+    c00 += grid._offset + np.concatenate([np.zeros(3, np.int32), it])
+    out.cols[..., 0] = c00
+    np.add(c00, r1, out=out.cols[..., 1])
+    np.add(c00, 1, out=out.cols[..., 2])
+    np.add(out.cols[..., 1], 1, out=out.cols[..., 3])
     return out
 
 
@@ -164,8 +177,11 @@ def _operator(cols, weights, n_cells: int):
 
 
 def _weights(fu, fv):
-    """(N, 6, 4) bilinear weights of the corners 00, 10, 01, 11."""
-    return np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv], axis=-1)
+    """(N, 6, 4) bilinear weights of the corners 00, 10, 01, 11, written into one buffer."""
+    weights, gu, gv = np.empty((*fu.shape, 4)), 1 - fu, 1 - fv
+    for k, (a, b) in enumerate(((gu, gv), (fu, gv), (gu, fv), (fu, fv))):
+        np.multiply(a, b, out=weights[..., k])
+    return weights
 
 
 def sampling_operator(grid: HexPlaneGrid, corners: Corners):
@@ -202,8 +218,12 @@ def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream, corners: Corn
         corners = _corners(grid, positions, t)
     if operator is None:
         operator = sampling_operator(grid, corners)
-    cols, fu, fv, ju, jv = corners
-    n_cells = len(grid.cells)
+    cols, fu, fv = corners
+    # the derivatives of fu and fv by the query coordinate, 0 where it is clamped
+    u = (np.asarray(positions, dtype=float)[:, grid._axis] - grid._lo) / grid._span
+    slope = ((u > 0.0) & (u < 1.0)) / grid._span * grid._scale
+    ju = slope[:, grid._row_u]
+    jv = np.hstack([slope[:, grid._row_v], np.tile(float(0.0 < t < 1.0) * grid._t_scale, (len(u), 1))])
     up = np.asarray(upstream, dtype=float).reshape(-1, grid.channels)
     g_cells = operator.T @ up
 
@@ -212,7 +232,7 @@ def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream, corners: Corn
     a0, a1 = (1 - fv) * ju, fv * ju
     b0, b1 = (1 - fu) * jv, fu * jv
     d_weights = np.stack([-a0, a0, -a1, a1, -b0, -b1, b0, b1], axis=-1)
-    d_op = _operator(np.concatenate([cols, cols], axis=-1), d_weights, n_cells)
+    d_op = _operator(np.concatenate([cols, cols], axis=-1), d_weights, len(grid.cells))
     g_axis = np.einsum("nac,nc->na", (d_op @ grid.cells).reshape(-1, 2, grid.channels), up)
     g_query = g_axis.reshape(len(cols), 12) @ _AXIS_SELECT
     return g_cells, g_query[:, :3], g_query[:, 3]

@@ -257,10 +257,10 @@ def time_encoding(t: float) -> np.ndarray:
 class ForwardCache:
     """What :meth:`NeuralVelocityField.backward` reads of one forward pass.
 
-    t and positions (N, 3) are the query, corners the feature grid's
-    bilinear corners of it, and hidden[i] the tanh output of hidden layer
-    i.  The MLP's input and output are not kept: the backward pass
-    rebuilds the input from the query and its corners.  The buffers are
+    t and positions (N, 3) are the query, corners its grid corners (cell
+    columns and in-cell offsets), and hidden[i] the tanh output of hidden
+    layer i.  The backward pass rebuilds the MLP's input from the query and
+    its corners, and the clamp slopes from the query.  The buffers are
     allocated once and refilled by every forward pass given this cache.
     """
 
@@ -371,7 +371,7 @@ class NeuralVelocityField(VelocityField):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = np.matmul(z, w, out=cache.hidden[i] if i != last else None)
             z += b
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise FloatingPointError(f"non-finite activation in mlp layer {i}")
             if i != last:
                 np.tanh(z, out=z)
@@ -481,13 +481,12 @@ class MaskedBlendField(VelocityField):
         a = self.base.evaluate_batch(positions, velocities, t, step_index)
         b = self.injected.evaluate_batch(positions, velocities, t, step_index)
         # exact limits: a {0,1} mask reproduces the child field bitwise
-        hard0 = (w == 0.0)[:, 0]
-        hard1 = (w == 1.0)[:, 0]
+        hard0, hard1, keep = w == 0.0, w == 1.0, 1.0 - w
 
         def mix(xa, xb):
-            out = (1.0 - w) * xa + w * xb
-            out[hard0] = xa[hard0]
-            out[hard1] = xb[hard1]
+            out = keep * xa + w * xb
+            np.copyto(out, xa, where=hard0)
+            np.copyto(out, xb, where=hard1)
             return out
 
         return BatchDerivative(*(mix(xa, xb) for xa, xb in zip(a, b)))

@@ -34,13 +34,14 @@ from .scene import GaussianCloud
 class IntegrationError(Exception):
     """Raised when a step produces non-finite state.
 
-    Carries enough context to locate the failure: step index, stage name,
-    and the first offending Gaussian index.
+    Carries enough context to locate the failure: step index, the time of
+    the failing stage, stage name, and the first offending Gaussian index.
     """
 
-    def __init__(self, message, step_index=None, stage=None, gaussian_index=None):
+    def __init__(self, message, step_index=None, stage=None, gaussian_index=None, t=None):
         super().__init__(message)
         self.step_index = step_index
+        self.t = t
         self.stage = stage
         self.gaussian_index = gaussian_index
 
@@ -113,16 +114,16 @@ class Trajectory:
                                             time=float(self.times[index]))
 
 
-def _check_finite(arrs, step_index, stage):
+def _check_finite(arrs, step_index, stage, t):
     for a in arrs:
-        bad = ~np.isfinite(a)
-        if np.any(bad):
-            gi = int(np.argwhere(bad.any(axis=tuple(range(1, a.ndim))))[0, 0]) if a.ndim > 1 else None
+        if not np.isfinite(a).all():
+            gi = int(np.argwhere(~np.isfinite(a))[0, 0]) if a.ndim > 1 else None  # entries come in row order
             raise IntegrationError(
-                f"non-finite state at step {step_index}, stage {stage}, gaussian {gi}",
+                f"non-finite state at step {step_index} (t={t:.6g}), stage {stage}, gaussian {gi}",
                 step_index=step_index,
                 stage=stage,
                 gaussian_index=gi,
+                t=float(t),
             )
 
 
@@ -149,7 +150,7 @@ def rk4_increments(field, p, v, t, h, step_index=0, tape=None, method="rk4"):
             stage_v = v + c * h * ks[-1][3] if channels == 4 else v
         if tape is None:
             k = field.evaluate_batch(stage_p, stage_v, t + c * h, step_index=step_index)
-            _check_finite(k[:channels], step_index, f"k{i + 1}")
+            _check_finite(k[:channels], step_index, f"k{i + 1}", t + c * h)
         else:
             out = field.forward(stage_p, t + c * h, cache=tape[i])
             k = (out[:, 0:3], out[:, 3:6], out[:, 6:9])
@@ -160,7 +161,7 @@ def rk4_increments(field, p, v, t, h, step_index=0, tape=None, method="rk4"):
     def combine(parts):
         total = weights[0] * parts[0]
         for b, part in zip(weights[1:], parts[1:]):
-            total = total + b * part
+            total += b * part
         return w * total
 
     return tuple(combine([k[j] for k in ks]) for j in range(channels))
@@ -181,7 +182,7 @@ def step_arrays(field, p, q, ls, v, t, h, step_index=0, method="rk4"):
     ls2 = ls + dls
     v2 = v + dv[0] if dv else v
     p2, v2 = field.apply_events(p2, v2, t + h, step_index=step_index)
-    _check_finite([p2, q2, ls2, v2], step_index, f"post-{method}")
+    _check_finite([p2, q2, ls2, v2], step_index, f"post-{method}", t + h)
     return p2, q2, ls2, v2
 
 

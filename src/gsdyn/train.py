@@ -13,9 +13,9 @@ is a one-step leg of COHERENCE_STEP from the canonical cloud.
 :func:`unroll_segment` records every RK4 stage of its legs on a tape, a
 list of one ``NeuralVelocityField.new_cache`` per stage, that
 :func:`backward_through_rollout` replays in reverse along the same legs.
-A stage holds what the backward pass cannot cheaply rebuild: the query
-positions and time, the feature grid's bilinear corners and the MLP's
-hidden-layer outputs; the MLP's input is rebuilt from the first two.
+A stage holds what the backward pass cannot cheaply rebuild, 1,240 B a row at
+(64, 64): the query, its grid corners and the MLP's hidden-layer outputs; the
+MLP's input and the corners' clamp slopes are rebuilt from the first two.
 :func:`fit` refills one tape, as long as its longest segment, for every
 segment, the coherence leg and every epoch, so only one segment's record is
 alive at a time.  The differentiable state per Gaussian is (position,

@@ -151,14 +151,14 @@ def cache_buffers(cache):
 class TestNeuralField:
     @pytest.mark.parametrize("hidden", [(64, 64), (6,), (5, 7, 3)])
     def test_cache_holds_query_corners_and_hidden_outputs(self, hidden):
-        # 24 B of position, 8 B per hidden unit and 288 B of grid corners a
-        # row; no MLP input or output
+        # 24 B of position, 8 B per hidden unit and 192 B of grid corners a
+        # row (the corner columns and the two offsets); no MLP input or output
         field = NeuralVelocityField(small_grid(channels=3), hidden=hidden)
         n = 11
         held = sum(a.nbytes for a in cache_buffers(field.new_cache(n)))
-        assert held == n * (24 + 8 * sum(hidden) + 288)
+        assert held == n * (24 + 8 * sum(hidden) + 192)
         if hidden == (64, 64):
-            assert held == n * 1336
+            assert held == n * 1240
 
     def test_output_shares_no_memory_with_its_cache(self):
         field = NeuralVelocityField(small_grid(seed=5), hidden=(4, 3), seed=5, output_scale=1.0)

@@ -121,9 +121,11 @@ class TestRk4Step:
                     d[:] = np.nan
                 return BatchDerivative(d, np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3)))
 
-        with pytest.raises(itg.IntegrationError, match="k2") as err:
+        with pytest.raises(itg.IntegrationError, match=r"step 0 \(t=0\.05\), stage k2, gaussian 0") as err:
             itg.step_arrays(Exploding(), *one_gaussian([0, 0, 0]), 0.0, 0.1)
         assert err.value.stage == "k2"
+        assert err.value.t == 0.05
+        assert err.value.step_index == 0
 
 
 class TestRecordTimes:

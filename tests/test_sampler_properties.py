@@ -1,13 +1,19 @@
 """Property tests of the feature-plane sampler and of gradient accumulation."""
 
+import os
+import tempfile
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsdyn import feature_grid as fg
+from gsdyn import feature_grid as fg, train
+from gsdyn.anchors import AnchorSet
 from gsdyn.fields import NeuralVelocityField
 
 # dyadic bounds and 2^k + 1 resolutions put interior cell edges exactly on
-# representable coordinates, so a query can sit on an edge
+# representable coordinates, so a query can sit on an edge, and every edge
+# of a coarser resolution is an edge of a finer one
 LOWS = (-1.0, -0.5, 0.0, 0.25)
 EXTENTS = (0.5, 1.0, 2.0)
 RESOLUTIONS = (2, 3, 5, 9)
@@ -40,51 +46,75 @@ def reference_lookup(grid, positions, t):
 
 @st.composite
 def grids(draw):
-    """A grid over drawn spatial bounds and the time axis [0, 1]."""
+    """A grid over drawn spatial bounds and the time axis [0, 1] whose six
+    planes each draw their own resolution, with entries in [-1, 1].  It is
+    made from its planes, or is ``with_cells`` of such a grid over other
+    cells, or is loaded from a checkpoint."""
     lo = np.array([draw(st.sampled_from(LOWS)) for _ in range(3)])
     ext = np.array([draw(st.sampled_from(EXTENTS)) for _ in range(3)])
-    grid = fg.create_grid(
-        lo,
-        lo + ext,
-        spatial_resolution=draw(st.sampled_from(RESOLUTIONS)),
-        time_resolution=draw(st.sampled_from(RESOLUTIONS)),
-        channels=draw(st.integers(1, 3)),
-        seed=draw(st.integers(0, 2**16)),
-    )
-    grid.cells *= 10.0  # entries in [-1, 1]
+    channels = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shapes = [(draw(st.sampled_from(RESOLUTIONS)), draw(st.sampled_from(RESOLUTIONS)), channels) for _ in range(6)]
+    grid = fg.HexPlaneGrid([rng.uniform(-1.0, 1.0, shape) for shape in shapes], lo, lo + ext)
+    source = draw(st.sampled_from(["planes", "with_cells", "checkpoint"]))
+    if source == "with_cells":
+        grid = grid.with_cells(rng.uniform(-1.0, 1.0, grid.cells.shape))
+    elif source == "checkpoint":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "checkpoint.gsd")
+            train.save_checkpoint(path, NeuralVelocityField(grid, hidden=(2,)), AnchorSet())
+            grid = train.load_checkpoint(path)[0].grid
     return grid
 
 
+def finest_resolutions(grid):
+    """The finest resolution along each query axis x, y, z, t over the planes that sample it."""
+    finest = [0] * 4
+    for (a, b), (r0, r1) in zip(fg.PLANE_AXES, grid.resolution):
+        finest[a], finest[b] = max(finest[a], r0), max(finest[b], r1)
+    return finest
+
+
 def draw_coordinate(draw, lo, hi, resolution):
-    """A coordinate inside a cell, on an interior cell edge, or clamped
-    outside the bounds; returns (value, kind)."""
-    kinds = ["inside", "outside"] + (["edge"] if resolution > 2 else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "inside":
+    """A coordinate inside a cell, on an interior cell edge, on a bound, at
+    +0.0 or -0.0, or clamped outside the bounds; ``resolution`` is the
+    finest one along the axis."""
+    kind = draw(st.sampled_from(["inside", "edge", "bound", "zero", "outside"]))
+    if kind == "zero":
+        return draw(st.sampled_from([0.0, -0.0]))
+    if kind == "inside" or (kind == "edge" and resolution == 2):
         u = (draw(st.integers(0, resolution - 2)) + draw(st.floats(0.01, 0.99))) / (resolution - 1)
     elif kind == "edge":
         u = draw(st.integers(1, resolution - 2)) / (resolution - 1)
+    elif kind == "bound":
+        u = draw(st.sampled_from([0.0, 1.0]))
     else:
         d = draw(st.floats(0.01, 1.0))
         u = draw(st.sampled_from([-d, 1.0 + d]))
-    return lo + u * (hi - lo), kind
+    return lo + u * (hi - lo)
+
+
+def kind_of(value, lo, hi, resolution):
+    """Where a coordinate sits: "outside" the bounds, on a "bound", on an
+    "edge" of the finest cells, or "inside" one of them."""
+    u = (value - lo) / (hi - lo)
+    if u < 0.0 or u > 1.0:
+        return "outside"
+    if u in (0.0, 1.0):
+        return "bound"
+    return "edge" if float(u * (resolution - 1)).is_integer() else "inside"
 
 
 @st.composite
 def queries(draw):
     """(grid, positions (N, 3), t, kinds (N, 4))."""
     grid = draw(grids())
+    finest = finest_resolutions(grid)
+    bounds = [*zip(grid.bounds_lo, grid.bounds_hi), (0.0, 1.0)]
     n = draw(st.integers(1, 4))
-    spatial = grid.planes[0].shape[0]
-    positions = np.zeros((n, 3))
-    kinds = []
-    t, t_kind = draw_coordinate(draw, 0.0, 1.0, grid.planes[3].shape[1])
-    for i in range(n):
-        row = []
-        for axis in range(3):
-            positions[i, axis], kind = draw_coordinate(draw, grid.bounds_lo[axis], grid.bounds_hi[axis], spatial)
-            row.append(kind)
-        kinds.append(row + [t_kind])
+    t = draw_coordinate(draw, 0.0, 1.0, finest[3])
+    positions = np.array([[draw_coordinate(draw, *bounds[a], finest[a]) for a in range(3)] for _ in range(n)])
+    kinds = [[kind_of(v, *bounds[a], finest[a]) for a, v in enumerate([*row, t])] for row in positions]
     return grid, positions, t, kinds
 
 
@@ -92,24 +122,38 @@ def per_row_objective(grid, positions, t, upstream):
     return np.sum(upstream * fg.lookup(grid, positions, t), axis=1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(queries())
 def test_lookup_equals_per_plane_reference(case):
     grid, positions, t, _ = case
-    np.testing.assert_array_equal(fg.lookup(grid, positions, t), reference_lookup(grid, positions, t))
+    assert fg.lookup(grid, positions, t).tobytes() == reference_lookup(grid, positions, t).tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+def test_grid_bounds_and_resolution_are_read_only():
+    lo, hi = np.zeros(3), np.ones(3)
+    grid = fg.HexPlaneGrid([np.zeros((3, 3, 1))] * 6, lo, hi)
+    for name in ("bounds_lo", "bounds_hi", "resolution"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, name)[0] = 2
+        with pytest.raises(AttributeError):
+            setattr(grid, name, np.full(3, 2.0))
+    lo[0] = -1.0  # the grid keeps its own copy; the caller's array stays writable
+    assert grid.bounds_lo[0] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
 @given(queries(), st.integers(0, 2**16))
 def test_lookup_grad_matches_finite_differences(case, seed):
     """Central differences inside a cell; on an interior cell edge the sampler
     uses the cell above it, so the reference there is the forward difference;
-    outside the bounds the lookup is clamped and the gradient is exactly 0."""
+    outside the bounds the lookup is clamped and the gradient is exactly 0,
+    and on a bound it is 0 too, the clamped side's difference."""
     grid, positions, t, kinds = case
     rng = np.random.default_rng(seed)
     upstream = rng.uniform(-1, 1, (len(positions), grid.feature_size))
     g_cells, g_pos, g_t = fg.lookup_grad(grid, positions, t, upstream)
     g_query = np.concatenate([g_pos, g_t[:, None]], axis=1)
+    bounds = [*zip(grid.bounds_lo, grid.bounds_hi), (0.0, 1.0)]
 
     def objective(shift):
         p = positions + shift[:3]
@@ -124,6 +168,11 @@ def test_lookup_grad_matches_finite_differences(case, seed):
             if row[axis] == "outside":
                 assert g_query[i, axis] == 0.0
                 assert up[i] == down[i] == base[i]
+                continue
+            if row[axis] == "bound":
+                assert g_query[i, axis] == 0.0
+                coordinate = t if axis == 3 else positions[i, axis]
+                assert (down if coordinate == bounds[axis][0] else up)[i] == base[i]
                 continue
             fd = (up[i] - base[i]) / EPS if row[axis] == "edge" else (up[i] - down[i]) / (2 * EPS)
             np.testing.assert_allclose(g_query[i, axis], fd, rtol=1e-6, atol=1e-6)

@@ -396,6 +396,34 @@ class TestUnrolledGradients:
                 worst = max(worst, abs(flat_g[idx] - fd) / max(abs(fd), 1e-3))
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("case", ["drift", "vortex300"])
+    def test_production_shape_directional_derivative(self, case):
+        if case == "drift":  # criterion 6's scene at stride 4
+            scene = cli.generate_scene("drift", 10, 20, seed=5, params={"delta": [0.3, 0.0, 0.0]})
+            config, rows = train.TrainingConfig(frame_stride=4), None
+        else:  # a cloud above COHERENCE_BATCH, which scores a row subset
+            scene = cli.generate_scene("vortex", 300, 3, seed=7)
+            config = train.TrainingConfig()
+            rows = np.sort(np.random.default_rng(8).choice(300, train.COHERENCE_BATCH, replace=False))
+        # the default shape: hidden (64, 64), a 32/16 grid of 8 channels, 32
+        # steps per unit; a nonzero output layer so every term has a gradient
+        assert (config.hidden, config.grid_channels, config.steps_per_unit) == ((64, 64), 8, 32)
+        plan = train._build_plan(scene, config)
+        all_p = scene.trajectory_positions.reshape(-1, 3)
+        grid = fg.create_grid(all_p.min(axis=0) - 0.3, all_p.max(axis=0) + 0.3, config.grid_spatial_resolution,
+                              config.grid_time_resolution, config.grid_channels, seed=1)
+        field = NeuralVelocityField(grid, hidden=config.hidden, seed=2, output_scale=0.1)
+        _, grads = train._epoch_losses_and_grads(field, plan, config, rows)
+        direction = np.random.default_rng(3).standard_normal(field.theta.size)
+        theta = field.theta.copy()
+        eps = 1e-6
+        totals = []
+        for sign in (1.0, -1.0):
+            field.theta[:] = theta + sign * eps * direction
+            totals.append(train._epoch_losses_and_grads(field, plan, config, rows)[0].total)
+        exact = grads @ direction
+        assert abs((totals[0] - totals[1]) / (2 * eps) - exact) < 1e-6 * abs(exact)
+
 
 def unequal_segment_plan():
     """An extrapolation plan whose two segments differ in length: 8 frames,
