@@ -30,7 +30,9 @@ class BatchDerivative(NamedTuple):
     the integrator).  d_velocity is the auxiliary acceleration of
     second-order fields, where d_position is the auxiliary velocity itself;
     first-order fields return zeros there, which the integrator never reads.
-    Color and opacity never change under the dynamics.
+    Fields whose ``moves_pose`` is False likewise return zeros in d_rotation
+    and d_log_scale, which the integrator never reads either.  Color and
+    opacity never change under the dynamics.
     """
 
     d_position: np.ndarray
@@ -59,10 +61,14 @@ class VelocityField:
     Subclasses implement :meth:`evaluate_batch`, which maps (N, 3) positions
     and auxiliary velocities at time t to a :class:`BatchDerivative`.
     ``second_order`` marks fields whose dynamics read and write an
-    auxiliary per-Gaussian velocity.
+    auxiliary per-Gaussian velocity.  ``moves_pose`` marks fields that may
+    return a nonzero d_rotation or d_log_scale; it is True unless a
+    subclass says otherwise, and where it is False the integrator keeps
+    each Gaussian's rotation and log-scale as they are.
     """
 
     second_order: bool = False
+    moves_pose: bool = True
 
     def evaluate_batch(self, positions, velocities, t, step_index=0) -> BatchDerivative:
         raise NotImplementedError
@@ -76,6 +82,8 @@ class VelocityField:
 
 
 class ZeroField(VelocityField):
+    moves_pose = False
+
     def evaluate_batch(self, positions, velocities, t, step_index=0):
         n = positions.shape[0]
         return BatchDerivative(_zeros(n), _zeros(n), _zeros(n), _zeros(n))
@@ -110,8 +118,10 @@ class AnalyticField(VelocityField):
     draw, so it depends on the row's position in the batch, and the step
     index is the caller's, which restarts at 0 in every rollout (and so in
     every sub-span of an anchored query).  Noise is held constant across
-    the stages of a single integration step.
+    the stages of a single integration step.  No kind rotates or rescales.
     """
+
+    moves_pose = False
 
     def __init__(self, kind: str, seed: int = 0, **params):
         if kind not in ANALYTIC_KINDS:
@@ -429,8 +439,16 @@ class NeuralVelocityField(VelocityField):
 # Composition algebra
 
 
+def _combine(field, a, b, op):
+    """BatchDerivative of op(a's channel, b's channel) on each channel
+    ``field`` moves; on the others, which the integrator never reads, a's."""
+    moved = (True, field.moves_pose, field.moves_pose, field.second_order)
+    return BatchDerivative(*(op(xa, xb) if m else xa for m, xa, xb in zip(moved, a, b)))
+
+
 class SummedField(VelocityField):
-    """The additive injection base + lam * ext, componentwise on derivatives.
+    """The additive injection base + lam * ext, componentwise on the
+    derivative channels it moves (see :class:`BatchDerivative`).
 
     Post-step events run through base, then through ext unless lam is 0,
     so that lam = 0 reproduces the base field exactly.
@@ -441,11 +459,12 @@ class SummedField(VelocityField):
         self.ext = ext
         self.lam = float(lam)
         self.second_order = base.second_order or ext.second_order
+        self.moves_pose = base.moves_pose or ext.moves_pose
 
     def evaluate_batch(self, positions, velocities, t, step_index=0):
         a = self.base.evaluate_batch(positions, velocities, t, step_index)
         b = self.ext.evaluate_batch(positions, velocities, t, step_index)
-        return BatchDerivative(*(xa + self.lam * xb for xa, xb in zip(a, b)))
+        return _combine(self, a, b, lambda xa, xb: xa + self.lam * xb)
 
     def apply_events(self, positions, velocities, t=0.0, step_index=0):
         p, v = self.base.apply_events(positions, velocities, t, step_index)
@@ -455,7 +474,8 @@ class SummedField(VelocityField):
 
 
 class MaskedBlendField(VelocityField):
-    """mask(x) * injected + (1 - mask(x)) * base.
+    """mask(x) * injected + (1 - mask(x)) * base, on the derivative channels
+    it moves (see :class:`BatchDerivative`).
 
     The mask selects the injected field; invert the mask to select the base.
     A hard {0, 1} mask partitions the cloud exactly (bitwise) between the two
@@ -468,6 +488,7 @@ class MaskedBlendField(VelocityField):
         self.injected = injected
         self.mask = mask
         self.second_order = base.second_order or injected.second_order
+        self.moves_pose = base.moves_pose or injected.moves_pose
 
     def _mask_values(self, positions):
         w = np.asarray(self.mask(positions), dtype=float).reshape(-1)
@@ -489,7 +510,7 @@ class MaskedBlendField(VelocityField):
             np.copyto(out, xb, where=hard1)
             return out
 
-        return BatchDerivative(*(mix(xa, xb) for xa, xb in zip(a, b)))
+        return _combine(self, a, b, mix)
 
     def apply_events(self, positions, velocities, t=0.0, step_index=0):
         w = self._mask_values(positions)

@@ -2,12 +2,12 @@
 
 One stepper, :func:`step_arrays`, advances position, rotation (in the
 angular-velocity tangent parameterization, composed via the quaternion
-exponential after the combined step), and log-scale; second-order fields
-additionally carry a per-Gaussian auxiliary velocity.  Its increments come
-from one stage loop driven by a Butcher tableau: Euler is the one-stage
-method (c = (0), b = (1)), classical RK4 the four-stage one.  Post-step
-events (e.g. floor bounce) are applied once per accepted step, never per
-stage.
+exponential after the combined step), and log-scale, the last two only for
+fields that move them; second-order fields additionally carry a per-Gaussian
+auxiliary velocity.  Its increments come from one stage loop driven by a
+Butcher tableau: Euler is the one-stage method (c = (0), b = (1)), classical
+RK4 the four-stage one.  Post-step events (e.g. floor bounce) are applied
+once per accepted step, never per stage.
 
 Time is walked in legs ``(t0, h, steps)``: step s of the range ``steps``
 runs from t0 + s h with step_index=s, and the leg ends at t0 + steps.stop h.
@@ -133,24 +133,27 @@ def rk4_increments(field, p, v, t, h, step_index=0, tape=None, method="rk4"):
     ``method`` picks the tableau: classical RK4 by default, or Euler.  Stage
     i is evaluated at t + c_i h from the state advanced by c_i h k_{i-1}.
     Returns (d_position, d_rotation, d_log_scale) for first-order fields,
-    whose zero d_velocity channel is neither checked nor combined (v may
-    then be None), and appends d_velocity for second-order fields.  Rotation
-    and log-scale derivatives are combined with the same stage weights as
-    position.  With a ``tape`` the field must be neural: the tape holds one
-    ``NeuralVelocityField.new_cache`` per stage, and stage i's forward pass
-    is recorded into tape[i] for the backward pass.
+    and appends d_velocity for second-order fields.  Only the channels the
+    field moves are checked and combined, all with the stage weights of
+    position: d_velocity only if ``field.second_order`` (v may otherwise
+    be None), and d_rotation and d_log_scale only if ``field.moves_pose``,
+    which are None otherwise.  With a ``tape`` the field must be neural:
+    the tape holds one ``NeuralVelocityField.new_cache`` per stage, and
+    stage i's forward pass is recorded into tape[i] for the backward pass.
     """
     nodes, weights = _TABLEAUS[method]
-    channels = 4 if field.second_order else 3
+    moved = (0, 1, 2) if field.moves_pose else (0,)
+    if field.second_order:
+        moved += (3,)
     ks = []
     stage_p, stage_v = p, v
     for i, c in enumerate(nodes):
         if ks:
             stage_p = p + c * h * ks[-1][0]
-            stage_v = v + c * h * ks[-1][3] if channels == 4 else v
+            stage_v = v + c * h * ks[-1][3] if field.second_order else v
         if tape is None:
             k = field.evaluate_batch(stage_p, stage_v, t + c * h, step_index=step_index)
-            _check_finite(k[:channels], step_index, f"k{i + 1}", t + c * h)
+            _check_finite([k[j] for j in moved], step_index, f"k{i + 1}", t + c * h)
         else:
             out = field.forward(stage_p, t + c * h, cache=tape[i])
             k = (out[:, 0:3], out[:, 3:6], out[:, 6:9])
@@ -164,24 +167,31 @@ def rk4_increments(field, p, v, t, h, step_index=0, tape=None, method="rk4"):
             total += b * part
         return w * total
 
-    return tuple(combine([k[j] for k in ks]) for j in range(channels))
+    return tuple(combine([k[j] for k in ks]) if j in moved else None
+                 for j in range(4 if field.second_order else 3))
 
 
 def step_arrays(field, p, q, ls, v, t, h, step_index=0, method="rk4"):
     """One explicit Runge-Kutta step on the batch arrays; returns (p, q, ls, v).
 
-    The rotation tangent increment is applied once via the quaternion
-    exponential after the stage combination (angular velocity treated as
-    constant within the step).
+    Position always moves; the auxiliary velocity v moves for second-order
+    fields, and the rotation q and log-scale ls for fields that
+    ``moves_pose``; the others are returned as given.  The rotation
+    tangent increment is applied once via the quaternion exponential after
+    the stage combination (angular velocity treated as constant within the
+    step).
     """
     if h == 0:
         raise ValueError("step size must be nonzero")
     dp, dtheta, dls, *dv = rk4_increments(field, p, v, t, h, step_index, method=method)
     p2 = p + dp
-    q2 = quaternions.apply_increment(q, dtheta)
-    ls2 = ls + dls
     v2 = v + dv[0] if dv else v
     p2, v2 = field.apply_events(p2, v2, t + h, step_index=step_index)
+    if not field.moves_pose:
+        _check_finite([p2, v2], step_index, f"post-{method}", t + h)
+        return p2, q, ls, v2
+    q2 = quaternions.apply_increment(q, dtheta)
+    ls2 = ls + dls
     _check_finite([p2, q2, ls2, v2], step_index, f"post-{method}", t + h)
     return p2, q2, ls2, v2
 
@@ -205,7 +215,9 @@ def rollout(
     legs = rollout_legs(t0, t1, config)
     v = np.zeros((len(cloud), 3)) if velocities is None else np.asarray(velocities, dtype=float)
     state = (cloud.positions, cloud.rotations, cloud.log_scales, v)
-    # step_arrays returns new arrays, so the records need no copies
+    # step_arrays returns new arrays, or the ones it was given for the
+    # channels the field never moves; a cloud's arrays are never written, so
+    # the records need no copies
     times, records = [t0 + 0 * legs[0][1]], [state]
     for start, h, steps in legs:
         for s in steps:

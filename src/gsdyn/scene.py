@@ -251,7 +251,11 @@ def save_scene(scene: SceneData, path) -> None:
     """Write a SceneData back to the JSON schema read by :func:`load_scene`.
 
     Floats are serialized at full repr precision so a round trip reproduces
-    the cloud to better than 1e-12 (bitwise, in practice).
+    the cloud to better than 1e-12 (bitwise, in practice).  The document is
+    written on one line: ``indent`` and ``json.dump`` to a file both select
+    the json module's pure-Python encoder, which takes about two and a half
+    times as long as its C encoder on a scene's trajectory lists.  The
+    loader reads indented files of the same schema to the same bits.
     """
     cloud = scene.cloud
     keys = [name for name, _ in _ROW_VECTORS] + ["opacity"]
@@ -271,8 +275,7 @@ def save_scene(scene: SceneData, path) -> None:
             "positions": scene.trajectory_positions.tolist(),
         }
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
-        f.write("\n")
+        f.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 KNN_BLOCK = 256  # rows of the distance array that knn holds at once
@@ -317,7 +320,8 @@ def export_trajectory_csv(times, positions, path) -> None:
     positions = np.asarray(positions, dtype=float)
     lines = ["frame_index,time,gaussian_index,x,y,z"]
     for fi, (t, frame) in enumerate(zip(times.tolist(), positions.tolist())):
-        lines.extend(f"{fi},{t!r},{gi},{x!r},{y!r},{z!r}" for gi, (x, y, z) in enumerate(frame))
+        prefix = f"{fi},{t!r},"
+        lines.extend(f"{prefix}{gi},{x!r},{y!r},{z!r}" for gi, (x, y, z) in enumerate(frame))
     lines.append("")
     with open(path, "w", newline="") as f:
         f.write("\r\n".join(lines))

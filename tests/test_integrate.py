@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from gsdyn import anchors as anc
+from gsdyn import feature_grid
 from gsdyn import integrate as itg
-from gsdyn.fields import AnalyticField, BatchDerivative, VelocityField, ZeroField
+from gsdyn import quaternions
+from gsdyn.fields import (ANALYTIC_KINDS, AnalyticField, BatchDerivative, MaskedBlendField, NeuralVelocityField,
+                          SummedField, VelocityField, ZeroField, sphere_mask)
 from gsdyn.scene import GaussianCloud
 
 
@@ -230,6 +233,75 @@ class TestRollout:
         traj = itg.rollout(cloud, 0.0, 1.0, cfg, f)
         assert traj.positions[:, 0, 2].min() >= 0.0
         assert traj.aux_velocities is not None
+
+
+def posed_cloud(n=12, seed=0):
+    """A cloud with random unit rotations and log-scales, in the unit box's interior."""
+    rng = np.random.default_rng(seed)
+    p, q = rng.uniform(0.15, 0.85, (n, 3)), rng.standard_normal((n, 4))
+    return make_cloud(p).with_positions(p, q / np.linalg.norm(q, axis=1, keepdims=True), rng.uniform(-4, -2, (n, 3)))
+
+
+NOISY = {"swirl": {"eta": 0.5}, "wind_curl": {"eta": 0.5}}
+STILL_POSE_FIELDS = {
+    **{kind: lambda kind=kind: AnalyticField(kind, seed=3, **NOISY.get(kind, {})) for kind in ANALYTIC_KINDS},
+    "zero": ZeroField,
+    "sum": lambda: SummedField(AnalyticField("vortex"), AnalyticField("gravity_bounce", z0=0.2), 0.5),
+    "blend": lambda: MaskedBlendField(ZeroField(), SummedField(ZeroField(), AnalyticField("spin"), 2.0),
+                                      sphere_mask([0.5, 0.5, 0.5], 0.3, edge_width=0.1)),
+}
+
+
+@pytest.fixture
+def apply_increment_calls(monkeypatch):
+    """The number of quaternions.apply_increment calls so far, as a one-item list."""
+    calls = [0]
+    real = quaternions.apply_increment
+
+    def counted(q, delta_v):
+        calls[0] += 1
+        return real(q, delta_v)
+
+    monkeypatch.setattr(quaternions, "apply_increment", counted)
+    return calls
+
+
+class TestPoseChannels:
+    """Fields that never rotate or rescale leave rotations and log-scales untouched."""
+
+    @pytest.mark.parametrize("name", sorted(STILL_POSE_FIELDS))
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_rollout_keeps_pose_bitwise(self, name, method, apply_increment_calls):
+        field = STILL_POSE_FIELDS[name]()
+        assert not field.moves_pose
+        cloud = posed_cloud()
+        traj = itg.rollout(cloud, 0.0, 0.5, itg.IntegratorConfig(method=method, step_count=20, record_stride=5),
+                           field)
+        assert apply_increment_calls == [0]
+        assert traj.rotations.tobytes() == np.stack([cloud.rotations] * len(traj)).tobytes()
+        assert traj.log_scales.tobytes() == np.stack([cloud.log_scales] * len(traj)).tobytes()
+        assert (name == "zero") == (traj.positions[-1] == cloud.positions).all()
+
+    def test_increments_skip_unmoved_channels(self):
+        p = posed_cloud().positions
+        dp, dtheta, dls, dv = itg.rk4_increments(AnalyticField("orbital"), p, np.zeros_like(p), 0.0, 0.1)
+        assert dtheta is None and dls is None and dp.shape == dv.shape == p.shape
+
+    @pytest.mark.parametrize("compose", [
+        lambda neural: SummedField(AnalyticField("spin"), neural, 1.0),
+        lambda neural: MaskedBlendField(neural, AnalyticField("gravity_bounce"), sphere_mask([0.5] * 3, 0.3)),
+    ], ids=["sum", "blend"])
+    def test_neural_child_still_rotates(self, compose, apply_increment_calls):
+        grid = feature_grid.create_grid(np.zeros(3), np.ones(3), spatial_resolution=4, time_resolution=4,
+                                        channels=2)
+        field = compose(NeuralVelocityField(grid, hidden=(8,), output_scale=0.5))
+        assert field.moves_pose
+        cloud = posed_cloud()
+        traj = itg.rollout(cloud, 0.0, 0.5, itg.IntegratorConfig(step_count=4), field)
+        assert apply_increment_calls == [4]
+        assert np.all(traj.rotations[-1] != cloud.rotations)
+        assert np.all(traj.log_scales[-1] != cloud.log_scales)
+        np.testing.assert_allclose(np.linalg.norm(traj.rotations[-1], axis=1), 1.0, atol=1e-12)
 
 
 class TestConvergenceOrder:

@@ -189,6 +189,26 @@ class TestRoundTrip:
         assert back.cameras[0].width == 32
         assert back.cloud.time == 0.25
 
+    def test_one_line_file_loads_as_indented_file(self, tmp_path):
+        rng = np.random.default_rng(4)
+        q = rng.standard_normal((6, 4))
+        cloud = make_cloud(rng.uniform(-1, 1, (6, 3)), time=0.1).with_positions(
+            rng.uniform(-1, 1, (6, 3)), q / np.linalg.norm(q, axis=1, keepdims=True), rng.uniform(-5, 0, (6, 3)))
+        data = sc.SceneData(cloud=cloud, trajectory_times=np.linspace(0, 1, 3),
+                            trajectory_positions=rng.standard_normal((3, 6, 3)) * 1e-3)
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        sc.save_scene(data, compact)
+        text = compact.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        indented.write_text(json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n")
+        a, b = sc.load_scene(compact), sc.load_scene(indented)
+        for name in ("positions", "rotations", "log_scales", "colors", "opacities"):
+            assert getattr(a.cloud, name).tobytes() == getattr(b.cloud, name).tobytes() == \
+                getattr(cloud, name).tobytes(), name
+        assert a.trajectory_positions.tobytes() == b.trajectory_positions.tobytes() == \
+            data.trajectory_positions.tobytes()
+        assert a.trajectory_times.tobytes() == b.trajectory_times.tobytes()
+
 
 class TestEvolution:
     def test_index_identity_under_evolution(self):

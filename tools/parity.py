@@ -11,13 +11,15 @@ command's stdout under ``stdout/``) to its SHA-256.  With ``--against`` the
 table is compared with another one: the paths whose hashes differ, or that
 only one table has, are printed and the exit status is 1.
 
-The matrix covers what a change to the numerics could move: scenes of an
-analytic, a drift and a stochastic kind; training at the benchmark's wide-fit
-and predict-and-render shapes (N = 1000 and 500, above the coherence row
-batch) and criterion 6's drift protocols (a frame stride and a train
-fraction), at a few epochs; forward, backward, anchored and Euler rollouts;
-a masked injection that renders frames; a render; and an eval of every
-image metric.
+The matrix covers what a change to the numerics could move: scenes of all
+ten analytic kinds and of the zero field, with noise on swirl and wind_curl;
+training at the benchmark's wide-fit and predict-and-render shapes (N = 1000
+and 500, above the coherence row batch) and criterion 6's drift protocols (a
+frame stride and a train fraction), at a few epochs; forward, backward,
+anchored and Euler rollouts of a trained field and a rollout of an analytic
+one; injections into a trained field with and without a mask and one of an
+analytic field with no trained base, two of them rendering frames; a render;
+and an eval of every image metric.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ MATRIX = [
     ["generate", "--kind", "drift", "--n-gaussians", "10", "--n-frames", "20", "--seed", "5",
      "--params", '{"delta": [0.3, 0.0, 0.0]}', "--out", "gen/drift"],
     ["generate", "--kind", "diffusion_gas", "--n-gaussians", "40", "--n-frames", "6", "--seed", "3", "--out", "gen/gas"],
+    *(["generate", "--kind", kind, "--n-gaussians", "40", "--n-frames", "6", "--seed", "4", *extra,
+       "--out", f"gen/{kind}"]
+      for kind, extra in [("gravity_bounce", []), ("spin", []), ("swirl", ["--params", '{"eta": 0.5}']),
+                          ("wave", []), ("wind_curl", ["--params", '{"eta": 0.5}']), ("orbital", []),
+                          ("reaction_diffusion", []), ("zero", [])]),
     ["train", "--scene", "gen/wide/scene.json", "--stride", "4", "--epochs", "2", "--out", "fit/wide"],
     ["train", "--scene", "gen/pr/scene.json", "--stride", "4", "--epochs", "4", "--out", "fit/pr"],
     ["train", "--scene", "gen/drift/scene.json", "--stride", "4", "--epochs", "30", "--out", "fit/drift_stride"],
@@ -64,8 +71,14 @@ MATRIX = [
      *LATTICE, "--out", "sim/anchored"],
     ["simulate", "--checkpoint", "fit/wide/checkpoint.gsd", "--scene", "gen/wide/scene.json", "--t0", "0",
      "--t1", "1", "--method", "euler", "--steps", "40", "--record-stride", "10", "--out", "sim/euler"],
+    ["simulate", "--field", "spin.json", "--scene", "gen/pr/scene.json", "--t0", "0", "--t1", "1", *LATTICE,
+     "--out", "sim/field"],
     ["inject", "--checkpoint", "fit/pr/checkpoint.gsd", "--field", "spin.json", "--mask", "sphere.json",
      "--scene", "gen/pr/scene.json", "--t0", "0", "--t1", "1", *LATTICE, "--render-frames", "--out", "inject"],
+    ["inject", "--checkpoint", "fit/pr/checkpoint.gsd", "--field", "spin.json", "--lam", "0.5",
+     "--scene", "gen/pr/scene.json", "--t0", "0", "--t1", "1", *LATTICE, "--out", "inject_sum"],
+    ["inject", "--field", "spin.json", "--scene", "gen/drift/scene.json", "--t0", "0", "--t1", "1", *LATTICE,
+     "--render-frames", "--out", "inject_analytic"],
     ["render", "--scene", "gen/pr/scene.json", "--trajectory", "sim/forward/trajectory.csv", "--out", "render"],
     ["eval", "--pred", "sim/forward/trajectory.csv", "--gt", "gen/pr/scene.json",
      "--metrics", "position,psnr,ssim,dssim", "--pred-frames", "inject", "--gt-frames", "render",
