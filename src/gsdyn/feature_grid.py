@@ -7,16 +7,23 @@ provided for training.
 
 Sampling is one sparse linear map.  A grid stores its planes' cells
 stacked plane after plane as one (cells, C) array F, ``HexPlaneGrid.cells``,
-and a batch of N queries builds a CSR matrix S of shape (6N, cells) whose
+and a batch of N queries uses a CSR matrix S of shape (6N, cells) whose
 row n*6 + k holds query n's four bilinear corner weights on plane k.  The
 features are S @ F, the plane gradients S^T @ U for an upstream U, and the
-query gradients come from an operator with the same corners whose entries
-are the weights' derivatives along each plane axis.  A grid derives its
-sampling geometry once, when it is made.  A lookup finds the floor and
-fraction once per distinct (query axis, resolution) row and once for the
-batch's one t, and can write the corners (:class:`Corners`) into buffers
-that the caller keeps; :func:`lookup_grad` reuses them and S, and finds
-the clamp slopes from the query, so a forward pass never computes them.
+query gradients come from an operator D with the same corners whose
+entries are the weights' derivatives along each plane axis.  A grid
+derives its sampling geometry once, when it is made.  A lookup finds the
+floor and fraction once per distinct (query axis, resolution) row and once
+for the batch's one t, and can write the corners (:class:`Corners`) into
+buffers that the caller keeps; :func:`lookup_grad` reuses them and S, and
+finds the clamp slopes from the query, so a forward pass never computes
+them.
+
+S, S^T and D depend on the batch only through its size, so a grid builds
+them once per batch size (it keeps the operators of one size at a time)
+and each call writes its weights into their buffers and points their
+column indices at its corners.  So a grid samples one batch at a time: it
+is not re-entrant across threads.
 """
 
 from __future__ import annotations
@@ -44,7 +51,10 @@ class HexPlaneGrid:
     Every plane shares the same channel count.  Out-of-bounds queries are
     clamped to the boundary, a defined, smooth continuation for rollouts
     that leave the trained window.  The sampling geometry is derived once,
-    here, from the bounds and the resolution, which are read-only.
+    here, from the bounds and the resolution, which are read-only.  The
+    sampling operators of the last batch size sampled are kept with the
+    grid and re-pointed at each batch, so a grid samples one batch at a
+    time.
     """
 
     def __init__(self, planes, bounds_lo, bounds_hi):
@@ -73,6 +83,7 @@ class HexPlaneGrid:
         self._scale, self._top = (res - 1).astype(float), (res - 2).astype(np.int32)  # a row's r - 1, and last cell
         self._t_scale, self._t_top = (r1[3:] - 1).astype(float), r1[3:] - 2  # the same for xt's, yt's, zt's time
         self._offset = (np.cumsum(r0 * r1) - r0 * r1).astype(np.int32)  # each plane's first stacked cell
+        self._operators = None  # the _Operators of the last batch size sampled
 
     resolution = property(lambda self: self._resolution, doc="(6, 2): each plane's rows and columns")
     bounds_lo = property(lambda self: self._bounds_lo)
@@ -98,6 +109,7 @@ class HexPlaneGrid:
         """This grid, geometry included, over ``cells``, a (cells, C) array that it keeps as its storage."""
         grid = copy.copy(self)
         grid.cells = cells
+        grid._operators = None
         return grid
 
 
@@ -159,7 +171,8 @@ def _corners(grid: HexPlaneGrid, positions, t: float, out: Corners = None) -> Co
     r1 = grid.resolution[:, 1]
     c00 = i[:, grid._row_u] * r1
     c00[:, :3] += i[:, grid._row_v]
-    c00 += grid._offset + np.concatenate([np.zeros(3, np.int32), it])
+    c00 += grid._offset
+    c00[:, 3:] += it
     out.cols[..., 0] = c00
     np.add(c00, r1, out=out.cols[..., 1])
     np.add(c00, 1, out=out.cols[..., 2])
@@ -168,26 +181,60 @@ def _corners(grid: HexPlaneGrid, positions, t: float, out: Corners = None) -> Co
 
 
 def _operator(cols, weights, n_cells: int):
-    """CSR matrix with one row per four consecutive ``weights``, placed at
-    the stacked-cell columns ``cols``."""
-    return sparse.csr_matrix(
+    """CSR matrix with one row per four consecutive entries of ``weights``,
+    placed at the stacked-cell columns ``cols``; it holds both buffers
+    themselves, so writes into them change the matrix."""
+    m = sparse.csr_matrix(
         (weights.ravel(), cols.ravel(), np.arange(0, weights.size + 1, 4, dtype=np.int32)),
         shape=(weights.size // 4, n_cells),
     )
+    m.data, m.indices = weights.reshape(-1), cols.reshape(-1)
+    return m
 
 
-def _weights(fu, fv):
-    """(N, 6, 4) bilinear weights of the corners 00, 10, 01, 11, written into one buffer."""
-    weights, gu, gv = np.empty((*fu.shape, 4)), 1 - fu, 1 - fv
+class _Operators:
+    """S (CSR), S^T (CSC) and D (CSR) of n queries over n_cells stacked cells.
+
+    Shapes and row pointers are fixed by n.  A call writes S's weights into
+    ``weights``, points S's and S^T's column indices at its corners' cols,
+    and writes D's weights and columns into the (n, 6, 8) ``d_weights`` and
+    ``d_cols``, one row of D per (query, plane, plane axis).
+    """
+
+    def __init__(self, n: int, n_cells: int):
+        self.n = n
+        self.weights = np.empty((n, 6, 4))
+        self.d_weights, self.d_cols = np.empty((n, 6, 8)), np.zeros((n, 6, 8), dtype=np.int32)
+        self.S = _operator(np.zeros((n, 6, 4), dtype=np.int32), self.weights, n_cells)
+        self.ST = self.S.T
+        self.D = _operator(self.d_cols, self.d_weights, n_cells)
+
+
+def _operators_of(grid: HexPlaneGrid, n: int) -> _Operators:
+    """The grid's operators for a batch of n queries, built when n is not the last batch size."""
+    if grid._operators is None or grid._operators.n != n:
+        grid._operators = _Operators(n, len(grid.cells))
+    return grid._operators
+
+
+def _weights(fu, fv, out):
+    """(N, 6, 4) bilinear weights of the corners 00, 10, 01, 11, written into ``out``."""
+    gu, gv = 1 - fu, 1 - fv
     for k, (a, b) in enumerate(((gu, gv), (fu, gv), (gu, fv), (fu, fv))):
-        np.multiply(a, b, out=weights[..., k])
-    return weights
+        np.multiply(a, b, out=out[..., k])
 
 
 def sampling_operator(grid: HexPlaneGrid, corners: Corners):
     """The (6N, cells) sampling operator S of a batch's corners: S @ grid.cells
-    holds the batch's features, one row per (query, plane)."""
-    return _operator(corners.cols, _weights(corners.fu, corners.fv), len(grid.cells))
+    holds the batch's features, one row per (query, plane).
+
+    S is the grid's operator for N queries, pointed at these corners; it
+    stays theirs until the grid samples another batch.
+    """
+    ops = _operators_of(grid, len(corners.cols))
+    _weights(corners.fu, corners.fv, ops.weights)
+    ops.S.indices = ops.ST.indices = corners.cols.reshape(-1)
+    return ops.S
 
 
 def lookup(grid: HexPlaneGrid, positions, t: float, corners: Corners = None) -> np.ndarray:
@@ -211,30 +258,36 @@ def lookup_grad(grid: HexPlaneGrid, positions, t: float, upstream, corners: Corn
     (``grid.planes_of`` splits it by plane); g_position / g_t are the
     gradients w.r.t. the query.  ``corners`` are the ones :func:`lookup`
     wrote for this query; they are found again from (positions, t) when
-    None.  ``operator`` is their :func:`sampling_operator`, built here when
-    None.
+    None.  ``operator`` is their :func:`sampling_operator`, made since the
+    grid last sampled another batch; it is made here when not given.
     """
     if corners is None:
         corners = _corners(grid, positions, t)
-    if operator is None:
-        operator = sampling_operator(grid, corners)
     cols, fu, fv = corners
+    n = len(cols)
+    ops = _operators_of(grid, n)
+    if operator is not ops.S:
+        sampling_operator(grid, corners)
     # the derivatives of fu and fv by the query coordinate, 0 where it is clamped
     u = (np.asarray(positions, dtype=float)[:, grid._axis] - grid._lo) / grid._span
     slope = ((u > 0.0) & (u < 1.0)) / grid._span * grid._scale
-    ju = slope[:, grid._row_u]
-    jv = np.hstack([slope[:, grid._row_v], np.tile(float(0.0 < t < 1.0) * grid._t_scale, (len(u), 1))])
+    ju, jv = slope[:, grid._row_u], np.empty((n, 6))
+    jv[:, :3] = slope[:, grid._row_v]
+    jv[:, 3:] = float(0.0 < t < 1.0) * grid._t_scale
     up = np.asarray(upstream, dtype=float).reshape(-1, grid.channels)
-    g_cells = operator.T @ up
+    g_cells = ops.ST @ up
 
-    # derivatives of the corner weights by the query coordinate along each
-    # plane's two axes: one operator row per (query, plane, axis)
-    a0, a1 = (1 - fv) * ju, fv * ju
-    b0, b1 = (1 - fu) * jv, fu * jv
-    d_weights = np.stack([-a0, a0, -a1, a1, -b0, -b1, b0, b1], axis=-1)
-    d_op = _operator(np.concatenate([cols, cols], axis=-1), d_weights, len(grid.cells))
-    g_axis = np.einsum("nac,nc->na", (d_op @ grid.cells).reshape(-1, 2, grid.channels), up)
-    g_query = g_axis.reshape(len(cols), 12) @ _AXIS_SELECT
+    # D's row (query, plane, axis) holds the corner weights' derivatives by
+    # the query coordinate along that axis: -a0, a0, -a1, a1 along the first
+    # and -b0, -b1, b0, b1 along the second, with a0, a1 = (1 - fv) ju, fv ju
+    # and b0, b1 = (1 - fu) jv, fu jv
+    d = ops.d_weights
+    for plus, minus, (a, b) in ((1, 0, (1 - fv, ju)), (3, 2, (fv, ju)), (6, 4, (1 - fu, jv)), (7, 5, (fu, jv))):
+        np.multiply(a, b, out=d[..., plus])
+        np.negative(d[..., plus], out=d[..., minus])
+    ops.d_cols.reshape(n, 6, 2, 4)[:] = cols[:, :, None, :]
+    g_axis = np.einsum("nac,nc->na", (ops.D @ grid.cells).reshape(-1, 2, grid.channels), up)
+    g_query = g_axis.reshape(n, 12) @ _AXIS_SELECT
     return g_cells, g_query[:, :3], g_query[:, 3]
 
 

@@ -77,6 +77,8 @@ class VelocityField:
         """Post-step event handler (e.g. floor bounce); identity by default.
 
         Called once after each accepted integration step, never per stage.
+        A field without events returns the given arrays themselves, so a
+        caller that writes into the result must copy it first.
         """
         return positions, velocities
 
@@ -107,18 +109,29 @@ _DEFAULT_PARAMS = {
 }
 ANALYTIC_KINDS = tuple(_DEFAULT_PARAMS)
 _SECOND_ORDER_KINDS = {"gravity_bounce", "orbital", "diffusion_gas", "reaction_diffusion"}
+_EVENT_KINDS = {"gravity_bounce", "diffusion_gas", "reaction_diffusion"}
+_NOISE_KINDS = {"swirl", "wind_curl", "diffusion_gas", "reaction_diffusion"}
+# a noise draw is keyed on (seed << 20) + step in 64 bits, so seeds from 2^44
+# on would wrap onto smaller ones
+NOISE_SEED_BOUND = 2**44
 
 
 class AnalyticField(VelocityField):
     """One of the ten closed-form fields, selected by ``kind``.
 
-    Stochastic kinds draw their noise from a counter-based generator keyed
-    by (seed, step index), so evaluation is deterministic.  The draw is not
-    tied to a Gaussian or to a global time: row i of a batch takes the i-th
-    draw, so it depends on the row's position in the batch, and the step
-    index is the caller's, which restarts at 0 in every rollout (and so in
-    every sub-span of an anchored query).  Noise is held constant across
-    the stages of a single integration step.  No kind rotates or rescales.
+    Stochastic kinds (swirl, wind_curl, diffusion_gas, reaction_diffusion)
+    draw their noise from a counter-based generator keyed by (seed, step
+    index), so evaluation is deterministic; their seed must be below
+    ``NOISE_SEED_BOUND``.  The draw is not tied to a Gaussian or to a
+    global time: row i of a batch takes the i-th draw, so it depends on the
+    row's position in the batch, and the step index is the caller's, which
+    restarts at 0 in every rollout (and so in every sub-span of an anchored
+    query).  Noise is held constant across the stages of a single
+    integration step.  No kind rotates or rescales.  Each evaluation writes
+    d_position into one (N, 3) array; the vortex is evaluated in Cartesian
+    form.  Only gravity_bounce, diffusion_gas and reaction_diffusion have
+    post-step events; the other kinds' :meth:`apply_events` returns its
+    inputs.
     """
 
     moves_pose = False
@@ -128,6 +141,8 @@ class AnalyticField(VelocityField):
             raise FieldError(f"unknown analytic field kind {kind!r}")
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise FieldError(f"{kind}: 'seed' must be a non-negative integer, got {seed!r}")
+        if kind in _NOISE_KINDS and seed >= NOISE_SEED_BOUND:
+            raise FieldError(f"{kind}: 'seed' must be below 2**44 = {NOISE_SEED_BOUND}, got {seed}")
         self.kind = kind
         self.seed = int(seed)
         self.params = dict(_DEFAULT_PARAMS[kind])
@@ -166,56 +181,32 @@ class AnalyticField(VelocityField):
             d_vel[:, 2] = prm["g"]
         elif self.kind == "drift":
             delta = prm["delta"]
-            delta = np.array([delta, 0.0, 0.0]) if np.isscalar(delta) else np.asarray(delta, dtype=float)
-            d_pos = np.broadcast_to(delta, (n, 3)).copy()
+            d_pos[:] = np.array([delta, 0.0, 0.0]) if np.isscalar(delta) else np.asarray(delta, dtype=float)
         elif self.kind == "spin":
             cx, cy, _ = np.asarray(prm["center"], dtype=float)
             w = prm["omega"]
-            d_pos = np.stack([-w * (y - cy), w * (x - cx), np.zeros(n)], axis=1)
+            d_pos[:, 0], d_pos[:, 1] = -w * (y - cy), w * (x - cx)
         elif self.kind == "swirl":
             s0, s1 = prm["s0"], prm["s1"]
             eta = self._noise(n, step_index, prm["eta"])
-            d_pos = np.stack(
-                [
-                    s0 * np.cos(2.5 * y + 1.5 * t),
-                    s1 * np.sin(3 * x + 2 * t) * np.cos(2.5 * z - 1.5 * t) + eta[:, 1],
-                    s1 * np.cos(3 * x - 2.5 * t) * np.sin(3 * y + 2.5 * t) + eta[:, 2],
-                ],
-                axis=1,
-            )
+            d_pos[:, 0] = s0 * np.cos(2.5 * y + 1.5 * t)
+            d_pos[:, 1] = s1 * np.sin(3 * x + 2 * t) * np.cos(2.5 * z - 1.5 * t) + eta[:, 1]
+            d_pos[:, 2] = s1 * np.cos(3 * x - 2.5 * t) * np.sin(3 * y + 2.5 * t) + eta[:, 2]
         elif self.kind == "vortex":
             w, k, u0 = prm["omega"], prm["k"], prm["u0"]
-            r = np.sqrt(x**2 + y**2)
-            theta = np.arctan2(y, x)
-            d_pos = np.stack(
-                [
-                    -w * r * np.sin(theta) - k * x,
-                    w * r * np.cos(theta) - k * y,
-                    u0 * np.exp(-(r**2)),
-                ],
-                axis=1,
-            )
+            d_pos[:, 0] = -w * y - k * x
+            d_pos[:, 1] = w * x - k * y
+            d_pos[:, 2] = u0 * np.exp(-(x * x + y * y))
         elif self.kind == "wave":
             a, f, c = prm["A"], prm["f"], prm["c"]
-            d_pos = np.stack(
-                [
-                    np.zeros(n),
-                    a * np.sin(2 * np.pi * f * (x - c * t)),
-                    a * np.cos(2 * np.pi * f * (y - c * t)),
-                ],
-                axis=1,
-            )
+            d_pos[:, 1] = a * np.sin(2 * np.pi * f * (x - c * t))
+            d_pos[:, 2] = a * np.cos(2 * np.pi * f * (y - c * t))
         elif self.kind == "wind_curl":
             w, c = prm["w"], prm["c"]
             eta = self._noise(n, step_index, prm["eta"])
-            d_pos = np.stack(
-                [
-                    w + c * np.sin(2 * y + t),
-                    c * np.cos(2 * x - 0.5 * t),
-                    eta[:, 2] * np.sin(3 * z + 2 * t),
-                ],
-                axis=1,
-            )
+            d_pos[:, 0] = w + c * np.sin(2 * y + t)
+            d_pos[:, 1] = c * np.cos(2 * x - 0.5 * t)
+            d_pos[:, 2] = eta[:, 2] * np.sin(3 * z + 2 * t)
         elif self.kind == "orbital":
             center = np.asarray(prm["center"], dtype=float)
             r = p - center
@@ -227,6 +218,11 @@ class AnalyticField(VelocityField):
         return BatchDerivative(d_pos, _zeros(n), _zeros(n), d_vel)
 
     def apply_events(self, positions, velocities, t=0.0, step_index=0):
+        """The post-step event of gravity_bounce, diffusion_gas and
+        reaction_diffusion, on copies of the arrays; the other kinds have
+        none and return their inputs themselves."""
+        if self.kind not in _EVENT_KINDS:
+            return positions, velocities
         p = np.asarray(positions, dtype=float).copy()
         v = np.asarray(velocities, dtype=float).copy()
         prm = self.params

@@ -149,6 +149,43 @@ class SceneData:
 _ROW_VECTORS = (("position", 3), ("rotation", 4), ("log_scale", 3), ("color", 3))  # JSON keys and widths
 
 
+def _gaussian_columns(gaussians):
+    """The Gaussians' columns by JSON key, each converted by one ``np.array``
+    call; None when a column fails to convert, has the wrong shape, or holds
+    a non-finite opacity (``float`` refuses None, which numpy reads as NaN)."""
+    n = len(gaussians)
+    try:
+        arrays = {name: np.array([g[name] for g in gaussians], dtype=float) for name, _ in _ROW_VECTORS}
+        arrays["opacity"] = np.array([g["opacity"] for g in gaussians], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if any(arrays[name].shape != (n, width) for name, width in _ROW_VECTORS):
+        return None
+    if arrays["opacity"].shape != (n,) or not np.isfinite(arrays["opacity"]).all():
+        return None
+    return arrays
+
+
+def _gaussian_rows(gaussians):
+    """The Gaussians' columns by JSON key, read row by row, so that the
+    first malformed row and field are named."""
+    columns = {name: [] for name, _ in _ROW_VECTORS}
+    opacities = []
+    for i, g in enumerate(gaussians):
+        try:
+            row = [np.asarray(g[name], dtype=float) for name, _ in _ROW_VECTORS]
+            opacities.append(float(g["opacity"]))
+        except (KeyError, TypeError, ValueError) as e:
+            raise SceneParseError(f"gaussians[{i}]: {e}") from e
+        for (name, width), a in zip(_ROW_VECTORS, row):
+            if a.shape != (width,):
+                raise SceneValidationError(f"gaussians[{i}].{name}: expected {width}-vector, got shape {a.shape}")
+            columns[name].append(a)
+    arrays = {name: np.array(columns[name], dtype=float) for name, _ in _ROW_VECTORS}
+    arrays["opacity"] = np.array(opacities, dtype=float)
+    return arrays
+
+
 def load_scene(path) -> SceneData:
     """Load and validate a JSON scene file.
 
@@ -169,19 +206,7 @@ def load_scene(path) -> SceneData:
     if not doc["gaussians"]:
         raise SceneValidationError("gaussians: the scene holds no Gaussian")
 
-    columns = {name: [] for name, _ in _ROW_VECTORS}
-    opacities = []
-    for i, g in enumerate(doc["gaussians"]):
-        try:
-            row = [np.asarray(g[name], dtype=float) for name, _ in _ROW_VECTORS]
-            opacities.append(float(g["opacity"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(f"gaussians[{i}]: {e}") from e
-        for (name, width), a in zip(_ROW_VECTORS, row):
-            if a.shape != (width,):
-                raise SceneValidationError(f"gaussians[{i}].{name}: expected {width}-vector, got shape {a.shape}")
-            columns[name].append(a)
-    arrays = {name: np.array(columns[name], dtype=float) for name, _ in _ROW_VECTORS}
+    arrays = _gaussian_columns(doc["gaussians"]) or _gaussian_rows(doc["gaussians"])
 
     try:
         time = float(doc.get("time", 0.0))
@@ -192,7 +217,7 @@ def load_scene(path) -> SceneData:
         rotations=arrays["rotation"],
         log_scales=arrays["log_scale"],
         colors=arrays["color"],
-        opacities=np.array(opacities, dtype=float),
+        opacities=arrays["opacity"],
         time=time,
     ).validate()
 

@@ -73,6 +73,15 @@ class TestGenerate:
         assert (a / "scene.json").read_bytes() == (b / "scene.json").read_bytes()
         assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
 
+    @pytest.mark.parametrize("kind", ["diffusion_gas", "swirl"])
+    def test_noise_seed_past_the_key_bound_is_a_usage_error(self, tmp_path, capsys, kind):
+        # 2^64 overflowed the uint64 noise key; any seed from 2^44 on wraps onto a smaller one
+        for seed in (2**64, 2**44):
+            assert run(["generate", "--kind", kind, "--seed", str(seed), "--n-gaussians", "2", "--n-frames", "2",
+                        "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+            assert "2**44" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "scene.json").exists()
+
     @pytest.mark.parametrize("kind", ["drift", "gravity_bounce", "diffusion_gas"])
     def test_ground_truth_equals_per_interval_rollout_chain(self, kind):
         # reference: one rollout per frame interval, each of max(1, round(interval

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gsdyn import feature_grid as fg
+from gsdyn.fields import NeuralVelocityField
 
 
 def constant_grid(value, channels=2, res=4):
@@ -162,6 +164,125 @@ class TestLookupGrad:
                 denom = max(abs(fd), 1e-3)
                 worst = max(worst, abs(g_pos[0, axis] - fd) / denom)
         assert worst < 1e-5
+
+
+def reference_operator(cols, weights, n_cells):
+    """A CSR matrix built and checked from scratch, one row per four
+    consecutive weights: the per-call construction that the operators a
+    grid keeps replace."""
+    return sparse.csr_matrix(
+        (weights.ravel(), cols.ravel(), np.arange(0, weights.size + 1, 4, dtype=np.int32)),
+        shape=(weights.size // 4, n_cells),
+    )
+
+
+def reference_sampling_operator(grid, corners):
+    fu, fv = corners.fu, corners.fv
+    weights = np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv], axis=-1)
+    return reference_operator(corners.cols, weights, len(grid.cells))
+
+
+def reference_lookup(grid, positions, t, corners=None):
+    corners = fg._corners(grid, positions, t, corners)
+    return (reference_sampling_operator(grid, corners) @ grid.cells).reshape(-1, grid.feature_size)
+
+
+def reference_lookup_grad(grid, positions, t, upstream, corners=None, operator=None):
+    """lookup_grad with S, S^T and D built per call."""
+    cols, fu, fv = corners = fg._corners(grid, positions, t) if corners is None else corners
+    u = (np.asarray(positions, dtype=float)[:, grid._axis] - grid._lo) / grid._span
+    slope = ((u > 0.0) & (u < 1.0)) / grid._span * grid._scale
+    ju = slope[:, grid._row_u]
+    jv = np.hstack([slope[:, grid._row_v], np.tile(float(0.0 < t < 1.0) * grid._t_scale, (len(u), 1))])
+    up = np.asarray(upstream, dtype=float).reshape(-1, grid.channels)
+    g_cells = reference_sampling_operator(grid, corners).T @ up
+    a0, a1 = (1 - fv) * ju, fv * ju
+    b0, b1 = (1 - fu) * jv, fu * jv
+    d_weights = np.stack([-a0, a0, -a1, a1, -b0, -b1, b0, b1], axis=-1)
+    d_op = reference_operator(np.concatenate([cols, cols], axis=-1), d_weights, len(grid.cells))
+    g_axis = np.einsum("nac,nc->na", (d_op @ grid.cells).reshape(-1, 2, grid.channels), up)
+    g_query = g_axis.reshape(len(cols), 12) @ fg._AXIS_SELECT
+    return g_cells, g_query[:, :3], g_query[:, 3]
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestKeptOperators:
+    """The operators a grid keeps per batch size give the bits of operators
+    built per call, whatever batch sizes and grids came before."""
+
+    GRIDS = {  # two grids whose planes differ in resolution and channel count
+        "coarse": dict(lo=np.zeros(3), hi=np.ones(3), res=5, t_res=4, channels=3, seed=21),
+        "fine": dict(lo=-np.ones(3), hi=np.full(3, 2.0), res=9, t_res=6, channels=2, seed=22),
+    }
+
+    @staticmethod
+    def make(spec):
+        return fg.create_grid(spec["lo"], spec["hi"], spatial_resolution=spec["res"],
+                              time_resolution=spec["t_res"], channels=spec["channels"], seed=spec["seed"])
+
+    @staticmethod
+    def query(rng, spec, n):
+        # inside, clamped below and above, and on the bounds
+        p = rng.uniform(spec["lo"] - 0.3, spec["hi"] + 0.3, (n, 3))
+        p[: n // 4] = np.where(rng.random((n // 4, 3)) < 0.5, spec["lo"], spec["hi"])
+        return p
+
+    def test_lookup_and_gradients_match_per_call_construction(self):
+        rng = np.random.default_rng(23)
+        grids = {name: self.make(spec) for name, spec in self.GRIDS.items()}
+        for n in (7, 500, 7, 1):
+            for name in ("coarse", "fine", "coarse"):
+                grid, spec = grids[name], self.GRIDS[name]
+                p, t = self.query(rng, spec, n), float(rng.choice([0.0, 1.0, rng.uniform()]))
+                upstream = rng.standard_normal((n, grid.feature_size))
+                assert_same_bits(fg.lookup(grid, p, t), reference_lookup(grid, p, t))
+                for got, want in zip(fg.lookup_grad(grid, p, t, upstream), reference_lookup_grad(grid, p, t, upstream)):
+                    assert_same_bits(got, want)
+                corners = fg.empty_corners(n)  # the forward's corners and operator, reused
+                fg.lookup(grid, p, t, corners=corners)
+                operator = fg.sampling_operator(grid, corners)
+                for got, want in zip(fg.lookup_grad(grid, p, t, upstream, corners=corners, operator=operator),
+                                     reference_lookup_grad(grid, p, t, upstream)):
+                    assert_same_bits(got, want)
+
+    def test_forward_backward_pair_matches_per_call_construction(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        specs = [self.GRIDS["coarse"], self.GRIDS["fine"], self.GRIDS["coarse"]]
+        fields = [NeuralVelocityField(self.make(spec), hidden=(16, 8), seed=k, output_scale=0.5)
+                  for k, spec in enumerate(specs[:2])]
+
+        def pair(field, p, t, upstream):
+            out, cache = field.forward(p, t, want_cache=True)
+            groups, g_pos = field.backward(cache, upstream)
+            return [out, *groups, g_pos]
+
+        for n in (7, 500, 7, 1):
+            for field, spec in zip(fields + fields[:1], specs):
+                p, t = self.query(rng, spec, n), float(rng.uniform())
+                upstream = rng.standard_normal((n, 9))
+                got = pair(field, p, t, upstream)
+                with monkeypatch.context() as m:  # the same pair with every operator built per call
+                    m.setattr(fg, "lookup", reference_lookup)
+                    m.setattr(fg, "sampling_operator", reference_sampling_operator)
+                    m.setattr(fg, "lookup_grad", reference_lookup_grad)
+                    want = pair(field, p, t, upstream)
+                for a, b in zip(got, want, strict=True):
+                    assert_same_bits(a, b)
+
+    def test_operators_follow_the_batch_size(self):
+        grid = self.make(self.GRIDS["coarse"])
+        rng = np.random.default_rng(25)
+        fg.lookup(grid, rng.uniform(0, 1, (7, 3)), 0.5)
+        kept = grid._operators
+        fg.lookup(grid, rng.uniform(0, 1, (7, 3)), 0.2)
+        assert grid._operators is kept  # the same size reuses them
+        fg.lookup(grid, rng.uniform(0, 1, (3, 3)), 0.2)
+        assert grid._operators is not kept and grid._operators.S.shape == (18, len(grid.cells))
+        assert grid.with_cells(grid.cells.copy())._operators is None
 
 
 class TestTvLoss:

@@ -41,6 +41,21 @@ class TestAnalyticSpotValues:
         # r = 0 so the tangential part vanishes and e^{-r^2} = 1
         np.testing.assert_allclose(d.d_position[0], [0.0, 0.0, 0.5], atol=1e-12)
 
+    def test_vortex_cartesian_form_matches_polar_form(self):
+        w, k, u0 = 1.3, 0.2, 0.5
+        f = AnalyticField("vortex", omega=w, k=k, u0=u0)
+        rng = np.random.default_rng(11)
+        p = rng.uniform(-1.5, 1.5, (2000, 3))
+        p[:100, :2] = 0.0  # on the z axis
+        p[100:600, 0] = -np.abs(p[100:600, 0])  # x < 0, where arctan2 takes its other branch
+        x, y = p[:, 0], p[:, 1]
+        r, theta = np.sqrt(x**2 + y**2), np.arctan2(y, x)
+        polar = np.stack([-w * r * np.sin(theta) - k * x, w * r * np.cos(theta) - k * y, u0 * np.exp(-(r**2))],
+                         axis=1)
+        got = f.evaluate_batch(p, None, 0.0).d_position
+        assert np.all(np.abs(got - polar) <= 2e-15 * np.linalg.norm(polar, axis=1, keepdims=True))
+        np.testing.assert_array_equal(got[:100], np.tile([0.0, 0.0, u0], (100, 1)))
+
     def test_gravity_acceleration(self):
         f = AnalyticField("gravity_bounce", g=-9.8)
         d = f.evaluate_batch(np.array([[0.3, 0.2, 0.9]]), np.array([[0.1, 0.0, 0.0]]), 0.0)
@@ -118,7 +133,24 @@ class TestBounceEvents:
         np.testing.assert_array_equal(v2, v)
 
 
+@pytest.mark.parametrize("kind", sorted(set(ANALYTIC_KINDS) - {"gravity_bounce", "diffusion_gas", "reaction_diffusion"}))
+def test_event_free_kind_returns_its_inputs(kind):
+    p, v = np.random.default_rng(3).uniform(0, 1, (2, 5, 3))
+    got_p, got_v = AnalyticField(kind).apply_events(p, v, 0.5, step_index=2)
+    assert got_p is p and got_v is v
+
+
 class TestStochasticDeterminism:
+    @pytest.mark.parametrize("kind", ["swirl", "wind_curl", "diffusion_gas", "reaction_diffusion"])
+    def test_seed_at_the_noise_key_bound_rejected(self, kind):
+        # the key (seed << 20) + step wraps in 64 bits: seeds 0 and 2^44 drew the same noise
+        for seed in (2**44, 2**64):
+            with pytest.raises(FieldError, match=r"below 2\*\*44"):
+                AnalyticField(kind, seed=seed)
+        AnalyticField(kind, seed=2**44 - 1)
+        AnalyticField("vortex", seed=2**64)  # kinds without noise keep any seed
+
+
     @pytest.mark.parametrize("kind", ["swirl", "diffusion_gas", "wind_curl", "reaction_diffusion"])
     def test_same_seed_same_values(self, kind):
         extra = {"eta": 0.5} if kind in ("swirl", "wind_curl") else {}

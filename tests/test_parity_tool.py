@@ -34,6 +34,12 @@ def test_reduced_matrix_twice_gives_one_table(tmp_path):
             "eval/manifest.json", "stdout/06-eval.txt", "spin.json"} <= first.keys()
 
 
+def test_runs_under_set_thread_counts_agree(tmp_path):
+    # one subprocess per count; both at one thread must write the same bytes
+    first, second = parity.run_threads(QUICK[:3], [1, 1], tmp_path)
+    assert parity.differences(first, second) == [] and "sim/trajectory.csv" in first
+
+
 def test_differences_names_changed_and_one_sided_paths():
     table = {"a": "1", "b": "2", "c": "3"}
     assert parity.differences(table, {"a": "1", "b": "9", "d": "4"}) == ["b", "c", "d"]

@@ -94,6 +94,35 @@ class TestLoadScene:
         with pytest.raises(sc.SceneValidationError, match=r"^gaussians\[3\]\.opacity: value 1.5 outside \[0, 1\]$"):
             sc.load_scene(write_scene_doc(tmp_path, {"gaussians": rows}))
 
+    def test_columns_read_at_once_equal_rows_read_one_by_one(self, tmp_path):
+        from gsdyn import cli
+
+        for kind, n in (("vortex", 1000), ("vortex", 500), ("drift", 10)):  # the benchmark's sizes, criterion 6's
+            path = tmp_path / f"{kind}{n}.json"
+            sc.save_scene(cli.generate_scene(kind, n, 3, seed=4), path)
+            gaussians = json.loads(path.read_text())["gaussians"]
+            fast, rows = sc._gaussian_columns(gaussians), sc._gaussian_rows(gaussians)
+            assert fast.keys() == rows.keys()
+            for key in rows:
+                assert fast[key].shape == rows[key].shape and fast[key].tobytes() == rows[key].tobytes()
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("opacity", None, sc.SceneParseError), ("opacity", [0.5], sc.SceneParseError),
+        ("opacity", "x", sc.SceneParseError), ("position", [0.0, 0.0], sc.SceneValidationError),
+        ("position", None, sc.SceneValidationError), ("color", "abc", sc.SceneParseError),
+        ("rotation", [[1.0], [0.0], [0.0], [0.0]], sc.SceneValidationError), ("log_scale", {}, sc.SceneParseError),
+    ])
+    def test_malformed_column_falls_back_to_rows(self, tmp_path, field, value, error):
+        rows = [dict(MINIMAL_GAUSSIAN) for _ in range(5)]
+        rows[2][field] = value
+        assert sc._gaussian_columns(rows) is None
+        with pytest.raises(error, match=r"^gaussians\[2\]"):
+            sc.load_scene(write_scene_doc(tmp_path, {"gaussians": rows}))
+        del rows[2][field]
+        assert sc._gaussian_columns(rows) is None
+        with pytest.raises(sc.SceneParseError, match=rf"^gaussians\[2\]: '{field}'$"):
+            sc.load_scene(write_scene_doc(tmp_path, {"gaussians": rows}))
+
     def test_trajectory_tensor_shape(self, tmp_path):
         gaussians = [
             dict(MINIMAL_GAUSSIAN, position=[float(i), 0.0, 0.0]) for i in range(3)

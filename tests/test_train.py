@@ -556,6 +556,27 @@ class TestFit:
         assert [r.total for r in a.history] == [r.total for r in b.history]
         np.testing.assert_array_equal(a.field.theta, b.field.theta)
 
+    def test_operators_of_another_batch_size_leave_the_fit_bitwise(self, monkeypatch):
+        # criterion 6's shape: a 10-Gaussian drift at stride 4, the default
+        # field.  Before every Adam step the field's grid samples and
+        # differentiates a 3-row batch, so each epoch rebuilds its operators.
+        scene = cli.generate_scene("drift", 10, 20, seed=5, params={"delta": [0.3, 0.0, 0.0]})
+        config = train.TrainingConfig(epochs=6, frame_stride=4, seed=0)
+        want = train.fit(scene, config)
+        adam_step, rng = train.adam_step, np.random.default_rng(0)
+
+        def after_three_rows(field, *args):
+            p = rng.uniform(0.0, 1.0, (3, 3))
+            fg.lookup(field.grid, p, 0.5)
+            fg.lookup_grad(field.grid, p, 0.5, np.ones((3, field.grid.feature_size)))
+            assert field.grid._operators.n == 3
+            return adam_step(field, *args)
+
+        monkeypatch.setattr(train, "adam_step", after_three_rows)
+        got = train.fit(scene, config)
+        assert got.field.theta.tobytes() == want.field.theta.tobytes()
+        assert [r.total for r in got.history] == [r.total for r in want.history]
+
     def test_one_gradient_buffer_per_epoch(self, monkeypatch):
         calls = []
         zero_grads = NeuralVelocityField.zero_grads

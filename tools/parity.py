@@ -1,6 +1,6 @@
 """Output parity table: run a fixed matrix of gsdyn commands and hash every file they write.
 
-    python3 tools/parity.py --out parity.json [--work DIR] [--against OTHER.json]
+    python3 tools/parity.py --out parity.json [--work DIR] [--against OTHER.json] [--threads 1,2]
 
 Run from the root of a checkout; gsdyn is imported from its ``src/``.  Every
 command of MATRIX runs in process through ``cli.main``, with paths relative
@@ -10,6 +10,13 @@ commands' outputs, manifests and the inputs the matrix writes, plus each
 command's stdout under ``stdout/``) to its SHA-256.  With ``--against`` the
 table is compared with another one: the paths whose hashes differ, or that
 only one table has, are printed and the exit status is 1.
+
+With ``--threads 1,2`` the matrix runs once per BLAS thread count, each in a
+subprocess with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` set to it; the first count's table is the one written,
+and the paths whose hashes differ under another count are printed, with
+exit status 1.  It reports; outputs that depend on the thread count are a
+known defect of training, not a failure of the tool.
 
 The matrix covers what a change to the numerics could move: scenes of all
 ten analytic kinds and of the zero field, with noise on swirl and wind_curl;
@@ -26,8 +33,9 @@ from __future__ import annotations
 
 import os
 
-# one BLAS thread, as the benchmark runs: outputs do not depend on it, time does
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# one BLAS thread, as the benchmark runs, unless the caller set a count
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse
@@ -36,6 +44,7 @@ import hashlib
 import io
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -113,6 +122,26 @@ def run_matrix(matrix, work: Path) -> dict:
             for path in sorted(work.rglob("*")) if path.is_file()}
 
 
+# a subprocess that runs a matrix under its environment's thread count:
+# argv is (this file's directory, matrix JSON, work directory, table path)
+_CHILD = ("import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); import parity; "
+          "Path(sys.argv[4]).write_text(json.dumps(parity.run_matrix(json.loads(sys.argv[2]), Path(sys.argv[3]))))")
+
+
+def run_threads(matrix, counts, work: Path) -> list:
+    """Runs ``matrix`` once per BLAS thread count in ``counts``, each in a
+    subprocess under ``work``; returns their tables in that order."""
+    work.mkdir(parents=True, exist_ok=True)
+    tables = []
+    for i, count in enumerate(counts):
+        env = dict(os.environ, **{var: str(count) for var in THREAD_VARS})
+        table = work / f"threads-{i}-{count}.json"
+        subprocess.run([sys.executable, "-c", _CHILD, str(Path(__file__).resolve().parent), json.dumps(matrix),
+                        str(work / f"threads-{i}-{count}"), str(table)], env=env, check=True)
+        tables.append(json.loads(table.read_text()))
+    return tables
+
+
 def differences(table: dict, other: dict) -> list:
     """The paths whose hashes differ between the two tables, or that only one of them has."""
     return sorted(p for p in table.keys() | other.keys() if table.get(p) != other.get(p))
@@ -123,16 +152,31 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="where to write the table (JSON)")
     parser.add_argument("--work", default=".parity_work", help="work directory, emptied first")
     parser.add_argument("--against", default=None, help="a table to compare with")
+    parser.add_argument("--threads", default=None, help="BLAS thread counts to compare, e.g. 1,2")
     args = parser.parse_args(argv)
-    table = run_matrix(MATRIX, Path(args.work).resolve())
+    work, differ = Path(args.work).resolve(), []
+    if args.threads is None:
+        table = run_matrix(MATRIX, work)
+    else:
+        counts = args.threads.split(",")
+        if len(counts) < 2 or not all(c.isdigit() and int(c) > 0 for c in counts):
+            parser.error("--threads takes at least two positive counts, e.g. 1,2")
+        counts = [int(c) for c in counts]
+        table, *others = run_threads(MATRIX, counts, work)
+        for count, other in zip(counts[1:], others):
+            changed = differences(table, other)
+            for path in changed:
+                print(f"differs under {count} threads: {path}")
+            print(f"{len(changed)} of {len(table)} files differ between {counts[0]} and {count} threads")
+            differ += changed
     Path(args.out).write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"{len(table)} files hashed into {args.out}")
-    if args.against is None:
-        return 0
-    differ = differences(table, json.loads(Path(args.against).read_text()))
-    for path in differ:
-        print(f"differs: {path}")
-    print(f"{len(differ)} of {len(table)} files differ from {args.against}")
+    if args.against is not None:
+        changed = differences(table, json.loads(Path(args.against).read_text()))
+        for path in changed:
+            print(f"differs: {path}")
+        print(f"{len(changed)} of {len(table)} files differ from {args.against}")
+        differ += changed
     return 1 if differ else 0
 
 
